@@ -1,15 +1,17 @@
 /// \file pipeline_throughput.cc
-/// \brief PIPELINE: ingest throughput — direct locked `Increment` vs the
-/// async batched pipeline, plus elastic-scaling, idle-CPU, and
+/// \brief PIPELINE: ingest throughput — direct per-event store writes vs
+/// the async batched pipeline, plus elastic-scaling, idle-CPU, and
 /// backpressure-cost scenarios.
 ///
-/// Replays the same Zipf trace through (a) producer threads calling
-/// `ConcurrentCounterStore::Increment` directly (a stripe-lock round trip
-/// and a packed-slot deserialize/serialize per event) and (b) the
-/// `IngestPipeline` (lock-free SPSC submit, background workers that
-/// pre-aggregate duplicate keys and batch per stripe). Under Zipfian
-/// traffic the batched path does one slot update per *distinct* key per
-/// batch, which is where the win comes from even on a single core.
+/// Replays the same Zipf trace through (a) producer threads writing the
+/// `ShardedCounterStore` directly, producer p through lane p, one
+/// single-event `IncrementBatch` (a packed-slot deserialize/serialize) per
+/// event, and (b) the `IngestPipeline` (lock-free SPSC submit, background
+/// workers that pre-aggregate duplicate keys and apply one batch per pass
+/// through their own lane). Under Zipfian traffic the batched path does
+/// one slot update per *distinct* key per batch, which is where the win
+/// comes from even on a single core. Every store is kSampling at 16 bits
+/// with one shard per producer (direct) or worker (pipeline).
 ///
 /// Five extra scenarios track the elastic-pipeline work:
 ///  - **elastic**: replays the trace while `SetWorkerCount` steps the
@@ -37,21 +39,6 @@
 ///    into the same pipeline config, against the in-process Submit
 ///    ceiling. The gap is the wire tax; the exact-books invariants are
 ///    asserted and the lost/unaccounted counts judged as must-stay-zero.
-///  - **sharded**: the merge-on-read store redesign's headline number.
-///    The same exact-kind trace goes through (a) direct stripe-locked
-///    `Increment` on the striped compatibility store and (b) the pipeline
-///    into a `ShardedCounterStore` with one private shard per worker, at
-///    1, 2, and 4 producers. The striped direct path degrades as producers
-///    contend for stripe locks while the sharded `IncrementBatch` takes no
-///    lock and touches no shared cache line, so the pipeline-vs-direct
-///    ratio must *grow* with the producer count instead of flattening at
-///    the single-producer batching gain (asserted strictly increasing on
-///    hosts with >=4 hardware threads — fewer cores time-slice the
-///    producers and flatten the curve by construction, so the gate is
-///    logged-not-asserted there, like the backpressure scenario's
-///    few-core caveat). Books are asserted exact on every pipeline run: nothing shed under
-///    kBlock, applied == submitted, and the merged store total equals the
-///    trace's total weight — Remark 2.4's exactness, end to end.
 ///  - **overload**: the shed/spill policies against a paused pipeline.
 ///    Shed mode blasts a frozen ring and must balance its books exactly —
 ///    `delivered + shed == submitted`, asserted, with the shed Submit
@@ -69,11 +56,9 @@
 /// wakeups, cpu_seconds}`, `backpressure {attempts, accepted, rejected,
 /// elapsed_s, attempts_per_sec, rejects_per_sec, reject_attempts,
 /// reject_allocs, invalid_slot_attempts, invalid_slot_allocs}`,
-/// `sharded {configs[] {mode, producers, events, events_per_sec, ...}}`
-/// (the sharded-pipeline entries carry `ratio`, `agg_factor`, and a
-/// must-stay-zero `unaccounted_events`), `net {events, connections, elapsed_s,
-/// events_per_sec, inproc_events_per_sec, frames_tx, bytes_tx,
-/// credit_stalls, reconnects, lost_events, unaccounted_events}`,
+/// `net {events, connections, elapsed_s, events_per_sec,
+/// inproc_events_per_sec, frames_tx, bytes_tx, credit_stalls, reconnects,
+/// lost_events, unaccounted_events}`,
 /// `saturated_producer_cpu
 /// {park_seconds, cpu_seconds, parks, wakeups, retries_while_parked,
 /// wake_latency_s}`, `autoscale {events, burst_seconds, events_per_sec,
@@ -101,12 +86,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
 #include "analytics/sharded_counter_store.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -232,9 +217,11 @@ double ThreadCpuSeconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-analytics::ConcurrentCounterStore MakeStore(uint64_t stripes, uint64_t n_max) {
-  return analytics::ConcurrentCounterStore::Make(stripes, CounterKind::kSampling,
-                                                 16, n_max, 7)
+/// One shard (== lane) per producer or worker that writes the store.
+std::unique_ptr<analytics::ShardedCounterStore> MakeStore(uint64_t shards,
+                                                          uint64_t n_max) {
+  return analytics::ShardedCounterStore::Make(shards, CounterKind::kSampling,
+                                              16, n_max, 7)
       .ValueOrDie();
 }
 
@@ -251,16 +238,17 @@ std::vector<std::vector<pipeline::Event>> Partition(
 }
 
 RunResult RunDirect(const std::vector<std::vector<pipeline::Event>>& parts,
-                    uint64_t stripes, uint64_t n_max) {
-  auto store = MakeStore(stripes, n_max);
+                    uint64_t n_max) {
+  auto store = MakeStore(parts.size(), n_max);
   uint64_t total = 0;
   for (const auto& p : parts) total += p.size();
   const double start = Now();
   std::vector<std::thread> threads;
-  for (const auto& part : parts) {
-    threads.emplace_back([&store, &part] {
-      for (const pipeline::Event& e : part) {
-        COUNTLIB_CHECK_OK(store.Increment(e.key, e.weight));
+  for (uint64_t p = 0; p < parts.size(); ++p) {
+    threads.emplace_back([&store, &parts, p] {
+      for (const pipeline::Event& e : parts[p]) {
+        const analytics::KeyWeight kw{e.key, e.weight};
+        COUNTLIB_CHECK_OK(store->IncrementBatch(p, &kw, 1));
       }
     });
   }
@@ -271,16 +259,18 @@ RunResult RunDirect(const std::vector<std::vector<pipeline::Event>>& parts,
 }
 
 RunResult RunPipeline(const std::vector<std::vector<pipeline::Event>>& parts,
-                      uint64_t stripes, uint64_t n_max, uint64_t workers,
+                      uint64_t n_max, uint64_t workers,
                       uint64_t queue_capacity, uint64_t max_batch,
                       const std::vector<uint64_t>& worker_steps = {}) {
-  auto store = MakeStore(stripes, n_max);
+  uint64_t max_workers = workers;
+  for (uint64_t n : worker_steps) max_workers = std::max(max_workers, n);
+  auto store = MakeStore(max_workers, n_max);
   pipeline::PipelineOptions opt;
   opt.num_producers = parts.size();
   opt.num_workers = workers;
   opt.queue_capacity = queue_capacity;
   opt.max_batch = max_batch;
-  auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   uint64_t total = 0;
   for (const auto& p : parts) total += p.size();
   const double start = Now();
@@ -318,11 +308,11 @@ RunResult RunPipeline(const std::vector<std::vector<pipeline::Event>>& parts,
 /// the sleep-timeout wake rate (~20/s per worker) — the old yield/sleep
 /// backoff burned ~10k passes/s per worker here.
 IdleResult RunIdle(double seconds, uint64_t workers) {
-  auto store = MakeStore(16, 1u << 20);
+  auto store = MakeStore(workers, 1u << 20);
   pipeline::PipelineOptions opt;
   opt.num_producers = workers;
   opt.num_workers = workers;
-  auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   for (uint64_t p = 0; p < workers; ++p) {
     for (uint64_t i = 0; i < 1000; ++i) {
       COUNTLIB_CHECK_OK(ingest->Submit(p, i, 1));
@@ -361,13 +351,13 @@ IdleResult RunIdle(double seconds, uint64_t workers) {
 /// never backs off, so on few-core boxes the worker runs only on
 /// preemption) — only the attempt/reject rates are meaningful here.
 BackpressureResult RunBackpressure(double seconds) {
-  auto store = MakeStore(4, 1u << 20);
+  auto store = MakeStore(1, 1u << 20);
   pipeline::PipelineOptions opt;
   opt.num_producers = 1;
   opt.num_workers = 1;
   opt.queue_capacity = 2;
   opt.max_batch = 1;
-  auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   BackpressureResult r{0, 0, 0, 0.0, 0.0, 0.0, 0, 0, 0, 0};
   const double start = Now();
   const double deadline = start + seconds;
@@ -431,13 +421,13 @@ BackpressureResult RunBackpressure(double seconds) {
 /// a meaningful slice of a core. The pipeline is paused so no drain frees
 /// space until the resume, which also measures the wake latency.
 SaturatedProducerResult RunSaturatedProducer(double seconds) {
-  auto store = MakeStore(4, 1u << 20);
+  auto store = MakeStore(1, 1u << 20);
   pipeline::PipelineOptions opt;
   opt.num_producers = 1;
   opt.num_workers = 1;
   opt.queue_capacity = 1024;
   opt.max_batch = 2048;  // the resume drains the whole ring in one pass
-  auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
   while (ingest->TrySubmit(0, 1, 1).ok()) {
   }
@@ -480,13 +470,13 @@ SaturatedProducerResult RunSaturatedProducer(double seconds) {
 /// max_batch is kept small so the burst visibly outruns the initial
 /// worker.
 AutoscaleResult RunAutoscale(double burst_seconds) {
-  auto store = MakeStore(16, 1u << 24);
+  auto store = MakeStore(4, 1u << 24);
   pipeline::PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 1;
   opt.queue_capacity = 2048;
   opt.max_batch = 64;
-  auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   pipeline::AutoscalerConfig config;
   config.min_workers = 1;
@@ -557,13 +547,13 @@ OverloadResult RunOverload() {
   OverloadResult r{};
   {
     // Shed phase.
-    auto store = MakeStore(4, 1u << 20);
+    auto store = MakeStore(1, 1u << 20);
     pipeline::PipelineOptions opt;
     opt.num_producers = 1;
     opt.num_workers = 1;
     opt.queue_capacity = 1024;
     opt.overload.policy = pipeline::OverloadPolicy::kShed;
-    auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+    auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));  // freeze: no drains
     constexpr uint64_t kAttempts = 100000;
     const double start = Now();
@@ -589,7 +579,7 @@ OverloadResult RunOverload() {
   }
   {
     // Spill phase.
-    auto store = MakeStore(4, 1u << 20);
+    auto store = MakeStore(1, 1u << 20);
     pipeline::PipelineOptions opt;
     opt.num_producers = 1;
     opt.num_workers = 1;
@@ -597,7 +587,7 @@ OverloadResult RunOverload() {
     opt.max_batch = 2048;
     opt.overload.policy = pipeline::OverloadPolicy::kSpill;
     opt.overload.spill_capacity = 1u << 16;
-    auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+    auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
     constexpr uint64_t kAttempts = 50000;  // ring 1024 + ~49k spilled
     for (uint64_t i = 0; i < kAttempts; ++i) {
@@ -617,168 +607,6 @@ OverloadResult RunOverload() {
     COUNTLIB_CHECK_GT(r.spill_peak_depth, uint64_t{0});
   }
   return r;
-}
-
-struct ShardedRunResult {
-  uint64_t producers;
-  uint64_t events;
-  double direct_events_per_sec;   // striped exact store, stripe-locked
-  double sharded_events_per_sec;  // pipeline into per-worker private shards
-  double ratio;                   // sharded pipeline over striped direct
-  double agg_factor;              // events per store update, pipeline run
-};
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];  // callers pass odd-sized samples
-}
-
-/// One timed direct run: `passes` replays of the partitioned trace through
-/// contended stripe-locked `Increment` on the compat store.
-double MeasureShardedDirect(
-    const std::vector<std::vector<pipeline::Event>>& parts, uint64_t stripes,
-    uint64_t n_max, int passes, uint64_t total_events) {
-  auto striped = analytics::ConcurrentCounterStore::Make(
-                     stripes, CounterKind::kExact, 32, n_max, 7)
-                     .ValueOrDie();
-  const double start = Now();
-  std::vector<std::thread> threads;
-  for (const auto& part : parts) {
-    threads.emplace_back([&striped, &part, passes] {
-      for (int pass = 0; pass < passes; ++pass) {
-        for (const pipeline::Event& e : part) {
-          COUNTLIB_CHECK_OK(striped.Increment(e.key, e.weight));
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  return static_cast<double>(total_events) / (Now() - start);
-}
-
-/// One timed pipeline run into private shards — one shard (= lane) per
-/// worker, one worker per producer, so writer concurrency scales with the
-/// load — with the exact books asserted on every run.
-double MeasureShardedPipeline(
-    const std::vector<std::vector<pipeline::Event>>& parts, uint64_t n_max,
-    int passes, uint64_t total_events, uint64_t total_weight,
-    double* agg_factor) {
-  const uint64_t producers = parts.size();
-  auto sharded = analytics::ShardedCounterStore::Make(
-                     producers, CounterKind::kExact, 32, n_max, 7)
-                     .ValueOrDie();
-  pipeline::PipelineOptions opt;
-  opt.num_producers = producers;
-  opt.num_workers = producers;
-  opt.queue_capacity = 8192;
-  opt.max_batch = 2048;
-  auto ingest =
-      pipeline::IngestPipeline::Make(sharded.get(), opt).ValueOrDie();
-  const double start = Now();
-  std::vector<std::thread> threads;
-  for (uint64_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&ingest, &parts, p, passes] {
-      for (int pass = 0; pass < passes; ++pass) {
-        for (const pipeline::Event& e : parts[p]) {
-          COUNTLIB_CHECK_OK(ingest->Submit(p, e.key, e.weight));
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  COUNTLIB_CHECK_OK(ingest->Drain());
-  const double elapsed = Now() - start;
-  const pipeline::PipelineStats stats = ingest->Stats();
-  // Exact books: kBlock is lossless — delivered + shed == submitted with
-  // shed identically zero.
-  COUNTLIB_CHECK_EQ(stats.events_submitted, total_events);
-  COUNTLIB_CHECK_EQ(stats.events_applied + stats.events_shed, total_events);
-  COUNTLIB_CHECK_EQ(stats.events_shed, uint64_t{0});
-  // Remark 2.4, end to end: the merged exact-kind store accounts for the
-  // trace's total weight to the last unit.
-  double merged_total = 0.0;
-  COUNTLIB_CHECK_OK(sharded->ForEach(
-      [&merged_total](uint64_t, double est) { merged_total += est; }));
-  COUNTLIB_CHECK_EQ(static_cast<uint64_t>(merged_total), total_weight);
-  *agg_factor = static_cast<double>(stats.events_applied) /
-                static_cast<double>(stats.updates_applied);
-  return static_cast<double>(total_events) / elapsed;
-}
-
-/// The store redesign's acceptance number: with the striped store the
-/// pipeline-vs-direct ratio flattens at the batching gain (~2.3x) because
-/// workers still serialize on stripe locks; with one private shard per
-/// worker there is nothing left to serialize on, while the direct path
-/// keeps paying more for its stripe locks as producers are added. Both
-/// sides run the exact counter kind so the merged totals can be checked to
-/// the last unit.
-///
-/// Noise discipline (the strictly-increasing assertion must hold on loaded
-/// single-core CI runners): each rep times a *pair* of back-to-back runs —
-/// direct then pipeline — so machine drift hits both sides of each ratio
-/// sample; every timed run replays the trace `kPasses` times to stretch
-/// the window past scheduler-quantum noise; and the judged ratio is the
-/// median of the per-rep paired ratios, immune to a couple of outlier
-/// reps in either direction.
-std::vector<ShardedRunResult> RunShardedScaling(
-    const std::vector<stream::KeyEvent>& events, uint64_t stripes) {
-  constexpr uint64_t kNMax = (uint64_t{1} << 32) - 1;
-  constexpr int kReps = 5;    // odd, for the median
-  constexpr int kPasses = 2;  // trace replays per timed run
-  uint64_t trace_weight = 0;
-  for (const auto& e : events) trace_weight += e.weight;
-  const uint64_t total_events = events.size() * kPasses;
-  const uint64_t total_weight = trace_weight * kPasses;
-  std::vector<ShardedRunResult> out;
-  for (uint64_t producers : {uint64_t{1}, uint64_t{2}, uint64_t{4}}) {
-    const auto parts = Partition(events, producers);
-    ShardedRunResult r{};
-    r.producers = producers;
-    r.events = total_events;
-    std::vector<double> direct_eps, pipeline_eps, ratios;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double d = MeasureShardedDirect(parts, stripes, kNMax, kPasses,
-                                            total_events);
-      const double p = MeasureShardedPipeline(parts, kNMax, kPasses,
-                                              total_events, total_weight,
-                                              &r.agg_factor);
-      direct_eps.push_back(d);
-      pipeline_eps.push_back(p);
-      ratios.push_back(p / d);
-    }
-    r.direct_events_per_sec = Median(direct_eps);
-    r.sharded_events_per_sec = Median(pipeline_eps);
-    r.ratio = Median(ratios);
-    out.push_back(r);
-  }
-  // The acceptance gate: no plateau — the pipeline-vs-direct ratio grows
-  // strictly with every producer-count step. Log the medians first so a
-  // gate trip in CI still shows the whole curve.
-  for (const ShardedRunResult& r : out) {
-    std::printf("# sharded[p=%llu]: direct %.2fM ev/s, pipeline %.2fM ev/s, "
-                "ratio %.3f\n",
-                static_cast<unsigned long long>(r.producers),
-                r.direct_events_per_sec / 1e6, r.sharded_events_per_sec / 1e6,
-                r.ratio);
-  }
-  std::fflush(stdout);  // the curve must survive a gate abort in CI logs
-  // The acceptance gate needs real parallelism to be physical: on a box
-  // with fewer hardware threads than the widest configuration, producers
-  // time-slice one core, stripe locks are never truly contended, and the
-  // ratio is flat by construction (same few-core caveat as the
-  // backpressure scenario). The exact-books invariants above are asserted
-  // unconditionally either way.
-  if (std::thread::hardware_concurrency() >= 4) {
-    for (size_t i = 1; i < out.size(); ++i) {
-      COUNTLIB_CHECK_GT(out[i].ratio, out[i - 1].ratio);
-    }
-  } else {
-    std::printf(
-        "# sharded: %u hardware thread(s) < 4 — ratio-growth gate skipped "
-        "(needs real parallelism), exact books still asserted\n",
-        std::thread::hardware_concurrency());
-  }
-  return out;
 }
 
 struct NetResult {
@@ -803,7 +631,7 @@ struct NetResult {
 /// invariants (nothing lost, nothing unaccounted) are asserted here and
 /// judged as must-stay-zero by bench_diff.
 NetResult RunNet(uint64_t num_events, uint64_t keys, double skew,
-                 uint64_t stripes, uint64_t connections,
+                 uint64_t connections,
                  uint64_t queue_capacity, uint64_t max_batch) {
   auto trace =
       stream::Trace::GenerateZipf(keys, skew, num_events, 4242).ValueOrDie();
@@ -812,7 +640,7 @@ NetResult RunNet(uint64_t num_events, uint64_t keys, double skew,
   r.events = num_events;
   r.connections = connections;
 
-  const auto make_pipeline = [&](analytics::ConcurrentCounterStore* store) {
+  const auto make_pipeline = [&](analytics::ShardedCounterStore* store) {
     pipeline::PipelineOptions opt;
     opt.num_producers = connections;
     opt.num_workers = 2;
@@ -823,8 +651,8 @@ NetResult RunNet(uint64_t num_events, uint64_t keys, double skew,
 
   {
     // Loopback run.
-    auto store = MakeStore(stripes, num_events);
-    auto ingest = make_pipeline(&store);
+    auto store = MakeStore(2, num_events);
+    auto ingest = make_pipeline(store.get());
     auto server =
         net::EventServer::Make(ingest.get(), net::ServerOptions()).ValueOrDie();
     std::vector<net::ClientStats> per_conn(connections);
@@ -871,8 +699,8 @@ NetResult RunNet(uint64_t num_events, uint64_t keys, double skew,
 
   {
     // In-process ceiling: same pipeline shape, no sockets.
-    auto store = MakeStore(stripes, num_events);
-    auto ingest = make_pipeline(&store);
+    auto store = MakeStore(2, num_events);
+    auto ingest = make_pipeline(store.get());
     const double start = Now();
     std::vector<std::thread> threads;
     for (uint64_t c = 0; c < connections; ++c) {
@@ -914,20 +742,20 @@ struct ObservabilityResult {
 /// asserts it never touches the heap — counters, histogram recording and
 /// timestamp stamping are all preallocated.
 ObservabilityResult RunObservability(
-    const std::vector<std::vector<pipeline::Event>>& parts, uint64_t stripes,
-    uint64_t n_max, uint64_t queue_capacity, uint64_t max_batch) {
+    const std::vector<std::vector<pipeline::Event>>& parts, uint64_t n_max,
+    uint64_t queue_capacity, uint64_t max_batch) {
   ObservabilityResult r{};
   for (const auto& p : parts) r.events += p.size();
 
   const auto replay = [&](bool instrument, obs::HistogramSnapshot* latency) {
-    auto store = MakeStore(stripes, n_max);
+    auto store = MakeStore(1, n_max);
     pipeline::PipelineOptions opt;
     opt.num_producers = parts.size();
     opt.num_workers = 1;
     opt.queue_capacity = queue_capacity;
     opt.max_batch = max_batch;
     opt.enable_metrics = instrument;
-    auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+    auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
     const double start = Now();
     std::vector<std::thread> threads;
     for (uint64_t p = 0; p < parts.size(); ++p) {
@@ -989,13 +817,13 @@ ObservabilityResult RunObservability(
     // paused, coarse clock set by hand (no collector thread to muddy the
     // counter), sampling at 1/1: every TrySubmit stamps, counts, and — on
     // the full-ring side — takes the preallocated reject.
-    auto store = MakeStore(4, 1u << 20);
+    auto store = MakeStore(1, 1u << 20);
     pipeline::PipelineOptions opt;
     opt.num_producers = 1;
     opt.queue_capacity = 1024;
     opt.enable_metrics = true;
     opt.latency_sample_shift = 0;
-    auto ingest = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+    auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
     obs::CoarseClock::Set(1000000);
     // Warm thread-locals and the lazily built pending Status: fill the
@@ -1032,7 +860,6 @@ std::string ToJson(const std::vector<RunResult>& results,
                    const AutoscaleResult& autoscale,
                    const OverloadResult& overload,
                    const ObservabilityResult& obs, const NetResult& net,
-                   const std::vector<ShardedRunResult>& sharded,
                    uint64_t keys, double skew) {
   std::string out = "{\"bench\":\"pipeline_throughput\",\"keys\":" +
                     std::to_string(keys) + ",\"skew\":" + std::to_string(skew) +
@@ -1165,40 +992,15 @@ std::string ToJson(const std::vector<RunResult>& results,
       static_cast<unsigned long long>(net.lost_events),
       static_cast<unsigned long long>(net.unaccounted_events));
   out += buf;
-  // The sharded section mirrors configs[]' (mode, producers) keying so
-  // bench_diff judges its rates once the baseline carries it; the pipeline
-  // entries also carry the ratio (context) and a must-stay-zero
-  // unaccounted_events.
-  out += ",\"sharded\":{\"configs\":[";
-  for (size_t i = 0; i < sharded.size(); ++i) {
-    const ShardedRunResult& r = sharded[i];
-    if (i > 0) out += ",";
-    std::snprintf(buf, sizeof(buf),
-                  "{\"mode\":\"sharded-direct\",\"producers\":%llu,"
-                  "\"events\":%llu,\"events_per_sec\":%.1f},"
-                  "{\"mode\":\"sharded-pipeline\",\"producers\":%llu,"
-                  "\"events\":%llu,\"events_per_sec\":%.1f,"
-                  "\"agg_factor\":%.3f,\"ratio\":%.3f,"
-                  "\"unaccounted_events\":0}",
-                  static_cast<unsigned long long>(r.producers),
-                  static_cast<unsigned long long>(r.events),
-                  r.direct_events_per_sec,
-                  static_cast<unsigned long long>(r.producers),
-                  static_cast<unsigned long long>(r.events),
-                  r.sharded_events_per_sec, r.agg_factor, r.ratio);
-    out += buf;
-  }
-  out += "]}";
   out += "}";
   return out;
 }
 
 int Main(int argc, const char* const* argv) {
-  FlagParser flags("pipeline_throughput: direct locked ingest vs async batched pipeline");
+  FlagParser flags("pipeline_throughput: direct store writes vs async batched pipeline");
   flags.AddUint64("keys", 10000, "distinct keys in the trace");
   flags.AddUint64("events", 1000000, "events per configuration");
   flags.AddDouble("skew", 1.0, "Zipf skew");
-  flags.AddUint64("stripes", 16, "store stripes");
   flags.AddUint64("workers", 1, "pipeline drain threads");
   flags.AddUint64("queue_capacity", 8192, "per-producer queue capacity");
   flags.AddUint64("max_batch", 2048, "max events per pre-aggregated batch");
@@ -1230,8 +1032,8 @@ int Main(int argc, const char* const* argv) {
     const auto parts = Partition(trace.events(), producers);
     for (int mode = 0; mode < 2; ++mode) {
       RunResult r = mode == 0
-                        ? RunDirect(parts, flags.GetUint64("stripes"), events)
-                        : RunPipeline(parts, flags.GetUint64("stripes"), events,
+                        ? RunDirect(parts, events)
+                        : RunPipeline(parts, events,
                                       flags.GetUint64("workers"),
                                       flags.GetUint64("queue_capacity"),
                                       flags.GetUint64("max_batch"));
@@ -1245,7 +1047,7 @@ int Main(int argc, const char* const* argv) {
   const std::vector<uint64_t> worker_steps = {4, 2, 4};
   const auto elastic_parts = Partition(trace.events(), 4);
   RunResult elastic = RunPipeline(
-      elastic_parts, flags.GetUint64("stripes"), events, /*workers=*/1,
+      elastic_parts, events, /*workers=*/1,
       flags.GetUint64("queue_capacity"), flags.GetUint64("max_batch"),
       worker_steps);
   table.BeginRow() << elastic.mode << elastic.producers
@@ -1313,8 +1115,8 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(overload.spill_lost_events));
 
   const ObservabilityResult obs = RunObservability(
-      Partition(trace.events(), 1), flags.GetUint64("stripes"), events,
-      flags.GetUint64("queue_capacity"), flags.GetUint64("max_batch"));
+      Partition(trace.events(), 1), events, flags.GetUint64("queue_capacity"),
+      flags.GetUint64("max_batch"));
   std::printf(
       "# observability: %.1fM ev/s uninstrumented vs %.1fM instrumented "
       "(%.2f%% overhead); %llu recording TrySubmits -> %llu heap allocs; "
@@ -1330,31 +1132,8 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(obs.latency_samples),
       static_cast<unsigned long long>(obs.series_points));
 
-  const std::vector<ShardedRunResult> sharded =
-      RunShardedScaling(trace.events(), flags.GetUint64("stripes"));
-  for (const ShardedRunResult& r : sharded) {
-    table.BeginRow() << "sharded-direct" << r.producers
-                     << r.direct_events_per_sec
-                     << static_cast<double>(r.events) / r.direct_events_per_sec
-                     << 1.0;
-    COUNTLIB_CHECK_OK(table.EndRow());
-    table.BeginRow() << "sharded-pipeline" << r.producers
-                     << r.sharded_events_per_sec
-                     << static_cast<double>(r.events) / r.sharded_events_per_sec
-                     << r.agg_factor;
-    COUNTLIB_CHECK_OK(table.EndRow());
-  }
-  std::printf("# sharded: pipeline-vs-direct ratio");
-  for (const ShardedRunResult& r : sharded) {
-    std::printf(" %.2fx@%llup", r.ratio,
-                static_cast<unsigned long long>(r.producers));
-  }
-  std::printf(
-      " — strictly increasing (asserted on >=4 hardware threads), exact "
-      "books\n");
-
   const NetResult net = RunNet(
-      flags.GetUint64("net_events"), keys, skew, flags.GetUint64("stripes"),
+      flags.GetUint64("net_events"), keys, skew,
       flags.GetUint64("net_connections"), flags.GetUint64("queue_capacity"),
       flags.GetUint64("max_batch"));
   std::printf(
@@ -1372,7 +1151,7 @@ int Main(int argc, const char* const* argv) {
 
   const std::string json =
       ToJson(results, elastic, worker_steps, idle, bp, sat, autoscale,
-             overload, obs, net, sharded, keys, skew);
+             overload, obs, net, keys, skew);
   std::printf("%s\n", json.c_str());
   const std::string json_out = flags.GetString("json_out");
   if (!json_out.empty()) {

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "analytics/sharded_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "core/merge.h"
 #include "core/nelson_yu.h"
 #include "stream/trace.h"
@@ -37,18 +37,18 @@ int main(int argc, char** argv) {
               east.Estimate(), west.Estimate(), global.Estimate(),
               100.0 * (global.Estimate() / 1e6 - 1.0));
 
-  // --- Higher level: a sharded per-key store. ---
-  SamplingCounterParams params;
-  params.budget = 1u << 12;
-  params.t_cap = 20;
-  auto store = analytics::ShardedStore::Make(num_shards, params, 7).ValueOrDie();
+  // --- Higher level: a sharded per-key store, 17-bit sampling counters. ---
+  auto store = analytics::ShardedCounterStore::Make(
+                   num_shards, CounterKind::kSampling, 17, uint64_t{1} << 20, 7)
+                   .ValueOrDie();
 
   // Each shard ingests its own slice of a Zipf stream (same key space).
   auto trace = stream::Trace::GenerateZipf(256, 1.0, 400000, 5).ValueOrDie();
   const auto truth = trace.ExactCounts();
   uint64_t shard = 0;
   for (const auto& event : trace.events()) {
-    COUNTLIB_CHECK_OK(store.Increment(shard, event.key, event.weight));
+    const analytics::KeyWeight kw{event.key, event.weight};
+    COUNTLIB_CHECK_OK(store->IncrementBatch(shard, &kw, 1));
     shard = (shard + 1) % num_shards;
   }
 
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(num_shards));
   std::printf("%-6s %10s %12s %10s\n", "key", "true", "merged_est", "error");
   for (uint64_t key = 0; key < 5; ++key) {
-    const double est = store.MergedEstimate(key).ValueOrDie();
+    const double est = store->Estimate(key).ValueOrDie();
     const double tru = static_cast<double>(truth.at(key));
     std::printf("%-6llu %10.0f %12.0f %+9.2f%%\n",
                 static_cast<unsigned long long>(key), tru, est,

@@ -122,7 +122,7 @@ Result<std::unique_ptr<ShardedCounterStore>> ShardedCounterStore::Make(
     return Status::InvalidArgument(
         "ShardedCounterStore: " + std::string(CounterKindToString(kind)) +
         " counters are not mergeable (" + mergeable.message() +
-        "); use ConcurrentCounterStore for this kind");
+        "); count this kind with the single-threaded CounterStore");
   }
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(num_shards);

@@ -4,16 +4,14 @@
 /// reads — the hot-path implementation of the `CounterReader` /
 /// `CounterWriter` contract (store_interface.h).
 ///
-/// ## Why sharding beats striping here
+/// ## Why private shards
 ///
-/// The striped store (`ConcurrentCounterStore`) synchronizes writers
-/// against each other: every `IncrementBatch` takes stripe mutexes and
-/// bounces their cache lines between cores, which is why the pipeline's
-/// throughput advantage over direct ingest flattens as producers are
-/// added. The paper removes the need for any of that: Remark 2.4 says the
-/// library's counters are *mergeable* — merging two counters over streams
-/// σ₁ and σ₂ yields a counter distributed exactly as one counter run over
-/// the concatenation σ₁σ₂. So each pipeline worker can ingest into a
+/// A shared store would synchronize writers against each other: every
+/// batch would take a lock and bounce its cache line between cores. The
+/// paper removes the need for any of that: Remark 2.4 says the library's
+/// counters are *mergeable* — merging two counters over streams σ₁ and σ₂
+/// yields a counter distributed exactly as one counter run over the
+/// concatenation σ₁σ₂. So each pipeline worker can ingest into a
 /// **completely private** shard, and the global view is reconstructed
 /// exactly at read time by merging the shards. Writers never synchronize
 /// with each other, ever; writers and readers synchronize only during a
@@ -89,8 +87,8 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   /// counters are `kind` calibrated to `state_bits` bits for counts up to
   /// `n_max`. `kind` must be mergeable (`Counter::MergeFrom`): kExact,
   /// kMorris, kSampling qualify; kCsuros is bit-budget-constructible but
-  /// not mergeable and is rejected with InvalidArgument — use the striped
-  /// store for it.
+  /// not mergeable and is rejected with InvalidArgument — count it with the
+  /// single-threaded `CounterStore` instead.
   static Result<std::unique_ptr<ShardedCounterStore>> Make(
       uint64_t num_shards, CounterKind kind, int state_bits, uint64_t n_max,
       uint64_t seed);
@@ -152,8 +150,9 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   /// Registers this store's instruments (`countlib_store_*`, see
   /// obs/README.md) with `obs::Registry::Default()`. Gauges read only
   /// relaxed per-shard mirror cells — they never freeze, park, or take a
-  /// shard, so they are safe under the registry mutex. Same lifetime
-  /// contract as the striped store's RegisterMetrics.
+  /// shard, so they are safe under the registry mutex. Call once: the
+  /// gauge callbacks capture `this`, so the handles must be released
+  /// before the store is destroyed, and a second call double-counts.
   [[nodiscard]] std::vector<obs::Registration> RegisterMetrics();
 
   uint64_t num_shards() const { return shards_.size(); }

@@ -3,20 +3,15 @@
 /// snapshot interface (`CounterReader`) and an ownership-based write
 /// contract (`CounterWriter`).
 ///
-/// The redesign this file anchors: the paper's counters are mergeable
-/// (Remark 2.4 — a merged counter is distributionally exactly one counter
-/// over the concatenated stream), so the hot write path never needs a
-/// shared, lock-striped store. A `CounterWriter` exposes numbered **lanes**;
-/// each lane is a single-writer channel, and implementations are free to
-/// back every lane with completely private state (see
-/// `ShardedCounterStore`, whose `IncrementBatch` takes no lock and touches
-/// no shared cache line). Reads go through `CounterReader`, where
-/// merge-on-read implementations reconstruct the global view — exactly,
-/// per Remark 2.4 — at snapshot time.
-///
-/// `ConcurrentCounterStore` (the original striped design) implements both
-/// interfaces as the compatibility path; see docs/store_api.md for the
-/// contract details and the migration notes for pre-interface signatures.
+/// The paper's counters are mergeable (Remark 2.4 — a merged counter is
+/// distributionally exactly one counter over the concatenated stream), so
+/// the write path never needs a shared store. A `CounterWriter` exposes
+/// numbered **lanes**; each lane is a single-writer channel backed by
+/// completely private state (`ShardedCounterStore`, whose `IncrementBatch`
+/// takes no lock and touches no shared cache line). Reads go through
+/// `CounterReader`, which reconstructs the global view — exactly, per
+/// Remark 2.4 — at snapshot time. See docs/store_api.md for the contract
+/// details.
 
 #ifndef COUNTLIB_ANALYTICS_STORE_INTERFACE_H_
 #define COUNTLIB_ANALYTICS_STORE_INTERFACE_H_
@@ -37,25 +32,21 @@ namespace analytics {
 /// `PipelineStats` counts what reached the queues; this counts what reached
 /// the packed slots). Taken with `CounterReader::Stats`.
 struct StoreStats {
-  uint64_t increments = 0;     ///< successful single-key Increment calls
   uint64_t batch_calls = 0;    ///< IncrementBatch invocations with n > 0
   /// Key-weight updates applied through fully successful batches. A batch
   /// that errors mid-way may have committed a prefix that is not counted
   /// here, so treat this as a lower bound under store errors.
   uint64_t batch_updates = 0;
   /// Merged snapshot reads (`ForEach` / `TopK` / merged `Snapshot` calls).
-  /// Stays 0 for implementations whose reads never merge (striped store).
   uint64_t merge_reads = 0;
 };
 
 /// \brief Read-side interface of a concurrent multi-counter store.
 ///
-/// All methods are thread-safe against concurrent writers. How consistent
-/// the view is depends on the implementation:
-///  - `ShardedCounterStore` reads are **exact cross-shard cuts**: the
-///    snapshot equals a quiesced store that processed some prefix of every
-///    writer's stream (frozen at whole applied batches).
-///  - `ConcurrentCounterStore` reads are per-stripe consistent only.
+/// All methods are thread-safe against concurrent writers. Reads are
+/// **exact cross-shard cuts**: the snapshot equals a quiesced store that
+/// processed some prefix of every writer's stream (frozen at whole applied
+/// batches).
 class CounterReader {
  public:
   virtual ~CounterReader() = default;
@@ -70,10 +61,10 @@ class CounterReader {
 
   /// The `k` keys with the largest estimates.
   ///
-  /// Ordering contract (pinned here, identical for every implementation;
-  /// the test suite asserts striped and merged-shard stores agree):
-  /// descending by estimate, **ties broken by key, ascending**. The result
-  /// is therefore deterministic given the key→estimate multiset.
+  /// Ordering contract (pinned here; the test suite checks it against a
+  /// hand-computed order): descending by estimate, **ties broken by key,
+  /// ascending**. The result is therefore deterministic given the
+  /// key→estimate multiset.
   virtual Result<std::vector<KeyEstimate>> TopK(size_t k) const = 0;
 
   /// Snapshot of the ingest activity counters.
@@ -98,21 +89,14 @@ class CounterReader {
 ///  - Different lanes are fully concurrent — implementations must not make
 ///    one lane's progress wait on another's.
 ///
-/// `num_lanes()` returns how many such channels exist. Implementations
-/// with genuinely private per-lane state (`ShardedCounterStore`) return
-/// their shard count, and callers must spread writers across lanes
-/// `0..num_lanes()-1`; implementations whose `IncrementBatch` is safe from
-/// any thread (`ConcurrentCounterStore`) return `kUnboundedLanes` and
-/// accept any lane value.
+/// `num_lanes()` returns how many such channels exist (the shard count of
+/// a `ShardedCounterStore`); callers spread writers across lanes
+/// `0..num_lanes()-1`, and an out-of-range lane is InvalidArgument.
 class CounterWriter {
  public:
-  /// `num_lanes()` value meaning "any lane id is valid; writes are
-  /// internally synchronized."
-  static constexpr uint64_t kUnboundedLanes = ~uint64_t{0};
-
   virtual ~CounterWriter() = default;
 
-  /// Number of single-writer lanes, or `kUnboundedLanes`.
+  /// Number of single-writer lanes.
   virtual uint64_t num_lanes() const = 0;
 
   /// Applies `n` updates through `lane` in one pass — the one write entry

@@ -36,6 +36,21 @@ Status CheckSameMorrisParams(const MorrisParams& a, const MorrisParams& b) {
   return Status::OK();
 }
 
+// Remark 2.4 inserts the lower counter's survivors into the higher one so
+// rates line up. When the donor is the higher counter, merge in the other
+// direction into a copy of it, then adopt the copy. The copy keeps dest's
+// coin stream: the donor is const, so its RNG never advances, and adopting
+// it would replay the same coins on every merge with that donor (a store
+// merge decodes every key into one scratch counter).
+template <typename C>
+Status MergeIntoCopyOfDonor(C* dest, const C& donor) {
+  C merged = donor;
+  *merged.rng() = *dest->rng();
+  COUNTLIB_RETURN_NOT_OK(MergeInto(&merged, *dest));
+  *dest = std::move(merged);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status MergeInto(NelsonYuCounter* dest, const NelsonYuCounter& donor) {
@@ -43,15 +58,9 @@ Status MergeInto(NelsonYuCounter* dest, const NelsonYuCounter& donor) {
   if (donor.saturated() || dest->saturated()) {
     return Status::CapacityExceeded("cannot merge saturated counters");
   }
-  // Remark 2.4 inserts the lower counter's survivors into the higher one so
-  // rates line up (source rate >= destination rate throughout). If the
-  // donor is higher, merge in the other direction into a copy, then adopt.
-  if (donor.x() > dest->x()) {
-    NelsonYuCounter merged = donor;
-    COUNTLIB_RETURN_NOT_OK(MergeInto(&merged, *dest));
-    *dest = std::move(merged);
-    return Status::OK();
-  }
+  // Source rate >= destination rate throughout: the lower counter's
+  // survivors go into the higher one.
+  if (donor.x() > dest->x()) return MergeIntoCopyOfDonor(dest, donor);
   for (const auto& epoch : donor.SurvivorsByEpoch()) {
     for (uint64_t i = 0; i < epoch.count; ++i) {
       COUNTLIB_RETURN_NOT_OK(dest->AddSubsampledSurvivor(epoch.t));
@@ -75,10 +84,7 @@ Status MergeInto(SamplingCounter* dest, const SamplingCounter& donor) {
   }
   if (donor.t() > dest->t() ||
       (donor.t() == dest->t() && donor.y() > dest->y())) {
-    SamplingCounter merged = donor;
-    COUNTLIB_RETURN_NOT_OK(MergeInto(&merged, *dest));
-    *dest = std::move(merged);
-    return Status::OK();
+    return MergeIntoCopyOfDonor(dest, donor);
   }
   // Survivor ledger of the donor: rate level 0 collected a full budget B
   // (if it ever folded) or the current y; levels 1..t-1 collected B/2 each;
@@ -112,12 +118,7 @@ Status MergeInto(MorrisCounter* dest, const MorrisCounter& donor) {
   if (donor.saturated() || dest->saturated()) {
     return Status::CapacityExceeded("cannot merge saturated counters");
   }
-  if (donor.x() > dest->x()) {
-    MorrisCounter merged = donor;
-    COUNTLIB_RETURN_NOT_OK(MergeInto(&merged, *dest));
-    *dest = std::move(merged);
-    return Status::OK();
-  }
+  if (donor.x() > dest->x()) return MergeIntoCopyOfDonor(dest, donor);
   // [CY20, §2.1]: replay each donor level step j -> j+1 into the
   // destination with acceptance probability (1+a)^{j - X_dest}. Since
   // j < donor.x() <= dest->x() and X_dest only grows, the probability is

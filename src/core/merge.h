@@ -5,7 +5,7 @@
 /// produces a counter whose state follows the same distribution as one that
 /// processed all N1 + N2 increments — nothing is lost in (ε, δ). This is
 /// what makes the counters usable in sharded/distributed aggregation
-/// (analytics/sharded_store.h).
+/// (analytics/sharded_counter_store.h).
 ///
 /// * Nelson-Yu / sampling counters: every epoch subsamples at a
 ///   non-increasing power-of-two rate, and the number of survivors in every

@@ -109,6 +109,9 @@ class NelsonYuCounter : public Counter {
   /// Total fair-coin bits consumed by Bernoulli sampling so far.
   uint64_t random_bits_consumed() const { return coin_bits_; }
 
+  /// The coin stream (merge support: a merge keeps the destination's).
+  Rng* rng() { return &rng_; }
+
  private:
   NelsonYuCounter(const NelsonYuParams& params, uint64_t seed)
       : params_(params), rng_(seed), x0_(params.X0()) {}

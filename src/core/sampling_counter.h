@@ -63,6 +63,9 @@ class SamplingCounter : public Counter {
   /// support; requires source_t <= t()).
   Status AddSubsampledSurvivor(uint32_t source_t);
 
+  /// The coin stream (merge support: a merge keeps the destination's).
+  Rng* rng() { return &rng_; }
+
  private:
   SamplingCounter(const SamplingCounterParams& params, uint64_t seed)
       : params_(params), rng_(seed) {}

@@ -36,7 +36,7 @@
 /// Naming convention (see obs/README.md): `countlib_<subsystem>_<what>`,
 /// with `_total` for monotonic counts and a unit suffix (`_ns`) for
 /// histograms, e.g. `countlib_pipeline_events_submitted_total`,
-/// `countlib_pipeline_submit_apply_latency_ns`, `countlib_store_keys`.
+/// `countlib_pipeline_submit_apply_latency_ns`, `countlib_store_state_bits`.
 ///
 /// Thread-safety: every `Counter`/`Histogram` method is safe from any
 /// thread. Registration/deregistration and snapshots serialize on one

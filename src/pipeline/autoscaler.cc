@@ -11,28 +11,27 @@ Result<std::unique_ptr<Autoscaler>> Autoscaler::Make(
     return Status::InvalidArgument("Autoscaler: pipeline must not be null");
   }
   AutoscalerConfig resolved = config;
-  if (resolved.max_workers == 0) {
-    // More workers than rings is never useful, and SetWorkerCount caps at
-    // 256 — clamp the resolved ceiling to both so a wide pipeline (up to
-    // 4096 producer slots) still gets a valid default.
-    resolved.max_workers = std::min<uint64_t>(pipeline->num_producers(), 256);
-  }
+  // SetWorkerCount clamps every pool size to the pipeline's ceiling
+  // (producer slots, store lanes), so a target above it is a no-op resize.
+  const uint64_t ceiling = pipeline->max_workers();
+  if (resolved.max_workers == 0) resolved.max_workers = ceiling;
   if (resolved.min_workers < 1) {
     return Status::InvalidArgument("Autoscaler: min_workers >= 1");
   }
-  if (resolved.min_workers > pipeline->num_producers()) {
-    // SetWorkerCount clamps to the producer-slot count, so a higher floor
-    // could never be reached — the control loop would issue a futile
-    // resize every cooldown window forever. Reject it up front.
+  if (resolved.min_workers > ceiling) {
+    // A higher floor could never be reached — the control loop would
+    // issue a futile resize every cooldown window forever.
     return Status::InvalidArgument(
-        "Autoscaler: min_workers exceeds the pipeline's producer-slot "
-        "count (unreachable floor)");
+        "Autoscaler: min_workers exceeds the pipeline's worker ceiling "
+        "(unreachable floor)");
   }
   if (resolved.max_workers < resolved.min_workers ||
       resolved.max_workers > 256) {
     return Status::InvalidArgument(
         "Autoscaler: max_workers in [min_workers, 256]");
   }
+  // A ceiling above the pipeline's would count no-op resizes as scale-ups.
+  resolved.max_workers = std::min(resolved.max_workers, ceiling);
   if (resolved.sample_interval.count() <= 0) {
     return Status::InvalidArgument("Autoscaler: sample_interval > 0");
   }

@@ -63,13 +63,13 @@ namespace pipeline {
 struct AutoscalerConfig {
   /// Pool floor: the autoscaler never shrinks below this many workers.
   /// Must be >= 1 (the autoscaler does not pause pipelines) and no larger
-  /// than the pipeline's producer-slot count (`SetWorkerCount` clamps
-  /// there, so a higher floor could never be honored and would resize-
-  /// churn forever).
+  /// than `IngestPipeline::max_workers()` (`SetWorkerCount` clamps there,
+  /// so a higher floor could never be honored and would resize-churn
+  /// forever).
   uint64_t min_workers = 1;
-  /// Pool ceiling; 0 means "the pipeline's producer-slot count" (more
-  /// workers than rings is never useful — `SetWorkerCount` clamps there
-  /// anyway). Must be >= `min_workers` after resolution.
+  /// Pool ceiling; 0 means `IngestPipeline::max_workers()`. Must be in
+  /// [`min_workers`, 256] after resolution, and is clamped to the
+  /// pipeline's ceiling.
   uint64_t max_workers = 0;
   /// How often the control thread samples the pipeline and votes.
   std::chrono::milliseconds sample_interval{50};
@@ -135,8 +135,8 @@ class Autoscaler {
   /// Snapshot of the control loop's counters and latest sample.
   AutoscalerStats Stats() const;
 
-  /// The resolved ceiling (`config.max_workers`, or the pipeline's
-  /// producer-slot count when that was 0).
+  /// The resolved ceiling: `config.max_workers` (the pipeline's
+  /// `max_workers()` when that was 0), clamped to the pipeline's ceiling.
   uint64_t max_workers() const { return config_.max_workers; }
 
  private:

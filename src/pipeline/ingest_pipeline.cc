@@ -44,9 +44,9 @@ constexpr std::chrono::milliseconds kFlushParkBackstop(5);
 
 /// Not-full eventcount shards. Saturated producers park per ring group
 /// instead of on one shared CV, so a pipeline with thousands of saturated
-/// slots fans its notify traffic across shards the way the store stripes
-/// its locks. 16 is plenty: a shard's waiter population is
-/// num_producers/16 at worst, and each park revalidates with TrySubmit.
+/// slots fans its notify traffic across shards. 16 is plenty: a shard's
+/// waiter population is num_producers/16 at worst, and each park
+/// revalidates with TrySubmit.
 constexpr uint64_t kMaxNonFullShards = 16;
 
 /// Preallocated results for the hot rejection paths. Backpressure fires
@@ -141,7 +141,10 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
 
 IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
                                const PipelineOptions& options)
-    : store_(store), options_(options) {
+    : store_(store),
+      options_(options),
+      max_workers_(std::min({options.num_producers, store->num_lanes(),
+                             uint64_t{256}})) {
   rings_.reserve(options_.num_producers);
   for (uint64_t i = 0; i < options_.num_producers; ++i) {
     rings_.push_back(std::make_unique<SpscRing>(options_.queue_capacity));
@@ -162,12 +165,7 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
   slot_leased_.assign(options_.num_producers, 0);
   sample_mask_ = (uint64_t{1} << options_.latency_sample_shift) - 1;
   if (options_.enable_metrics) RegisterMetrics();
-  // Clamp before spawning: more workers than rings is never useful, and
-  // worker w writes store lane w, so the pool must fit the store's lanes
-  // (no-op for kUnboundedLanes stores — the min saturates on the left).
-  options_.num_workers = std::min(options_.num_workers, options_.num_producers);
-  options_.num_workers =
-      std::min<uint64_t>(options_.num_workers, store_->num_lanes());
+  options_.num_workers = std::min(options_.num_workers, max_workers_);
   MutexLock lock(&workers_mu_);
   SpawnWorkersLocked(options_.num_workers);
 }
@@ -496,10 +494,9 @@ Status IngestPipeline::SetWorkerCount(uint64_t n) {
   MutexLock lock(&workers_mu_);
   // mo: acquire — refuse resizes once Drain has published closed_.
   if (closed_.load(std::memory_order_acquire)) return DrainingStatus();
-  n = std::min<uint64_t>(n, rings_.size());
   // Worker w of the new generation writes store lane w; shard ownership
   // migrates with ring ownership across the join barrier below.
-  n = std::min<uint64_t>(n, store_->num_lanes());
+  n = std::min(n, max_workers_);
   if (n == workers_.size()) return Status::OK();
   // Retire the current generation and join it. The join IS the safe
   // barrier: afterwards no ring has a live consumer, so ownership can be

@@ -6,7 +6,7 @@
 /// Producers get private bounded SPSC queues and a non-blocking
 /// `TrySubmit` that reports `kPending` backpressure (the FASTER-style
 /// OK/Pending status model) instead of ever blocking the write path on a
-/// stripe mutex. Background workers drain the queues, **pre-aggregate
+/// store lock. Background workers drain the queues, **pre-aggregate
 /// duplicate keys within each batch** — one packed-slot
 /// deserialize/serialize per *distinct* key instead of per event, which is
 /// exactly where the store's cycles go under a Zipfian workload — and apply
@@ -24,8 +24,8 @@
 /// use of lane 0 cannot race a worker. Against a `ShardedCounterStore`
 /// this means the whole drain path is lock-free: each worker writes its
 /// own private shard and never touches another worker's cache lines. The
-/// worker count is clamped to `store->num_lanes()` (no-op for stores
-/// reporting `kUnboundedLanes`, e.g. the striped compat store).
+/// worker count is clamped to `max_workers()`, which is at most
+/// `store->num_lanes()`.
 ///
 /// Lifecycle: `Make` starts the workers; `Flush` quiesces (everything
 /// accepted so far is applied); `Drain` closes submission, flushes, and
@@ -147,8 +147,8 @@ class IngestPipeline {
  public:
   /// Starts the pipeline: one SPSC queue per producer slot and
   /// `options.num_workers` drain threads over `store` (clamped to
-  /// `store->num_lanes()` when the store's lanes are bounded). The store
-  /// must outlive the pipeline; it is not owned.
+  /// `max_workers()`). The store must outlive the pipeline; it is not
+  /// owned.
   static Result<std::unique_ptr<IngestPipeline>> Make(
       analytics::CounterWriter* store, const PipelineOptions& options);
 
@@ -189,17 +189,17 @@ class IngestPipeline {
   /// `kFailedPrecondition` once draining has begun.
   Result<ProducerSlot> TryAcquireProducerSlot();
 
-  /// Grows or shrinks the worker pool to `n` threads (clamped to the
-  /// number of producer slots and to the store's lane count),
-  /// re-partitioning ring — and store-lane — ownership at a safe
-  /// barrier. Concurrent submissions keep queueing during the switch; no
-  /// accepted event is lost. Serialized with concurrent resizes; returns
-  /// `kFailedPrecondition` once draining has begun and `kInvalidArgument`
-  /// for `n` > 256. `n == 0` pauses the pipeline: no drain threads run,
-  /// accepted events wait in their queues, and `Flush` fails fast instead
-  /// of hanging — resume with any `n >= 1` (nothing queued is ever lost;
-  /// `Drain`'s final sweep also applies a paused backlog). While paused,
-  /// `AcquireProducerSlot` can block indefinitely on an undrained slot.
+  /// Grows or shrinks the worker pool to `n` threads (clamped to
+  /// `max_workers()`), re-partitioning ring — and store-lane — ownership
+  /// at a safe barrier. Concurrent submissions keep queueing during the
+  /// switch; no accepted event is lost. Serialized with concurrent
+  /// resizes; returns `kFailedPrecondition` once draining has begun and
+  /// `kInvalidArgument` for `n` > 256. `n == 0` pauses the pipeline: no
+  /// drain threads run, accepted events wait in their queues, and `Flush`
+  /// fails fast instead of hanging — resume with any `n >= 1` (nothing
+  /// queued is ever lost; `Drain`'s final sweep also applies a paused
+  /// backlog). While paused, `AcquireProducerSlot` can block indefinitely
+  /// on an undrained slot.
   Status SetWorkerCount(uint64_t n);
 
   /// Blocks until every event accepted before the call has been applied to
@@ -228,6 +228,11 @@ class IngestPipeline {
   Status LastError() const;
 
   uint64_t num_producers() const { return rings_.size(); }
+
+  /// The worker ceiling, fixed at `Make`: min(producer slots, store lanes,
+  /// 256). More workers than rings is never useful, and worker w writes
+  /// store lane w. `Make` and `SetWorkerCount` clamp every pool size here.
+  uint64_t max_workers() const { return max_workers_; }
 
   /// Current drain-thread count (changes only via `SetWorkerCount`; 0
   /// while paused or after `Drain`).
@@ -306,9 +311,7 @@ class IngestPipeline {
   /// full→nonfull notify the ring's not-full eventcount shard (waking
   /// producers parked in `Submit`). Returns the number of raw events
   /// consumed, attributing the work to `cells` when non-null. The
-  /// worker-owned scratch keeps the drain loop itself allocation-light;
-  /// a striped store's batch call still allocates its stripe-routing
-  /// scratch internally (a sharded store's does not).
+  /// worker-owned scratch keeps the drain loop itself allocation-light.
   uint64_t DrainOnce(const std::vector<uint64_t>& ring_ids,
                      uint64_t start_ring, uint64_t lane,
                      std::vector<Event>* raw,
@@ -347,6 +350,7 @@ class IngestPipeline {
 
   analytics::CounterWriter* store_;
   PipelineOptions options_;
+  const uint64_t max_workers_;
   std::vector<std::unique_ptr<SpscRing>> rings_;
 
   /// Worker pool; guarded by workers_mu_ (resize/join), as are

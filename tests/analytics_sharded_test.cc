@@ -1,24 +1,28 @@
 // Tests for the merge-on-read sharded store and the CounterStore merge
 // primitives under it (ReadKeyState / MergeFrom / Counter::MergeFrom).
+// ConcurrentStoreTest drives the store from several writer threads, one
+// lane per thread.
 
 #include "analytics/sharded_counter_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
 #include "core/counter_factory.h"
+#include "stats/error_metrics.h"
 
 namespace countlib {
 namespace {
 
-using analytics::ConcurrentCounterStore;
-using analytics::CounterReader;
 using analytics::CounterStore;
-using analytics::CounterWriter;
 using analytics::KeyEstimate;
 using analytics::KeyWeight;
 using analytics::ShardedCounterStore;
@@ -84,6 +88,50 @@ TEST(ShardedStoreTest, CounterMergeFromRejectsMismatchedTypes) {
           .ValueOrDie();
   EXPECT_TRUE(exact->MergeFrom(*morris).IsInvalidArgument());
   EXPECT_TRUE(morris->MergeFrom(*exact).IsInvalidArgument());
+}
+
+// A store merge decodes every key into one scratch counter, and the donor
+// side is const, so its RNG never advances. Each key's merge must still
+// draw fresh coins: if a merge whose donor state is the higher one took
+// the donor's RNG along with its state, every such key would replay the
+// same coins, and all keys sharing a (dest state, donor state) pair would
+// merge to one outcome.
+void ExpectFreshMergeCoinsPerKey(CounterKind kind, int state_bits) {
+  constexpr uint64_t kKeys = 4096;
+  constexpr uint64_t kNMax = uint64_t{1} << 20;
+  auto dest = CounterStore::MakeWithBitBudget(kind, state_bits, kNMax, 1)
+                  .ValueOrDie();
+  auto donor = CounterStore::MakeWithBitBudget(kind, state_bits, kNMax, 2)
+                   .ValueOrDie();
+  std::vector<std::pair<double, double>> before(kKeys);
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    ASSERT_TRUE(dest.Increment(key, 40).ok());
+    ASSERT_TRUE(donor.Increment(key, 5000).ok());
+    before[key] = {dest.Estimate(key).ValueOrDie(),
+                   donor.Estimate(key).ValueOrDie()};
+  }
+  ASSERT_TRUE(dest.MergeFrom(donor).ok());
+
+  std::map<std::pair<double, double>, std::multiset<double>> outcomes;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    outcomes[before[key]].insert(dest.Estimate(key).ValueOrDie());
+  }
+  int groups = 0;
+  int single_outcome = 0;
+  for (const auto& [pair, merged] : outcomes) {
+    if (merged.size() < 20) continue;
+    ++groups;
+    if (*merged.begin() == *merged.rbegin()) ++single_outcome;
+  }
+  ASSERT_GT(groups, 0) << CounterKindToString(kind);
+  EXPECT_LE(single_outcome, groups / 10)
+      << CounterKindToString(kind) << ": " << single_outcome << " of "
+      << groups << " state pairs merged to a single outcome";
+}
+
+TEST(ShardedStoreTest, CounterStoreMergeDrawsFreshCoinsPerKey) {
+  ExpectFreshMergeCoinsPerKey(CounterKind::kMorris, 16);
+  ExpectFreshMergeCoinsPerKey(CounterKind::kSampling, 12);
 }
 
 // --- Construction gates ----------------------------------------------
@@ -182,38 +230,33 @@ TEST(ShardedStoreTest, SamplingKindMergedEstimatesStayAccurate) {
   EXPECT_LT(std::abs(est - truth) / truth, 0.5);
 }
 
-TEST(ShardedStoreTest, TopKTieOrderMatchesStripedStore) {
+TEST(ShardedStoreTest, TopKTieOrderMatchesHandComputedOrder) {
   // The pinned CounterReader contract: descending by estimate, ties broken
-  // by key ascending — identical across implementations. Exact counters
-  // make the estimates deterministic, so the orders must match exactly.
-  auto sharded = ShardedCounterStore::Make(4, CounterKind::kExact, 24,
-                                           (1u << 24) - 1, 1)
-                     .ValueOrDie();
-  auto striped = ConcurrentCounterStore::Make(8, CounterKind::kExact, 24,
-                                              (1u << 24) - 1, 99)
-                     .ValueOrDie();
+  // by key ascending. Exact counters make the estimates deterministic, so
+  // the order must match exactly.
+  auto store = ShardedCounterStore::Make(4, CounterKind::kExact, 24,
+                                         (1u << 24) - 1, 1)
+                   .ValueOrDie();
   // Lots of ties: weight = (key % 5) + 1.
   for (uint64_t key = 0; key < 40; ++key) {
     const auto batch = MakeBatch({{key, (key % 5) + 1}});
     ASSERT_TRUE(
-        sharded->IncrementBatch(key % 4, batch.data(), batch.size()).ok());
-    ASSERT_TRUE(striped.IncrementBatch(batch.data(), batch.size()).ok());
+        store->IncrementBatch(key % 4, batch.data(), batch.size()).ok());
   }
-  const CounterReader& a = *sharded;
-  const CounterReader& b = striped;
-  for (size_t k : {5u, 13u, 40u, 100u}) {
-    const auto top_a = a.TopK(k).ValueOrDie();
-    const auto top_b = b.TopK(k).ValueOrDie();
-    ASSERT_EQ(top_a.size(), top_b.size());
-    for (size_t i = 0; i < top_a.size(); ++i) {
-      EXPECT_EQ(top_a[i].key, top_b[i].key) << "rank " << i << " at k=" << k;
-      EXPECT_DOUBLE_EQ(top_a[i].estimate, top_b[i].estimate);
+  // Weight 5 first (keys 4, 9, ..., 39), then weight 4 (keys 3, 8, ...),
+  // and so on down to weight 1 (keys 0, 5, ...).
+  std::vector<KeyEstimate> expected;
+  for (uint64_t weight = 5; weight >= 1; --weight) {
+    for (uint64_t key = weight - 1; key < 40; key += 5) {
+      expected.push_back(KeyEstimate{key, static_cast<double>(weight)});
     }
-    // Spot-check the tie rule itself: equal estimates ⇒ ascending keys.
-    for (size_t i = 1; i < top_a.size(); ++i) {
-      if (top_a[i - 1].estimate == top_a[i].estimate) {
-        EXPECT_LT(top_a[i - 1].key, top_a[i].key);
-      }
+  }
+  for (size_t k : {5u, 13u, 40u, 100u}) {
+    const auto top = store->TopK(k).ValueOrDie();
+    ASSERT_EQ(top.size(), std::min<size_t>(k, expected.size()));
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].key, expected[i].key) << "rank " << i << " at k=" << k;
+      EXPECT_DOUBLE_EQ(top[i].estimate, expected[i].estimate);
     }
   }
 }
@@ -228,7 +271,6 @@ TEST(ShardedStoreTest, StatsCountBatchesUpdatesAndMergeReads) {
   ASSERT_TRUE(store->IncrementBatch(0, batch.data(), 0).ok());  // uncounted
 
   analytics::StoreStats stats = store->Stats();
-  EXPECT_EQ(stats.increments, 0u);  // no single-increment entry point
   EXPECT_EQ(stats.batch_calls, 2u);
   EXPECT_EQ(stats.batch_updates, 5u);
   EXPECT_EQ(stats.merge_reads, 0u);
@@ -237,18 +279,6 @@ TEST(ShardedStoreTest, StatsCountBatchesUpdatesAndMergeReads) {
   ASSERT_TRUE(store->ForEach([](uint64_t, double) {}).ok());
   stats = store->Stats();
   EXPECT_EQ(stats.merge_reads, 2u);
-}
-
-TEST(ShardedStoreTest, StripedStoreAcceptsAnyLaneThroughWriterInterface) {
-  auto striped = ConcurrentCounterStore::Make(4, CounterKind::kExact, 24,
-                                              (1u << 24) - 1, 1)
-                     .ValueOrDie();
-  CounterWriter& writer = striped;
-  EXPECT_EQ(writer.num_lanes(), CounterWriter::kUnboundedLanes);
-  const auto batch = MakeBatch({{5, 8}});
-  // Internally synchronized: any lane value is valid.
-  ASSERT_TRUE(writer.IncrementBatch(123456, batch.data(), batch.size()).ok());
-  EXPECT_DOUBLE_EQ(striped.Estimate(5).ValueOrDie(), 8.0);
 }
 
 TEST(ShardedStoreTest, MetricsRegisterAndExportShardGauges) {
@@ -273,6 +303,79 @@ TEST(ShardedStoreTest, MetricsRegisterAndExportShardGauges) {
   EXPECT_EQ(
       snap.histograms.at("countlib_store_shard_merge_latency_ns").count, 3u);
   EXPECT_EQ(snap.histograms.at("countlib_store_freeze_wait_ns").count, 1u);
+}
+
+// --- Concurrent writers, one lane per thread --------------------------
+
+TEST(ConcurrentStoreTest, SingleThreadedSemanticsMatchPlainStore) {
+  auto store = ShardedCounterStore::Make(8, CounterKind::kExact, 24,
+                                         (1u << 24) - 1, 1)
+                   .ValueOrDie();
+  for (uint64_t key = 0; key < 100; ++key) {
+    const KeyWeight kw{key, key + 1};
+    ASSERT_TRUE(store->IncrementBatch(key % 8, &kw, 1).ok());
+  }
+  EXPECT_EQ(store->NumKeys(), 100u);
+  for (uint64_t key = 0; key < 100; ++key) {
+    ASSERT_DOUBLE_EQ(store->Estimate(key).ValueOrDie(),
+                     static_cast<double>(key + 1));
+  }
+  EXPECT_TRUE(store->Estimate(12345).status().IsNotFound());
+}
+
+TEST(ConcurrentStoreTest, ParallelIncrementsAreNotLost) {
+  // Exact counters: every increment must be accounted for when every
+  // writer thread hits every key through its own lane.
+  constexpr uint64_t kThreads = 8;
+  auto store = ShardedCounterStore::Make(kThreads, CounterKind::kExact, 30,
+                                         (1u << 30) - 1, 1)
+                   .ValueOrDie();
+  constexpr uint64_t kKeys = 64;
+  constexpr uint64_t kPerThreadPerKey = 500;
+  std::vector<std::thread> pool;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&store, t] {
+      for (uint64_t round = 0; round < kPerThreadPerKey; ++round) {
+        for (uint64_t key = 0; key < kKeys; ++key) {
+          const KeyWeight kw{key, 1};
+          ASSERT_TRUE(store->IncrementBatch(t, &kw, 1).ok());
+        }
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    ASSERT_DOUBLE_EQ(store->Estimate(key).ValueOrDie(),
+                     static_cast<double>(kThreads * kPerThreadPerKey))
+        << "key " << key;
+  }
+}
+
+TEST(ConcurrentStoreTest, ParallelApproximateCountingStaysAccurate) {
+  constexpr uint64_t kThreads = 8;
+  auto store = ShardedCounterStore::Make(kThreads, CounterKind::kSampling, 18,
+                                         1u << 24, 99)
+                   .ValueOrDie();
+  constexpr uint64_t kKeys = 16;
+  constexpr uint64_t kWeight = 4000;
+  std::vector<std::thread> pool;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&store, t] {
+      for (uint64_t key = 0; key < kKeys; ++key) {
+        const KeyWeight kw{key, kWeight};
+        ASSERT_TRUE(store->IncrementBatch(t, &kw, 1).ok());
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+  const double truth = static_cast<double>(kThreads) * kWeight;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    const double est = store->Estimate(key).ValueOrDie();
+    EXPECT_LE(stats::RelativeError(est, truth), 0.3) << "key " << key;
+  }
+  EXPECT_EQ(store->NumKeys(), kKeys);
+  // Provisioned state: every key is resident in every writer's shard.
+  EXPECT_EQ(store->TotalStateBits(), kThreads * kKeys * 18u);
 }
 
 }  // namespace

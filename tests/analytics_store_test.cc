@@ -1,12 +1,12 @@
 // Tests for the analytics stores: the bit-packed multi-counter pool and
-// the sharded, merge-based aggregation.
+// the sharded, merge-based aggregation over it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analytics/counter_store.h"
-#include "analytics/sharded_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "stats/error_metrics.h"
 #include "stream/trace.h"
 
@@ -85,67 +85,30 @@ TEST(CounterStoreTest, StateSurvivesInterleavedAccess) {
   EXPECT_DOUBLE_EQ(exact.Estimate(1).ValueOrDie(), 5000.0);
 }
 
-SamplingCounterParams StoreParams() {
-  SamplingCounterParams p;
-  p.budget = 1024;
-  p.t_cap = 20;
-  return p;
-}
-
-TEST(ShardedStoreTest, ValidationAndRouting) {
-  EXPECT_FALSE(analytics::ShardedStore::Make(0, StoreParams(), 1).ok());
-  auto store = analytics::ShardedStore::Make(4, StoreParams(), 1).ValueOrDie();
-  EXPECT_TRUE(store.Increment(5, 42, 10).IsInvalidArgument());
-  ASSERT_TRUE(store.Increment(0, 42, 10).ok());
-  EXPECT_EQ(store.num_shards(), 4u);
-}
-
-TEST(ShardedStoreTest, MergedEstimateSumsAcrossShards) {
-  auto store = analytics::ShardedStore::Make(4, StoreParams(), 7).ValueOrDie();
-  // Key 1: 40k spread over all four shards; key 2: only shard 3.
-  for (uint64_t shard = 0; shard < 4; ++shard) {
-    ASSERT_TRUE(store.Increment(shard, 1, 10000).ok());
-  }
-  ASSERT_TRUE(store.Increment(3, 2, 5000).ok());
-
-  const double merged = store.MergedEstimate(1).ValueOrDie();
-  EXPECT_NEAR(merged, 40000.0, 0.25 * 40000);
-  EXPECT_NEAR(store.MergedEstimate(2).ValueOrDie(), 5000.0, 0.25 * 5000);
-  EXPECT_TRUE(store.MergedEstimate(99).status().IsNotFound());
-  // Per-shard view is smaller than the merged view.
-  EXPECT_LT(store.ShardEstimate(0, 1).ValueOrDie(), merged);
-}
-
-TEST(ShardedStoreTest, KeysUnionAndStateAccounting) {
-  auto store = analytics::ShardedStore::Make(2, StoreParams(), 7).ValueOrDie();
-  ASSERT_TRUE(store.Increment(0, 10, 5).ok());
-  ASSERT_TRUE(store.Increment(1, 10, 5).ok());
-  ASSERT_TRUE(store.Increment(1, 20, 5).ok());
-  auto keys = store.Keys();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], 10u);
-  EXPECT_EQ(keys[1], 20u);
-  // 3 counters x 30 bits (budget 1024 -> 10 bits + t_cap 20 -> 5 bits).
-  EXPECT_EQ(store.TotalStateBits(), 3u * 15u);
-}
-
 TEST(ShardedStoreTest, MergedMatchesSingleStoreStatistically) {
-  // Means across repetitions: sharded-merged vs single-shard direct.
+  // Means across repetitions: one key's stream split over three lanes and
+  // merged on read vs the whole stream through a single lane.
   const uint64_t n = 60000;
   double merged_sum = 0, direct_sum = 0;
   const int reps = 60;
+  const auto make = [](uint64_t shards, uint64_t seed) {
+    return analytics::ShardedCounterStore::Make(shards, CounterKind::kSampling,
+                                                18, 1u << 20, seed)
+        .ValueOrDie();
+  };
   for (int rep = 0; rep < reps; ++rep) {
-    auto sharded =
-        analytics::ShardedStore::Make(3, StoreParams(), 100 + rep).ValueOrDie();
-    ASSERT_TRUE(sharded.Increment(0, 1, n / 3).ok());
-    ASSERT_TRUE(sharded.Increment(1, 1, n / 3).ok());
-    ASSERT_TRUE(sharded.Increment(2, 1, n - 2 * (n / 3)).ok());
-    merged_sum += sharded.MergedEstimate(1).ValueOrDie();
+    auto sharded = make(3, 100 + rep);
+    const analytics::KeyWeight thirds[] = {
+        {1, n / 3}, {1, n / 3}, {1, n - 2 * (n / 3)}};
+    for (uint64_t lane = 0; lane < 3; ++lane) {
+      ASSERT_TRUE(sharded->IncrementBatch(lane, &thirds[lane], 1).ok());
+    }
+    merged_sum += sharded->Estimate(1).ValueOrDie();
 
-    auto single =
-        analytics::ShardedStore::Make(1, StoreParams(), 500 + rep).ValueOrDie();
-    ASSERT_TRUE(single.Increment(0, 1, n).ok());
-    direct_sum += single.MergedEstimate(1).ValueOrDie();
+    auto single = make(1, 500 + rep);
+    const analytics::KeyWeight whole{1, n};
+    ASSERT_TRUE(single->IncrementBatch(0, &whole, 1).ok());
+    direct_sum += single->Estimate(1).ValueOrDie();
   }
   EXPECT_NEAR(merged_sum / reps, direct_sum / reps, 0.05 * n);
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -24,6 +25,15 @@ struct GuaranteeCase {
   uint64_t n;
   uint64_t trials;
 };
+
+// gtest embeds the printed parameter in every test's listed name. Without a
+// printer it dumps the struct's raw bytes, padding included, and the padding
+// holds whatever was on the stack: the listed names then change from one run
+// of the binary to the next. Print the fields instead.
+void PrintTo(const GuaranteeCase& c, std::ostream* os) {
+  *os << CounterKindToString(c.kind) << " eps=" << c.epsilon
+      << " delta=" << c.delta << " n=" << c.n << " trials=" << c.trials;
+}
 
 std::string CaseName(const testing::TestParamInfo<GuaranteeCase>& info) {
   const GuaranteeCase& c = info.param;
@@ -95,6 +105,10 @@ struct BiasCase {
   CounterKind kind;
   uint64_t n;
 };
+
+void PrintTo(const BiasCase& c, std::ostream* os) {
+  *os << CounterKindToString(c.kind) << " n=" << c.n;
+}
 
 class BiasTest : public testing::TestWithParam<BiasCase> {};
 

@@ -2,11 +2,12 @@
 // hierarchy's cross-class edges concurrently, in the documented order,
 // so the TSAN CI lane (which includes this suite) would observe any
 // lock-order inversion the static analyzer misses as a real deadlock or
-// race. The three edges covered are exactly the ones the static engine
-// cannot fully see (docs/concurrency.md "Known limits"):
+// race. The cases cover exactly what the static engine cannot fully see
+// (docs/concurrency.md "Known limits"):
 //
-//   Registry::mu_ (60) -> ConcurrentCounterStore::mu (80)
-//     via gauge std::function callbacks run under the registry lock;
+//   Registry::mu_ (60) -> nothing in the store: the sharded store's gauge
+//     std::function callbacks run under the registry lock and must only
+//     read relaxed mirrors, never freeze or park;
 //   IngestPipeline::workers_mu_ (10) -> cells_mu_ (20)
 //     via SetWorkerCount's resize barrier;
 //   Registry::mu_ (60) -> MetricsCollector::series_mu_ (70)
@@ -17,11 +18,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"
@@ -29,23 +31,37 @@
 namespace countlib {
 namespace {
 
-analytics::ConcurrentCounterStore MakeStore(uint64_t stripes = 4) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
-// Registry (60) -> stripe (80): snapshots run the store's gauge callbacks
-// under the registry mutex while writers hammer the stripe locks.
-TEST(LockHierarchyTest, RegistrySnapshotVsStripeWriters) {
+// Registry (60) -> store gauges: snapshots run the store's gauge callbacks
+// under the registry mutex while lane writers apply batches and a TopK
+// reader freezes the shards. The callbacks read relaxed per-shard mirrors
+// and take nothing from the store, so a snapshot never waits on a freeze;
+// TSAN checks the mirror reads against the writers.
+TEST(LockHierarchyTest, RegistrySnapshotVsShardWriters) {
   auto store = MakeStore();
-  std::vector<obs::Registration> regs = store.RegisterMetrics();
+  std::vector<obs::Registration> regs = store->RegisterMetrics();
 
   std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    uint64_t key = 0;
+  std::vector<std::thread> writers;
+  for (uint64_t lane = 0; lane < 2; ++lane) {
+    writers.emplace_back([&, lane] {
+      uint64_t key = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const analytics::KeyWeight kw{key++ % 64, 1};
+        ASSERT_TRUE(store->IncrementBatch(lane, &kw, 1).ok());
+      }
+    });
+  }
+  std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(store.Increment(key++ % 64, 1).ok());
+      ASSERT_TRUE(store->TopK(8).ok());
+      std::this_thread::yield();
     }
   });
   std::thread snapshotter([&] {
@@ -58,12 +74,13 @@ TEST(LockHierarchyTest, RegistrySnapshotVsStripeWriters) {
 
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop.store(true, std::memory_order_relaxed);
-  writer.join();
+  for (std::thread& t : writers) t.join();
+  reader.join();
   snapshotter.join();
 
   // Handles must release before the store (and this test) go away.
   regs.clear();
-  EXPECT_GT(store.NumKeys(), 0u);
+  EXPECT_GT(store->NumKeys(), 0u);
 }
 
 // workers_mu_ (10) -> cells_mu_ (20): elastic resizes take both in order
@@ -74,7 +91,7 @@ TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
   pipeline::PipelineOptions opt;
   opt.num_producers = 2;
   opt.num_workers = 1;
-  auto pipe = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   std::atomic<bool> stop{false};
   std::thread resizer([&] {

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket_util.h"
@@ -29,9 +29,9 @@ namespace countlib {
 namespace net {
 namespace {
 
-analytics::ConcurrentCounterStore MakeExactStore() {
-  return analytics::ConcurrentCounterStore::Make(
-             /*stripes=*/8, CounterKind::kExact, /*slot_bits=*/32,
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
              (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
@@ -72,7 +72,7 @@ TEST(NetChaosTest, SlowConsumerStallsTheClientInsteadOfBuffering) {
   popt.num_producers = 1;
   popt.queue_capacity = kRing;
   popt.num_workers = 1;
-  auto pipe = pipeline::IngestPipeline::Make(&store, popt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
   ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // pause: nothing drains
 
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
@@ -126,7 +126,7 @@ TEST(NetChaosTest, ClientDeathMidFrameRecyclesTheSlotExactly) {
   popt.num_producers = 1;  // the dead client's slot is the only slot
   popt.queue_capacity = 1024;
   popt.num_workers = 1;
-  auto pipe = pipeline::IngestPipeline::Make(&store, popt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 
   const int fd = ConnectTcp("127.0.0.1", server->port(), 2000).ValueOrDie();
@@ -219,10 +219,10 @@ TEST(NetChaosTest, ClientDeathMidFrameRecyclesTheSlotExactly) {
   // Books: the 3 complete-frame events plus the new tenant's 1 — the
   // partial frame contributed nothing.
   EXPECT_EQ(pipe->Stats().events_applied, 4u);
-  EXPECT_EQ(store.Estimate(5).ValueOrDie(), 10.0);
-  EXPECT_EQ(store.Estimate(6).ValueOrDie(), 20.0);
-  EXPECT_EQ(store.Estimate(7).ValueOrDie(), 30.0);
-  EXPECT_EQ(store.Estimate(8).ValueOrDie(), 40.0);
+  EXPECT_EQ(store->Estimate(5).ValueOrDie(), 10.0);
+  EXPECT_EQ(store->Estimate(6).ValueOrDie(), 20.0);
+  EXPECT_EQ(store->Estimate(7).ValueOrDie(), 30.0);
+  EXPECT_EQ(store->Estimate(8).ValueOrDie(), 40.0);
 }
 
 TEST(NetChaosTest, ReconnectStormLeaksNoFdsOrSlots) {
@@ -239,7 +239,7 @@ TEST(NetChaosTest, ReconnectStormLeaksNoFdsOrSlots) {
   popt.num_producers = 2;  // half the storm is always being refused
   popt.queue_capacity = 256;
   popt.num_workers = 1;
-  auto pipe = pipeline::IngestPipeline::Make(&store, popt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 
   const uint64_t fd_baseline = CountOpenFds();
@@ -300,7 +300,7 @@ TEST(NetChaosTest, ReconnectStormLeaksNoFdsOrSlots) {
   ASSERT_TRUE(server->Stop().ok());
   ASSERT_TRUE(pipe->Drain().ok());
   EXPECT_EQ(pipe->Stats().events_applied, kTotal);
-  EXPECT_EQ(store.Estimate(3).ValueOrDie(), static_cast<double>(kTotal));
+  EXPECT_EQ(store->Estimate(3).ValueOrDie(), static_cast<double>(kTotal));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/logging.h"
@@ -26,9 +26,10 @@ namespace countlib {
 namespace net {
 namespace {
 
-analytics::ConcurrentCounterStore MakeExactStore(uint64_t stripes = 8) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
@@ -48,7 +49,7 @@ ClientOptions ClientFor(const EventServer& server) {
 
 TEST(NetServerTest, MakeValidatesOptions) {
   auto store = MakeExactStore();
-  auto pipe = pipeline::IngestPipeline::Make(&store, BaseOptions())
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   EXPECT_FALSE(EventServer::Make(nullptr, ServerOptions()).ok());
   ServerOptions bad;
@@ -67,7 +68,7 @@ TEST(NetServerTest, MakeValidatesOptions) {
 
 TEST(NetServerTest, EphemeralPortAndIdempotentStop) {
   auto store = MakeExactStore();
-  auto pipe = pipeline::IngestPipeline::Make(&store, BaseOptions())
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   EXPECT_GT(server->port(), 0);
@@ -77,7 +78,7 @@ TEST(NetServerTest, EphemeralPortAndIdempotentStop) {
 
 TEST(NetServerTest, SingleClientRoundTripIsExact) {
   auto store = MakeExactStore();
-  auto pipe = pipeline::IngestPipeline::Make(&store, BaseOptions())
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 
@@ -101,7 +102,7 @@ TEST(NetServerTest, SingleClientRoundTripIsExact) {
   ASSERT_TRUE(server->Stop().ok());
   ASSERT_TRUE(pipe->Drain().ok());
   for (const auto& [key, weight] : exact) {
-    EXPECT_EQ(store.Estimate(key).ValueOrDie(), static_cast<double>(weight))
+    EXPECT_EQ(store->Estimate(key).ValueOrDie(), static_cast<double>(weight))
         << "key " << key;
   }
   const ServerStats ss = server->Stats();
@@ -114,7 +115,7 @@ TEST(NetServerTest, SingleClientRoundTripIsExact) {
 
 TEST(NetServerTest, ClientValidatesArguments) {
   auto store = MakeExactStore();
-  auto pipe = pipeline::IngestPipeline::Make(&store, BaseOptions())
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
@@ -127,7 +128,7 @@ TEST(NetServerTest, ClientValidatesArguments) {
 
 TEST(NetServerTest, RequestedWindowIsHonored) {
   auto store = MakeExactStore();
-  auto pipe = pipeline::IngestPipeline::Make(&store, BaseOptions())
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   ClientOptions copt = ClientFor(*server);
@@ -147,7 +148,7 @@ TEST(NetServerTest, WindowIsSizedFromRingAndSpillHeadroom) {
   opt.queue_capacity = 64;
   opt.overload.policy = pipeline::OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 1 << 12;
-  auto pipe = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
   EXPECT_GT(client->Stats().credits_available, 64u);
@@ -158,7 +159,7 @@ TEST(NetServerTest, RefusesWhenEverySlotIsLeased) {
   auto store = MakeExactStore();
   pipeline::PipelineOptions opt = BaseOptions();
   opt.num_producers = 1;  // one slot: the second connection must bounce
-  auto pipe = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 
   auto first = EventClient::Connect(ClientFor(*server)).ValueOrDie();
@@ -187,7 +188,7 @@ TEST(NetServerTest, ShedPolicyIsReportedOverTheWire) {
   opt.num_producers = 1;
   opt.queue_capacity = 64;
   opt.overload.policy = pipeline::OverloadPolicy::kShed;
-  auto pipe = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // pause: nothing drains
 
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
@@ -219,11 +220,11 @@ TEST(NetServerTest, LoopbackMillionEventsExactBooks) {
   constexpr uint64_t kEvents = 1 << 20;  // 1,048,576
   constexpr uint64_t kConnections = 4;
 
-  auto store = MakeExactStore(16);
+  auto store = MakeExactStore();
   pipeline::PipelineOptions opt = BaseOptions();
   opt.num_producers = kConnections;
   opt.enable_metrics = false;
-  auto pipe = pipeline::IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 
   auto trace =
@@ -266,7 +267,7 @@ TEST(NetServerTest, LoopbackMillionEventsExactBooks) {
 
   // Ground truth to the last unit of weight.
   for (const auto& [key, weight] : trace.ExactCounts()) {
-    ASSERT_EQ(store.Estimate(key).ValueOrDie(), static_cast<double>(weight))
+    ASSERT_EQ(store->Estimate(key).ValueOrDie(), static_cast<double>(weight))
         << "key " << key;
   }
   const ServerStats ss = server->Stats();
@@ -279,7 +280,7 @@ TEST(NetServerTest, LoopbackMillionEventsExactBooks) {
 
 TEST(NetServerTest, ServerStopSurfacesAsClientError) {
   auto store = MakeExactStore();
-  auto pipe = pipeline::IngestPipeline::Make(&store, BaseOptions())
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   ClientOptions copt = ClientFor(*server);

@@ -10,10 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "pipeline/ingest_pipeline.h"
 
 namespace countlib {
@@ -23,9 +24,10 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-analytics::ConcurrentCounterStore MakeExactStore(uint64_t stripes = 8) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
@@ -33,7 +35,7 @@ TEST(AutoscalerTest, MakeValidatesConfig) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   EXPECT_TRUE(Autoscaler::Make(nullptr, AutoscalerConfig{})
                   .status()
@@ -65,9 +67,9 @@ TEST(AutoscalerTest, MakeValidatesConfig) {
                   .status()
                   .IsInvalidArgument());
 
-  // An unreachable floor: SetWorkerCount clamps to the producer-slot
-  // count (4 here), so min_workers = 5 could never be honored and the
-  // control loop would churn futile resizes forever.
+  // An unreachable floor: SetWorkerCount clamps to the pipeline's worker
+  // ceiling (4 producer slots here), so min_workers = 5 could never be
+  // honored and the control loop would churn futile resizes forever.
   config = AutoscalerConfig{};
   config.min_workers = 5;
   config.max_workers = 8;
@@ -101,10 +103,103 @@ TEST(AutoscalerTest, MakeValidatesConfig) {
                   .status()
                   .IsInvalidArgument());
 
-  // max_workers == 0 resolves to the producer-slot count.
+  // max_workers == 0 resolves to the pipeline's ceiling: 4 producer slots
+  // over an 8-lane store.
   auto scaler = Autoscaler::Make(pipeline.get(), AutoscalerConfig{}).ValueOrDie();
   EXPECT_EQ(scaler->max_workers(), 4u);
   scaler->Stop();
+  ASSERT_TRUE(pipeline->Drain().ok());
+}
+
+// A writer whose batches take a millisecond, so backlog stays queued.
+class SlowWriter final : public analytics::CounterWriter {
+ public:
+  explicit SlowWriter(analytics::CounterWriter* inner) : inner_(inner) {}
+  uint64_t num_lanes() const override { return inner_->num_lanes(); }
+  Status IncrementBatch(uint64_t lane, const analytics::KeyWeight* updates,
+                        size_t n) override {
+    std::this_thread::sleep_for(milliseconds(1));
+    return inner_->IncrementBatch(lane, updates, n);
+  }
+
+ private:
+  analytics::CounterWriter* inner_;
+};
+
+std::unique_ptr<analytics::ShardedCounterStore> MakeTwoLaneStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/2, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
+      .ValueOrDie();
+}
+
+// Worker w writes store lane w, so a store with fewer lanes than producer
+// slots caps the pool below the slot count.
+TEST(AutoscalerTest, CeilingIsTheStoreLaneCount) {
+  auto store = MakeTwoLaneStore();
+  PipelineOptions opt;
+  opt.num_producers = 8;
+  opt.num_workers = 8;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  EXPECT_EQ(pipeline->max_workers(), 2u);
+  EXPECT_EQ(pipeline->num_workers(), 2u);
+  ASSERT_TRUE(pipeline->SetWorkerCount(8).ok());
+  EXPECT_EQ(pipeline->num_workers(), 2u);
+
+  AutoscalerConfig config;
+  config.min_workers = 3;
+  EXPECT_TRUE(Autoscaler::Make(pipeline.get(), config)
+                  .status()
+                  .IsInvalidArgument());
+
+  auto scaler = Autoscaler::Make(pipeline.get(), AutoscalerConfig{}).ValueOrDie();
+  EXPECT_EQ(scaler->max_workers(), 2u);
+  scaler->Stop();
+
+  // An explicit ceiling above the store's is clamped to it.
+  config = AutoscalerConfig{};
+  config.max_workers = 8;
+  scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
+  EXPECT_EQ(scaler->max_workers(), 2u);
+  scaler->Stop();
+  ASSERT_TRUE(pipeline->Drain().ok());
+}
+
+// Once the pool sits at the lane ceiling, a backlog that persists must not
+// keep issuing resizes that SetWorkerCount clamps to a no-op.
+TEST(AutoscalerTest, SustainedBacklogOverFewLanesScalesUpOnce) {
+  auto store = MakeTwoLaneStore();
+  SlowWriter slow(store.get());
+  PipelineOptions opt;
+  opt.num_producers = 8;
+  opt.num_workers = 1;
+  opt.queue_capacity = 256;
+  opt.max_batch = 16;
+  auto pipeline = IngestPipeline::Make(&slow, opt).ValueOrDie();
+
+  AutoscalerConfig config;
+  config.sample_interval = milliseconds(5);
+  config.cooldown = milliseconds(0);
+  config.scale_up_queue_depth = 64;
+  config.scale_up_samples = 1;
+  config.scale_down_queue_depth = 0;
+  auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
+
+  // Fill every ring and keep them full for a while.
+  const auto until = steady_clock::now() + milliseconds(300);
+  uint64_t key = 0;
+  while (steady_clock::now() < until) {
+    for (uint64_t p = 0; p < opt.num_producers; ++p) {
+      const Status st = pipeline->TrySubmit(p, key++ % 64, 1);
+      ASSERT_TRUE(st.ok() || st.IsPending());
+    }
+  }
+  scaler->Stop();
+  const AutoscalerStats as = scaler->Stats();
+  EXPECT_GT(as.samples, 10u);
+  EXPECT_LE(as.scale_ups, 1u);
+  EXPECT_EQ(as.resize_errors, 0u);
+  EXPECT_EQ(pipeline->num_workers(), 2u);
   ASSERT_TRUE(pipeline->Drain().ok());
 }
 
@@ -112,7 +207,7 @@ TEST(AutoscalerTest, StopIsIdempotentAndSafeAfterDrain) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   AutoscalerConfig config;
   config.sample_interval = milliseconds(5);
   auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
@@ -137,7 +232,7 @@ TEST(AutoscalerTest, StopInterruptsALongSampleParkPromptly) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   AutoscalerConfig config;
   config.sample_interval = std::chrono::seconds(10);
   auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
@@ -157,13 +252,13 @@ TEST(AutoscalerTest, StopInterruptsALongSampleParkPromptly) {
 // not scheduling luck: producers outrun the deliberately small max_batch,
 // so queue depth pins at ring capacity during the burst and at ~0 after.
 TEST(AutoscalerTest, GrowsUnderBurstShrinksWhenIdleLosesNothing) {
-  auto store = MakeExactStore(16);
+  auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 1;
   opt.queue_capacity = 1024;
   opt.max_batch = 16;  // slow drain: backlog builds under the burst
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   AutoscalerConfig config;
   config.min_workers = 1;
@@ -225,7 +320,7 @@ TEST(AutoscalerTest, GrowsUnderBurstShrinksWhenIdleLosesNothing) {
   EXPECT_EQ(stats.events_dropped, 0u);
   double store_total = 0;
   for (uint64_t k = 0; k < 4; ++k) {
-    store_total += store.Estimate(k).ValueOrDie();
+    store_total += store->Estimate(k).ValueOrDie();
   }
   EXPECT_EQ(store_total, static_cast<double>(total_weight.load()));
 }
@@ -239,7 +334,7 @@ TEST(AutoscalerTest, UnpausesAPausedPipelineUnderBacklog) {
   opt.num_producers = 2;
   opt.num_workers = 1;
   opt.queue_capacity = 512;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   for (int i = 0; i < 400; ++i) {
@@ -261,7 +356,7 @@ TEST(AutoscalerTest, UnpausesAPausedPipelineUnderBacklog) {
   }
   EXPECT_GE(pipeline->num_workers(), 1u) << "backlog never un-paused the pool";
   ASSERT_TRUE(pipeline->Flush().ok());
-  EXPECT_EQ(store.Estimate(3).ValueOrDie(), 400.0);
+  EXPECT_EQ(store->Estimate(3).ValueOrDie(), 400.0);
   scaler->Stop();
   ASSERT_TRUE(pipeline->Drain().ok());
 }
@@ -275,7 +370,7 @@ TEST(AutoscalerTest, HysteresisRequiresConsecutiveVotes) {
   opt.num_producers = 2;
   opt.num_workers = 1;
   opt.queue_capacity = 256;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // A backlog right at the up threshold, frozen by pausing the pipeline.
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());

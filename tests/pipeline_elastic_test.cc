@@ -11,18 +11,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 
 namespace countlib {
 namespace pipeline {
 namespace {
 
-analytics::ConcurrentCounterStore MakeExactStore(uint64_t stripes = 8) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
@@ -31,7 +33,7 @@ TEST(ElasticPipelineTest, SetWorkerCountValidatesAndClamps) {
   PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   EXPECT_EQ(pipeline->num_workers(), 2u);
 
   EXPECT_TRUE(pipeline->SetWorkerCount(257).IsInvalidArgument());
@@ -55,7 +57,7 @@ TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
   opt.num_producers = 4;
   opt.num_workers = 1;
   opt.queue_capacity = 4096;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // Interleave submissions with grow and shrink resizes; every accepted
   // event must survive the ownership re-deal.
@@ -70,7 +72,7 @@ TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
     ASSERT_TRUE(pipeline->SetWorkerCount(round % 2 == 0 ? 4 : 1).ok());
   }
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), static_cast<double>(total_weight));
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), static_cast<double>(total_weight));
 
   const PipelineStats stats = pipeline->Stats();
   EXPECT_EQ(stats.events_applied, stats.events_submitted);
@@ -82,7 +84,7 @@ TEST(ElasticPipelineTest, PerWorkerStatsAttributeActivity) {
   PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   for (uint64_t p = 0; p < 4; ++p) {
     for (int i = 0; i < 1000; ++i) {
@@ -120,7 +122,7 @@ TEST(ElasticPipelineTest, PauseFailsFlushFastAndResumeAppliesBacklog) {
   PipelineOptions opt;
   opt.num_producers = 2;
   opt.num_workers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   EXPECT_EQ(pipeline->num_workers(), 0u);
@@ -138,7 +140,7 @@ TEST(ElasticPipelineTest, PauseFailsFlushFastAndResumeAppliesBacklog) {
   // Resume: the backlog drains and Flush succeeds again.
   ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
   ASSERT_TRUE(pipeline->Flush().ok());
-  EXPECT_EQ(store.Estimate(5).ValueOrDie(), 200.0);
+  EXPECT_EQ(store->Estimate(5).ValueOrDie(), 200.0);
 
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats stats = pipeline->Stats();
@@ -153,14 +155,14 @@ TEST(ElasticPipelineTest, DrainSweepsPausedBacklog) {
   PipelineOptions opt;
   opt.num_producers = 2;
   opt.num_workers = 1;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(pipeline->TrySubmit(i % 2, /*key=*/9, /*weight=*/2).ok());
   }
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(9).ValueOrDie(), 600.0);
+  EXPECT_EQ(store->Estimate(9).ValueOrDie(), 600.0);
   EXPECT_EQ(pipeline->Stats().events_dropped, 0u);
 }
 
@@ -176,7 +178,7 @@ TEST(ElasticPipelineTest, BlockingSubmitParksOnBackpressureAndWakesOnDrain) {
   opt.num_producers = 1;
   opt.num_workers = 1;
   opt.queue_capacity = 64;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // Pause, then fill the ring to the brim.
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
@@ -213,7 +215,7 @@ TEST(ElasticPipelineTest, BlockingSubmitParksOnBackpressureAndWakesOnDrain) {
             2000);
 
   ASSERT_TRUE(pipeline->Flush().ok());
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), static_cast<double>(accepted + 1));
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), static_cast<double>(accepted + 1));
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats stats = pipeline->Stats();
   EXPECT_EQ(stats.events_applied, accepted + 1);
@@ -232,7 +234,7 @@ TEST(ElasticPipelineTest, SustainedBackpressureSubmitLosesNothing) {
   opt.num_workers = 1;
   opt.queue_capacity = 8;
   opt.max_batch = 8;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   constexpr uint64_t kEvents = 20000;
   constexpr uint64_t kKeys = 17;
@@ -260,7 +262,7 @@ TEST(ElasticPipelineTest, SustainedBackpressureSubmitLosesNothing) {
   for (uint64_t k = 0; k < kKeys; ++k) {
     const uint64_t expected = sent[0][k] + sent[1][k];
     if (expected == 0) continue;
-    ASSERT_EQ(store.Estimate(k).ValueOrDie(), static_cast<double>(expected))
+    ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected))
         << "key " << k;
   }
 }
@@ -271,13 +273,13 @@ TEST(ElasticPipelineTest, SustainedBackpressureSubmitLosesNothing) {
 // Drain, events_applied must equal the sum of OK'd submits, and exact
 // per-key totals must match — zero accepted events lost or duplicated.
 TEST(ElasticPipelineTest, TransientProducersWithResizesLoseNothing) {
-  auto store = MakeExactStore(16);
+  auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;   // bounded slot set...
   opt.num_workers = 2;
   opt.queue_capacity = 256;
   opt.max_batch = 128;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   constexpr uint64_t kThreads = 12;  // ...shared by many transient threads
   constexpr uint64_t kLeasesPerThread = 8;
@@ -329,7 +331,7 @@ TEST(ElasticPipelineTest, TransientProducersWithResizesLoseNothing) {
   }
   for (uint64_t k = 0; k < kKeys; ++k) {
     if (expected[k] == 0) continue;
-    ASSERT_EQ(store.Estimate(k).ValueOrDie(), static_cast<double>(expected[k]))
+    ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected[k]))
         << "key " << k;
   }
 }

@@ -10,22 +10,24 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "util/logging.h"
 
 namespace countlib {
 namespace pipeline {
 namespace {
 
-analytics::ConcurrentCounterStore MakeExactStore(uint64_t stripes = 8) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
@@ -34,43 +36,43 @@ TEST(IngestPipelineTest, MakeValidatesOptions) {
   PipelineOptions opt;
   EXPECT_FALSE(IngestPipeline::Make(nullptr, opt).ok());
   opt.num_producers = 0;
-  EXPECT_FALSE(IngestPipeline::Make(&store, opt).ok());
+  EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
   opt.num_producers = 4;
   opt.num_workers = 0;
-  EXPECT_FALSE(IngestPipeline::Make(&store, opt).ok());
+  EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
   opt.num_workers = 1;
   opt.max_batch = 0;
-  EXPECT_FALSE(IngestPipeline::Make(&store, opt).ok());
+  EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
   opt.max_batch = 64;
   opt.queue_capacity = 1;
-  EXPECT_FALSE(IngestPipeline::Make(&store, opt).ok());
+  EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
   opt.queue_capacity = uint64_t{1} << 62;  // would overflow pow2 rounding
-  EXPECT_FALSE(IngestPipeline::Make(&store, opt).ok());
+  EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
 }
 
 TEST(IngestPipelineTest, SubmitValidatesArguments) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   EXPECT_TRUE(pipeline->TrySubmit(2, 1, 1).IsInvalidArgument());  // bad slot
   EXPECT_TRUE(pipeline->TrySubmit(0, 1, 0).IsInvalidArgument());  // zero weight
   EXPECT_TRUE(pipeline->TrySubmit(1, 42, 3).ok());
   EXPECT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(42).ValueOrDie(), 3.0);
+  EXPECT_EQ(store->Estimate(42).ValueOrDie(), 3.0);
 }
 
 // The acceptance-criteria test: >= 4 concurrent producers, random weights,
 // exact counters — after Drain every key's estimate equals the exact
 // submitted total, i.e. zero lost and zero duplicated updates.
 TEST(IngestPipelineTest, MultiProducerStressLosesNothing) {
-  auto store = MakeExactStore(16);
+  auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 6;
   opt.num_workers = 3;
   opt.queue_capacity = 256;
   opt.max_batch = 128;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   constexpr uint64_t kKeys = 257;  // prime, so keys spread unevenly
   constexpr uint64_t kEventsPerProducer = 30000;
@@ -99,10 +101,10 @@ TEST(IngestPipelineTest, MultiProducerStressLosesNothing) {
   }
   for (uint64_t k = 0; k < kKeys; ++k) {
     if (expected[k] == 0) {
-      EXPECT_TRUE(store.Estimate(k).status().IsNotFound());
+      EXPECT_TRUE(store->Estimate(k).status().IsNotFound());
       continue;
     }
-    ASSERT_EQ(store.Estimate(k).ValueOrDie(), static_cast<double>(expected[k]))
+    ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected[k]))
         << "key " << k;
   }
 
@@ -123,7 +125,7 @@ TEST(IngestPipelineTest, BackpressureSurfacesPendingAndLosesNothing) {
   opt.num_workers = 1;
   opt.queue_capacity = 2;  // tiny queue: producer outruns the worker
   opt.max_batch = 1;       // worker applies one event per pass
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   constexpr uint64_t kEvents = 20000;
   uint64_t pendings = 0;
@@ -140,7 +142,7 @@ TEST(IngestPipelineTest, BackpressureSurfacesPendingAndLosesNothing) {
     total_weight += weight;
   }
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(7).ValueOrDie(), static_cast<double>(total_weight));
+  EXPECT_EQ(store->Estimate(7).ValueOrDie(), static_cast<double>(total_weight));
 
   const PipelineStats stats = pipeline->Stats();
   EXPECT_EQ(stats.events_submitted, kEvents);
@@ -154,37 +156,37 @@ TEST(IngestPipelineTest, FlushIsAQuiescePoint) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   ASSERT_TRUE(pipeline->Submit(0, 1, 10).ok());
   ASSERT_TRUE(pipeline->Submit(1, 2, 20).ok());
   ASSERT_TRUE(pipeline->Flush().ok());
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), 10.0);
-  EXPECT_EQ(store.Estimate(2).ValueOrDie(), 20.0);
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), 10.0);
+  EXPECT_EQ(store->Estimate(2).ValueOrDie(), 20.0);
 
   // The pipeline stays open after Flush.
   ASSERT_TRUE(pipeline->Submit(0, 1, 5).ok());
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), 15.0);
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), 15.0);
 }
 
 TEST(IngestPipelineTest, DoubleDrainIsIdempotent) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipeline->Submit(0, 5, 2).ok());
   ASSERT_TRUE(pipeline->Submit(1, 5, 3).ok());
 
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats after_first = pipeline->Stats();
-  EXPECT_EQ(store.Estimate(5).ValueOrDie(), 5.0);
+  EXPECT_EQ(store->Estimate(5).ValueOrDie(), 5.0);
 
   // Second (and third) Drain: same result, no double-apply.
   ASSERT_TRUE(pipeline->Drain().ok());
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats after_third = pipeline->Stats();
-  EXPECT_EQ(store.Estimate(5).ValueOrDie(), 5.0);
+  EXPECT_EQ(store->Estimate(5).ValueOrDie(), 5.0);
   EXPECT_EQ(after_third.events_applied, after_first.events_applied);
   EXPECT_EQ(after_third.batches_applied, after_first.batches_applied);
 
@@ -201,7 +203,7 @@ TEST(IngestPipelineTest, CvWakeupDeliversPromptlyAfterLongIdle) {
   PipelineOptions opt;
   opt.num_producers = 2;
   opt.num_workers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // Let the workers run through their spin budget and park.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -218,7 +220,7 @@ TEST(IngestPipelineTest, CvWakeupDeliversPromptlyAfterLongIdle) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 t0)
           .count();
-  EXPECT_EQ(store.Estimate(77).ValueOrDie(), 9.0);
+  EXPECT_EQ(store->Estimate(77).ValueOrDie(), 9.0);
   // Wakeup + drain + flush handshake; the 50ms sleep timeout backstop plus
   // scheduling jitter bounds this, with wide margin for loaded CI.
   EXPECT_LT(wake_ms, 2000.0);
@@ -229,7 +231,7 @@ TEST(IngestPipelineTest, SlotRegistryLeasesAndReleases) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   auto a = pipeline->AcquireProducerSlot().ValueOrDie();
   auto b = pipeline->TryAcquireProducerSlot().ValueOrDie();
@@ -260,9 +262,9 @@ TEST(IngestPipelineTest, SlotRegistryLeasesAndReleases) {
   ASSERT_TRUE(moved.Submit(3, 1).ok());
 
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), 5.0);
-  EXPECT_EQ(store.Estimate(2).ValueOrDie(), 7.0);
-  EXPECT_EQ(store.Estimate(3).ValueOrDie(), 3.0);
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), 5.0);
+  EXPECT_EQ(store->Estimate(2).ValueOrDie(), 7.0);
+  EXPECT_EQ(store->Estimate(3).ValueOrDie(), 3.0);
 
   // Acquisition after drain fails; releasing outstanding handles is safe.
   EXPECT_TRUE(pipeline->AcquireProducerSlot().status().IsFailedPrecondition());
@@ -277,7 +279,7 @@ TEST(IngestPipelineTest, AcquireBlocksUntilAReleaseThenSucceeds) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 1;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   auto only = pipeline->AcquireProducerSlot().ValueOrDie();
   std::atomic<bool> acquired{false};
@@ -292,7 +294,7 @@ TEST(IngestPipelineTest, AcquireBlocksUntilAReleaseThenSucceeds) {
   waiter.join();
   EXPECT_TRUE(acquired.load());
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(9).ValueOrDie(), 4.0);
+  EXPECT_EQ(store->Estimate(9).ValueOrDie(), 4.0);
 }
 
 TEST(IngestPipelineTest, StatsReportQueueDepthWhileIdleWorkerSleeps) {
@@ -300,7 +302,7 @@ TEST(IngestPipelineTest, StatsReportQueueDepthWhileIdleWorkerSleeps) {
   PipelineOptions opt;
   opt.num_producers = 1;
   opt.queue_capacity = 1024;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(pipeline->Submit(0, i, 1).ok());
   }
@@ -330,14 +332,14 @@ TEST(IngestPipelineTest, DestructorDrainsAndSurfacesStatus) {
   {
     PipelineOptions opt;
     opt.num_producers = 2;
-    auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+    auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
     ASSERT_TRUE(pipeline->Submit(0, 7, 3).ok());
     ASSERT_TRUE(pipeline->Submit(1, 7, 4).ok());
     // No Drain() here: the destructor owns the final drain.
   }
   SetLogSink(nullptr);
 
-  EXPECT_EQ(store.Estimate(7).ValueOrDie(), 7.0);
+  EXPECT_EQ(store->Estimate(7).ValueOrDie(), 7.0);
   EXPECT_TRUE(error_lines.empty());
 }
 

@@ -9,11 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "obs/collector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -48,10 +49,10 @@ namespace countlib {
 namespace pipeline {
 namespace {
 
-analytics::ConcurrentCounterStore MakeStore() {
-  return analytics::ConcurrentCounterStore::Make(
-             /*stripes=*/4, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1,
-             /*seed=*/1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
@@ -60,18 +61,18 @@ TEST(PipelineObsTest, DisabledByDefaultRegistersNothing) {
   auto store = MakeStore();
   PipelineOptions options;
   options.num_producers = 2;
-  auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   EXPECT_EQ(obs::Registry::Default().NumRegistered(), before);
 }
 
 TEST(PipelineObsTest, ExportedCountersMatchStats) {
   auto store = MakeStore();
-  const auto store_regs = store.RegisterMetrics();
+  const auto store_regs = store->RegisterMetrics();
   PipelineOptions options;
   options.num_producers = 2;
   options.enable_metrics = true;
   {
-    auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+    auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
     for (uint64_t i = 0; i < 500; ++i) {
       ASSERT_TRUE(pipeline->Submit(i % 2, i % 37, 1).ok());
     }
@@ -87,10 +88,10 @@ TEST(PipelineObsTest, ExportedCountersMatchStats) {
     EXPECT_EQ(snap.counters.at("countlib_pipeline_events_applied_total"),
               500u);
     // Store-side counters ride the same registry.
-    const analytics::StoreStats store_stats = store.Stats();
+    const analytics::StoreStats store_stats = store->Stats();
     EXPECT_EQ(snap.counters.at("countlib_store_batch_updates_total"),
               store_stats.batch_updates);
-    EXPECT_GT(snap.gauges.at("countlib_store_keys"), 0.0);
+    EXPECT_GT(snap.gauges.at("countlib_store_shard_keys"), 0.0);
     // Quiesced: nothing in flight, nothing unaccounted.
     EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_pipeline_queue_depth"), 0.0);
     EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_pipeline_unaccounted_events"),
@@ -101,7 +102,7 @@ TEST(PipelineObsTest, ExportedCountersMatchStats) {
   const obs::Snapshot after = obs::GlobalSnapshot();
   EXPECT_EQ(after.counters.count("countlib_pipeline_events_submitted_total"),
             0u);
-  EXPECT_EQ(after.counters.count("countlib_store_increments_total"), 1u);
+  EXPECT_EQ(after.counters.count("countlib_store_batch_calls_total"), 1u);
 }
 
 TEST(PipelineObsTest, SubmitApplyLatencyRecordsDeterministically) {
@@ -112,7 +113,7 @@ TEST(PipelineObsTest, SubmitApplyLatencyRecordsDeterministically) {
   options.num_producers = 1;
   options.enable_metrics = true;
   options.latency_sample_shift = 0;  // stamp every event
-  auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   obs::CoarseClock::Set(1000000);
   for (uint64_t i = 0; i < 64; ++i) {
@@ -141,7 +142,7 @@ TEST(PipelineObsTest, NoTickerMeansNoStamping) {
   options.num_producers = 1;
   options.enable_metrics = true;
   options.latency_sample_shift = 0;
-  auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   obs::CoarseClock::Set(0);  // no collector running
   for (uint64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(pipeline->Submit(0, i, 1).ok());
@@ -158,13 +159,13 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
   // the dust settles every must-stay-zero metric must read zero and the
   // accounting must balance to the last event.
   auto store = MakeStore();
-  const auto store_regs = store.RegisterMetrics();
+  const auto store_regs = store->RegisterMetrics();
   PipelineOptions options;
   options.num_producers = 4;
   options.queue_capacity = 256;
   options.enable_metrics = true;
   options.latency_sample_shift = 4;
-  auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   AutoscalerConfig config;
   config.sample_interval = std::chrono::milliseconds(5);
   config.cooldown = std::chrono::milliseconds(10);
@@ -217,7 +218,7 @@ TEST(PipelineObsTest, ShedAccountingBalances) {
   options.queue_capacity = 16;
   options.enable_metrics = true;
   options.overload.policy = OverloadPolicy::kShed;
-  auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // force sustained fullness
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(pipeline->Submit(0, i, 1).ok());
@@ -259,7 +260,7 @@ TEST(PipelineObsTest, InstrumentedTrySubmitIsAllocFree) {
   options.queue_capacity = 1024;
   options.enable_metrics = true;
   options.latency_sample_shift = 0;  // stamp every event: worst case
-  auto pipeline = IngestPipeline::Make(&store, options).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // no worker threads
   obs::CoarseClock::Set(1000000);  // ticker "running"
   // Warm thread-locals AND both outcomes: fill the ring so the first

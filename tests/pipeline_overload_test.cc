@@ -11,10 +11,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 
@@ -25,9 +26,10 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-analytics::ConcurrentCounterStore MakeExactStore(uint64_t stripes = 8) {
-  return analytics::ConcurrentCounterStore::Make(
-             stripes, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
+             (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
 
@@ -149,12 +151,12 @@ TEST(OverloadPolicyTest, MakeValidatesSpillCapacity) {
   opt.num_producers = 1;
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 0;
-  EXPECT_TRUE(IngestPipeline::Make(&store, opt).status().IsInvalidArgument());
+  EXPECT_TRUE(IngestPipeline::Make(store.get(), opt).status().IsInvalidArgument());
   opt.overload.spill_capacity = (uint64_t{1} << 30) + 1;
-  EXPECT_TRUE(IngestPipeline::Make(&store, opt).status().IsInvalidArgument());
+  EXPECT_TRUE(IngestPipeline::Make(store.get(), opt).status().IsInvalidArgument());
   // A zero capacity is fine when the policy never builds a spill buffer.
   opt.overload.policy = OverloadPolicy::kBlock;
-  EXPECT_TRUE(IngestPipeline::Make(&store, opt).ok());
+  EXPECT_TRUE(IngestPipeline::Make(store.get(), opt).ok());
 }
 
 // The shed contract: a paused pipeline (no drain progress at all) forces
@@ -168,7 +170,7 @@ TEST(OverloadPolicyTest, ShedAccountsExactlyPerSlot) {
   opt.num_workers = 1;
   opt.queue_capacity = 64;
   opt.overload.policy = OverloadPolicy::kShed;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   EXPECT_EQ(pipeline->overload_policy(), OverloadPolicy::kShed);
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // freeze: no drains
 
@@ -199,8 +201,8 @@ TEST(OverloadPolicyTest, ShedAccountsExactlyPerSlot) {
   // The balance sheet closes: every attempt was either applied or shed.
   EXPECT_EQ(stats.events_applied + stats.events_shed, attempts);
   EXPECT_EQ(stats.events_applied, stats.events_submitted);
-  const double delivered = store.Estimate(0).ValueOrDie() +
-                           store.Estimate(1).ValueOrDie();
+  const double delivered = store->Estimate(0).ValueOrDie() +
+                           store->Estimate(1).ValueOrDie();
   EXPECT_EQ(delivered, static_cast<double>(stats.events_applied));
 }
 
@@ -215,7 +217,7 @@ TEST(OverloadPolicyTest, SpillLosesNothingAcrossPauseOverflowResume) {
   opt.queue_capacity = 64;
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 4096;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // freeze the rings
 
   constexpr uint64_t kEvents = 1000;  // ring 64 + spill overflow
@@ -238,7 +240,7 @@ TEST(OverloadPolicyTest, SpillLosesNothingAcrossPauseOverflowResume) {
   EXPECT_EQ(flushed.spill_depth, 0u);
   EXPECT_EQ(flushed.events_applied, kEvents);
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(5).ValueOrDie(), static_cast<double>(total_weight));
+  EXPECT_EQ(store->Estimate(5).ValueOrDie(), static_cast<double>(total_weight));
 }
 
 // When the spill buffer itself fills, kSpill degrades to blocking — and an
@@ -252,7 +254,7 @@ TEST(OverloadPolicyTest, SpillFallsBackToBlockingWhenSpillIsFull) {
   opt.queue_capacity = 4;
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 4;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
 
   // Fill ring (4) + spill (4).
@@ -274,7 +276,7 @@ TEST(OverloadPolicyTest, SpillFallsBackToBlockingWhenSpillIsFull) {
   producer.join();
   EXPECT_TRUE(landed.load());
   ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), 9.0);
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), 9.0);
   EXPECT_EQ(pipeline->Stats().events_shed, 0u);
 }
 
@@ -289,7 +291,7 @@ TEST(OverloadPolicyTest, FlushFailsFastWhenPausedWithSpillBacklog) {
   opt.queue_capacity = 2;
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 64;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(pipeline->Submit(0, 1, 1).ok());
@@ -297,14 +299,14 @@ TEST(OverloadPolicyTest, FlushFailsFastWhenPausedWithSpillBacklog) {
   EXPECT_GT(pipeline->Stats().spill_depth, 0u);
   EXPECT_TRUE(pipeline->Flush().IsFailedPrecondition());
   ASSERT_TRUE(pipeline->Drain().ok());  // the final sweep still applies it all
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), 10.0);
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), 10.0);
 }
 
 // Concurrent spill-mode stress with worker churn: multiple producers
 // overflow small rings into the spill while SetWorkerCount repartitions
 // ownership mid-stream. Zero loss, zero sheds, exact store totals.
 TEST(OverloadPolicyTest, SpillStressWithResizesLosesNothing) {
-  auto store = MakeExactStore(16);
+  auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;
   opt.num_workers = 2;
@@ -312,7 +314,7 @@ TEST(OverloadPolicyTest, SpillStressWithResizesLosesNothing) {
   opt.max_batch = 64;
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 1024;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   constexpr uint64_t kKeys = 61;
   constexpr uint64_t kEventsPerProducer = 20000;
@@ -347,7 +349,7 @@ TEST(OverloadPolicyTest, SpillStressWithResizesLosesNothing) {
     uint64_t expected = 0;
     for (const auto& per : submitted) expected += per[k];
     if (expected == 0) continue;
-    ASSERT_EQ(store.Estimate(k).ValueOrDie(), static_cast<double>(expected))
+    ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected))
         << "key " << k;
   }
 }
@@ -366,7 +368,7 @@ TEST(OverloadPolicyTest, AutoscalerGrowsOnSpillPressure) {
   opt.max_batch = 8;        // slow drain so the pressure persists
   opt.overload.policy = OverloadPolicy::kSpill;
   opt.overload.spill_capacity = 1 << 16;
-  auto pipeline = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // Freeze the rings and pile the backlog into the spill buffer.
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());

@@ -10,10 +10,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "analytics/concurrent_store.h"
+#include "analytics/sharded_counter_store.h"
 #include "pipeline/ingest_pipeline.h"
 #include "pipeline/producer_slot.h"
 #include "util/logging.h"
@@ -22,9 +23,9 @@ namespace countlib {
 namespace pipeline {
 namespace {
 
-analytics::ConcurrentCounterStore MakeExactStore() {
-  return analytics::ConcurrentCounterStore::Make(
-             /*stripes=*/8, CounterKind::kExact, /*slot_bits=*/32,
+std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
+  return analytics::ShardedCounterStore::Make(
+             /*num_shards=*/8, CounterKind::kExact, 32,
              (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
 }
@@ -39,7 +40,7 @@ TEST(ProducerSlotChurnTest, DrainedBeforeReuseIsObservable) {
   opt.num_producers = 1;
   opt.queue_capacity = kRing;
   opt.num_workers = 1;
-  auto pipe = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipe->SetWorkerCount(0).ok());
 
   {
@@ -76,8 +77,8 @@ TEST(ProducerSlotChurnTest, DrainedBeforeReuseIsObservable) {
   ASSERT_TRUE(pipe->SetWorkerCount(1).ok());
   ASSERT_TRUE(pipe->Drain().ok());
   // Releasing never discards: both generations' events are applied.
-  EXPECT_EQ(store.Estimate(1).ValueOrDie(), static_cast<double>(kRing));
-  EXPECT_EQ(store.Estimate(2).ValueOrDie(), static_cast<double>(kRing));
+  EXPECT_EQ(store->Estimate(1).ValueOrDie(), static_cast<double>(kRing));
+  EXPECT_EQ(store->Estimate(2).ValueOrDie(), static_cast<double>(kRing));
 }
 
 TEST(ProducerSlotChurnTest, TryAcquireIsPendingWhileEverySlotIsLeased) {
@@ -86,7 +87,7 @@ TEST(ProducerSlotChurnTest, TryAcquireIsPendingWhileEverySlotIsLeased) {
   opt.num_producers = 1;
   opt.queue_capacity = 64;
   opt.num_workers = 1;
-  auto pipe = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   auto held = pipe->TryAcquireProducerSlot().ValueOrDie();
   EXPECT_TRUE(pipe->TryAcquireProducerSlot().status().IsPending());
@@ -100,7 +101,7 @@ TEST(ProducerSlotChurnTest, TryAcquireIsPendingWhileEverySlotIsLeased) {
   held.Release();
   waiter.join();
   ASSERT_TRUE(pipe->Drain().ok());
-  EXPECT_EQ(store.Estimate(9).ValueOrDie(), 1.0);
+  EXPECT_EQ(store->Estimate(9).ValueOrDie(), 1.0);
 }
 
 TEST(ProducerSlotChurnTest, ConcurrentChurnIsExclusiveAndLossless) {
@@ -118,7 +119,7 @@ TEST(ProducerSlotChurnTest, ConcurrentChurnIsExclusiveAndLossless) {
   opt.num_producers = kSlots;
   opt.queue_capacity = 128;
   opt.num_workers = 2;
-  auto pipe = IngestPipeline::Make(&store, opt).ValueOrDie();
+  auto pipe = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   std::atomic<uint64_t> held{0};
   std::atomic<uint64_t> high_water{0};
@@ -156,7 +157,7 @@ TEST(ProducerSlotChurnTest, ConcurrentChurnIsExclusiveAndLossless) {
   EXPECT_EQ(stats.events_applied, kTotal);
   EXPECT_EQ(stats.events_shed, 0u);
   EXPECT_EQ(stats.slots_in_use, 0u);
-  EXPECT_EQ(store.Estimate(7).ValueOrDie(), static_cast<double>(kTotal));
+  EXPECT_EQ(store->Estimate(7).ValueOrDie(), static_cast<double>(kTotal));
 }
 
 }  // namespace

@@ -30,11 +30,18 @@ silently dropped or failing the run: the new numbers cannot regress
 against nothing, and the note tells the author to refresh the baseline so
 the next PR *is* judged.
 
+The reverse — a judged section, metric, or ``configs[]`` entry that the
+baseline has but the current document lacks — is a FAIL row with a note:
+a scenario that silently stops reporting would otherwise take its
+invariants with it. Deleting a scenario therefore lands together with
+removing it from the committed baseline.
+
 Usage:
   tools/bench_diff.py --baseline bench/baselines/pipeline_throughput.json \
                       --current BENCH_pipeline_throughput.json
-Exit status: 0 = no regressions, 1 = regressions found (suppress with
---warn-only, e.g. on noisy shared runners), 2 = bad invocation/inputs.
+Exit status: 0 = no regressions, 1 = regressions or missing baseline
+sections found (suppress with --warn-only, e.g. on noisy shared runners),
+2 = bad invocation/inputs.
 """
 
 import argparse
@@ -56,6 +63,8 @@ JUDGED_KEYS = RATE_KEYS | COST_KEYS | ZERO_KEYS | set(CEILING_KEYS)
 
 NEW_SECTION_NOTE = ("not in baseline — refresh the committed baseline to "
                     "judge it")
+MISSING_NOTE = ("in baseline but missing from current — restore it, or drop "
+                "it from the baseline with the change that removes it")
 
 
 def is_number(v):
@@ -65,11 +74,14 @@ def is_number(v):
 def contains_judged(node):
     """True when `node`'s subtree holds at least one judgeable metric."""
     if isinstance(node, dict):
-        return any((key in JUDGED_KEYS and is_number(value)) or
-                   contains_judged(value) for key, value in node.items())
+        return any(is_judged(key, value) for key, value in node.items())
     if isinstance(node, list):
         return any(contains_judged(e) for e in node)
     return False
+
+
+def is_judged(key, value):
+    return (key in JUDGED_KEYS and is_number(value)) or contains_judged(value)
 
 
 def walk(baseline, current, path, rows):
@@ -78,14 +90,14 @@ def walk(baseline, current, path, rows):
         for key in baseline:
             if key in current:
                 walk(baseline[key], current[key], f"{path}.{key}", rows)
+            elif is_judged(key, baseline[key]):
+                rows.append((f"{path}.{key}", None, None, "FAIL",
+                             MISSING_NOTE))
         for key in current:
             # A judged section/metric the baseline has never seen: WARN
             # with a note, never a hard error — a new bench scenario must
             # be able to land together with its baseline refresh.
-            if key in baseline:
-                continue
-            if (key in JUDGED_KEYS and is_number(current[key])) or \
-                    contains_judged(current[key]):
+            if key not in baseline and is_judged(key, current[key]):
                 rows.append((f"{path}.{key}", None, None, "WARN",
                              NEW_SECTION_NOTE))
         return
@@ -100,9 +112,14 @@ def walk(baseline, current, path, rows):
         baseline_keys = {entry_key(e) for e in baseline}
         for entry in baseline:
             key = entry_key(entry)
-            if key is not None and key in current_by_key:
+            if key is None:
+                continue
+            if key in current_by_key:
                 walk(entry, current_by_key[key],
                      f"{path}[{key[0]}/p{key[1]}]", rows)
+            elif contains_judged(entry):
+                rows.append((f"{path}[{key[0]}/p{key[1]}]", None, None,
+                             "FAIL", MISSING_NOTE))
         for key, entry in current_by_key.items():
             if key not in baseline_keys and contains_judged(entry):
                 rows.append((f"{path}[{key[0]}/p{key[1]}]", None, None,
@@ -189,11 +206,14 @@ def main():
     width = max(len(r[0]) for r in rows)
     regressions = 0
     warnings = 0
+    missing = 0
     for path, base, cur, verdict, note in rows:
         if verdict == "REGRESSION":
             regressions += 1
         elif verdict == "WARN":
             warnings += 1
+        elif verdict == "FAIL":
+            missing += 1
         base_s = f"{base:<14.6g}" if base is not None else f"{'-':<14}"
         cur_s = f"{cur:<14.6g}" if cur is not None else f"{'-':<14}"
         print(f"{path:<{width}}  base={base_s} cur={cur_s} "
@@ -201,18 +221,21 @@ def main():
     # Always end on an explicit one-line verdict, so a green run is
     # greppable in CI logs and a human skimming the step sees the outcome
     # without counting rows.
-    if regressions == 0:
+    failed = regressions + missing
+    if failed == 0:
         verdict = "PASS"
     elif ARGS.warn_only:
         verdict = "WARN (not gating)"
     else:
         verdict = "FAIL"
+    missing_note = (f", {missing} baseline section(s) missing from current"
+                    if missing else "")
     new_note = (f", {warnings} new section(s) awaiting a baseline"
                 if warnings else "")
-    print(f"\nbench_diff: {verdict} — {len(rows) - warnings} metrics judged, "
-          f"{regressions} regression(s) at threshold {ARGS.threshold:.0%}"
-          f"{new_note}")
-    if regressions and not ARGS.warn_only:
+    print(f"\nbench_diff: {verdict} — {len(rows) - warnings - missing} "
+          f"metrics judged, {regressions} regression(s) at threshold "
+          f"{ARGS.threshold:.0%}{missing_note}{new_note}")
+    if failed and not ARGS.warn_only:
         return 1
     return 0
 

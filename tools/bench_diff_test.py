@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Tests for tools/bench_diff.py: direction-awareness (rates down = bad,
 costs up = bad), the absolute floors that keep timer noise out of cost
-verdicts, the must-stay-zero invariants, configs[] entry matching, and the
-CLI exit codes. Run directly (python3 tools/bench_diff_test.py) or via
+verdicts, the must-stay-zero invariants, configs[] entry matching, new and
+missing sections, and the CLI exit codes. Run directly (python3 tools/bench_diff_test.py) or via
 ctest; CI runs it as its own step.
 """
 
@@ -119,16 +119,51 @@ class WalkAndJudgeTest(unittest.TestCase):
         self.assertEqual(v["$.configs[pipeline/p4].events_per_sec"],
                          "REGRESSION")
 
-    def test_baseline_entry_missing_from_current_is_skipped(self):
-        # The baseline-only entry (p8) is judged against nothing — skipped;
-        # the current-only entry (p1) is new coverage — a WARN row, never a
-        # bogus comparison between different configs.
+    def test_baseline_entry_missing_from_current_fails(self):
+        # The baseline-only entry (p8) stopped reporting — a FAIL row; the
+        # current-only entry (p1) is new coverage — a WARN row. Neither is
+        # a bogus comparison between different configs.
         baseline = {"configs": [
             {"mode": "direct", "producers": 8, "events_per_sec": 1000.0}]}
         current = {"configs": [
             {"mode": "direct", "producers": 1, "events_per_sec": 1.0}]}
         rows = judge(baseline, current)
-        self.assertEqual(verdicts(rows), {"$.configs[direct/p1]": "WARN"})
+        self.assertEqual(verdicts(rows), {"$.configs[direct/p8]": "FAIL",
+                                          "$.configs[direct/p1]": "WARN"})
+
+    def test_baseline_section_missing_from_current_fails_with_note(self):
+        # Dropping a section must not take its must-stay-zero invariants
+        # with it silently.
+        baseline = {"events_per_sec": 1000.0,
+                    "net": {"events_per_sec": 500000.0, "lost_events": 0}}
+        current = {"events_per_sec": 1000.0}
+        rows = judge(baseline, current)
+        self.assertEqual(verdicts(rows), {"$.events_per_sec": "ok",
+                                          "$.net": "FAIL"})
+        (_, base, cur, _, note), = [r for r in rows if r[0] == "$.net"]
+        self.assertIsNone(base)
+        self.assertIsNone(cur)
+        self.assertIn("missing from current", note)
+
+    def test_baseline_judged_leaf_missing_from_current_fails(self):
+        rows = judge({"events_per_sec": 1.0, "lost_events": 0},
+                     {"events_per_sec": 1.0})
+        self.assertEqual(verdicts(rows)["$.lost_events"], "FAIL")
+
+    def test_baseline_context_missing_from_current_stays_silent(self):
+        # Only judged metrics count; context (counts, steps) may come and go.
+        rows = judge({"events_per_sec": 1.0, "meta": {"elapsed_s": 3.0},
+                      "worker_steps": [4, 2]},
+                     {"events_per_sec": 1.0})
+        self.assertEqual(verdicts(rows), {"$.events_per_sec": "ok"})
+
+    def test_nested_missing_section_is_reported_at_its_own_path(self):
+        baseline = {"overload": {"shed": {"unaccounted_events": 0},
+                                 "spill": {"lost_events": 0}}}
+        current = {"overload": {"shed": {"unaccounted_events": 0}}}
+        v = verdicts(judge(baseline, current))
+        self.assertEqual(v["$.overload.shed.unaccounted_events"], "ok")
+        self.assertEqual(v["$.overload.spill"], "FAIL")
 
     def test_new_section_in_current_warns_with_note(self):
         # A bench scenario landing in the same PR as its first numbers (the
@@ -248,6 +283,23 @@ class CliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0)
         self.assertIn("bench_diff: PASS", proc.stdout)
         self.assertIn("1 new section(s) awaiting a baseline", proc.stdout)
+
+    def test_missing_baseline_section_fails_the_run(self):
+        base = copy.deepcopy(self.GOOD)
+        base["net"] = {"events_per_sec": 500000.0, "lost_events": 0}
+        proc = self.run_cli_full(base, self.GOOD)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("bench_diff: FAIL", proc.stdout)
+        self.assertIn("1 baseline section(s) missing from current",
+                      proc.stdout)
+        self.assertIn("$.net", proc.stdout)
+
+    def test_missing_baseline_section_warn_only_exits_zero(self):
+        base = copy.deepcopy(self.GOOD)
+        base["net"] = {"events_per_sec": 500000.0, "lost_events": 0}
+        proc = self.run_cli_full(base, self.GOOD, "--warn-only")
+        self.assertEqual(proc.returncode, 0)
+        self.assertIn("bench_diff: WARN (not gating)", proc.stdout)
 
     def test_schema_mismatch_exits_two(self):
         self.assertEqual(self.run_cli({"unrelated": 1}, {"other": 2}), 2)

@@ -484,7 +484,7 @@ class OvUser {
     def test_member_of_typed_local_receiver_resolves(self):
         model, violations = analyze_texts([("src/a.h", """
 struct Stripe {
-  Mutex mu LOCK_LEVEL(80);
+  Mutex mu LOCK_LEVEL(30);
 };
 class Store {
  public:
