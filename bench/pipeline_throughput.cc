@@ -39,12 +39,10 @@
 ///    into the same pipeline config, against the in-process Submit
 ///    ceiling. The gap is the wire tax; the exact-books invariants are
 ///    asserted and the lost/unaccounted counts judged as must-stay-zero.
-///  - **overload**: the shed/spill policies against a paused pipeline.
-///    Shed mode blasts a frozen ring and must balance its books exactly —
+///  - **overload**: the shed policy against a paused pipeline. Shed mode
+///    blasts a frozen ring and must balance its books exactly —
 ///    `delivered + shed == submitted`, asserted, with the shed Submit
-///    rate showing the bounded-latency drop cost. Spill mode overflows
-///    the ring into the spill buffer and must lose *nothing* across the
-///    pause/resume (asserted via exact store totals).
+///    rate showing the bounded-latency drop cost.
 ///
 /// Emits a human table plus one machine-readable JSON document (stdout,
 /// and `--json_out=FILE`, default `BENCH_pipeline_throughput.json` in the
@@ -64,8 +62,7 @@
 /// wake_latency_s}`, `autoscale {events, burst_seconds, events_per_sec,
 /// peak_workers, final_workers, scale_ups, scale_downs, samples,
 /// lost_events}`, `overload {shed {attempts, delivered, shed,
-/// unaccounted_events, submits_per_sec}, spill {attempts, delivered,
-/// peak_spill_depth, lost_events}}`, `observability {events,
+/// unaccounted_events, submits_per_sec}}`, `observability {events,
 /// uninstrumented_events_per_sec, instrumented_events_per_sec,
 /// overhead_pct, record_attempts, record_allocs, latency_samples,
 /// latency_p50_ns, latency_p99_ns, latency_max_ns, series_points}`.
@@ -178,17 +175,12 @@ struct AutoscaleResult {
 };
 
 struct OverloadResult {
-  // Shed phase: delivered + shed must equal attempts exactly.
+  // kShed against a frozen ring: delivered + shed must equal attempts.
   uint64_t shed_attempts;
   uint64_t shed_delivered;
   uint64_t shed_shed;
   uint64_t shed_unaccounted;     // attempts - delivered - shed (must stay 0)
   double shed_submits_per_sec;   // Submit rate while the ring is frozen full
-  // Spill phase: nothing may be lost.
-  uint64_t spill_attempts;
-  uint64_t spill_delivered;
-  uint64_t spill_peak_depth;
-  uint64_t spill_lost_events;    // attempts - delivered (must stay 0)
 };
 
 double Now() {
@@ -538,74 +530,41 @@ AutoscaleResult RunAutoscale(double burst_seconds) {
   return r;
 }
 
-/// The overload policies against a paused pipeline (the hard overload
-/// case: zero drain progress). Shed mode must keep Submit non-blocking
-/// and balance delivered + shed == submitted to the last event; spill
-/// mode must deliver every single event once resumed. Both invariants are
-/// asserted here, not just reported.
+/// The shed policy against a paused pipeline (the hard overload case:
+/// zero drain progress). Shed mode must keep Submit non-blocking and
+/// balance delivered + shed == submitted to the last event; the invariant
+/// is asserted here, not just reported.
 OverloadResult RunOverload() {
   OverloadResult r{};
-  {
-    // Shed phase.
-    auto store = MakeStore(1, 1u << 20);
-    pipeline::PipelineOptions opt;
-    opt.num_producers = 1;
-    opt.num_workers = 1;
-    opt.queue_capacity = 1024;
-    opt.overload.policy = pipeline::OverloadPolicy::kShed;
-    auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));  // freeze: no drains
-    constexpr uint64_t kAttempts = 100000;
-    const double start = Now();
-    for (uint64_t i = 0; i < kAttempts; ++i) {
-      // Never blocks, never returns kPending: the frozen ring fills and
-      // every further event is shed with exact accounting.
-      COUNTLIB_CHECK_OK(ingest->Submit(0, /*key=*/i & 63, 1));
-    }
-    const double elapsed = Now() - start;
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
-    COUNTLIB_CHECK_OK(ingest->Drain());
-    const pipeline::PipelineStats stats = ingest->Stats();
-    r.shed_attempts = kAttempts;
-    r.shed_delivered = stats.events_applied;
-    r.shed_shed = stats.events_shed;
-    r.shed_unaccounted = kAttempts - stats.events_applied - stats.events_shed;
-    r.shed_submits_per_sec = static_cast<double>(kAttempts) / elapsed;
-    // The books must balance exactly, and shedding must actually have
-    // happened (the ring holds 1024 of the 100k attempts).
-    COUNTLIB_CHECK_EQ(r.shed_delivered + r.shed_shed, r.shed_attempts);
-    COUNTLIB_CHECK_EQ(r.shed_unaccounted, uint64_t{0});
-    COUNTLIB_CHECK_GT(r.shed_shed, uint64_t{0});
+  auto store = MakeStore(1, 1u << 20);
+  pipeline::PipelineOptions opt;
+  opt.num_producers = 1;
+  opt.num_workers = 1;
+  opt.queue_capacity = 1024;
+  opt.overload = pipeline::OverloadPolicy::kShed;
+  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));  // freeze: no drains
+  constexpr uint64_t kAttempts = 100000;
+  const double start = Now();
+  for (uint64_t i = 0; i < kAttempts; ++i) {
+    // Never blocks, never returns kPending: the frozen ring fills and
+    // every further event is shed with exact accounting.
+    COUNTLIB_CHECK_OK(ingest->Submit(0, /*key=*/i & 63, 1));
   }
-  {
-    // Spill phase.
-    auto store = MakeStore(1, 1u << 20);
-    pipeline::PipelineOptions opt;
-    opt.num_producers = 1;
-    opt.num_workers = 1;
-    opt.queue_capacity = 1024;
-    opt.max_batch = 2048;
-    opt.overload.policy = pipeline::OverloadPolicy::kSpill;
-    opt.overload.spill_capacity = 1u << 16;
-    auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
-    constexpr uint64_t kAttempts = 50000;  // ring 1024 + ~49k spilled
-    for (uint64_t i = 0; i < kAttempts; ++i) {
-      COUNTLIB_CHECK_OK(ingest->Submit(0, /*key=*/i & 63, 1));
-    }
-    r.spill_peak_depth = ingest->Stats().spill_depth;
-    COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
-    COUNTLIB_CHECK_OK(ingest->Drain());
-    const pipeline::PipelineStats stats = ingest->Stats();
-    r.spill_attempts = kAttempts;
-    r.spill_delivered = stats.events_applied;
-    r.spill_lost_events = kAttempts - stats.events_applied;
-    // Spill mode loses nothing, and the overflow genuinely went through
-    // the spill buffer (not the rings).
-    COUNTLIB_CHECK_EQ(r.spill_lost_events, uint64_t{0});
-    COUNTLIB_CHECK_EQ(stats.events_shed, uint64_t{0});
-    COUNTLIB_CHECK_GT(r.spill_peak_depth, uint64_t{0});
-  }
+  const double elapsed = Now() - start;
+  COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
+  COUNTLIB_CHECK_OK(ingest->Drain());
+  const pipeline::PipelineStats stats = ingest->Stats();
+  r.shed_attempts = kAttempts;
+  r.shed_delivered = stats.events_applied;
+  r.shed_shed = stats.events_shed;
+  r.shed_unaccounted = kAttempts - stats.events_applied - stats.events_shed;
+  r.shed_submits_per_sec = static_cast<double>(kAttempts) / elapsed;
+  // The books must balance exactly, and shedding must actually have
+  // happened (the ring holds 1024 of the 100k attempts).
+  COUNTLIB_CHECK_EQ(r.shed_delivered + r.shed_shed, r.shed_attempts);
+  COUNTLIB_CHECK_EQ(r.shed_unaccounted, uint64_t{0});
+  COUNTLIB_CHECK_GT(r.shed_shed, uint64_t{0});
   return r;
 }
 
@@ -943,18 +902,12 @@ std::string ToJson(const std::vector<RunResult>& results,
   std::snprintf(
       buf, sizeof(buf),
       ",\"overload\":{\"shed\":{\"attempts\":%llu,\"delivered\":%llu,"
-      "\"shed\":%llu,\"unaccounted_events\":%llu,\"submits_per_sec\":%.1f},"
-      "\"spill\":{\"attempts\":%llu,\"delivered\":%llu,"
-      "\"peak_spill_depth\":%llu,\"lost_events\":%llu}}",
+      "\"shed\":%llu,\"unaccounted_events\":%llu,\"submits_per_sec\":%.1f}}",
       static_cast<unsigned long long>(overload.shed_attempts),
       static_cast<unsigned long long>(overload.shed_delivered),
       static_cast<unsigned long long>(overload.shed_shed),
       static_cast<unsigned long long>(overload.shed_unaccounted),
-      overload.shed_submits_per_sec,
-      static_cast<unsigned long long>(overload.spill_attempts),
-      static_cast<unsigned long long>(overload.spill_delivered),
-      static_cast<unsigned long long>(overload.spill_peak_depth),
-      static_cast<unsigned long long>(overload.spill_lost_events));
+      overload.shed_submits_per_sec);
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -1103,16 +1056,11 @@ int Main(int argc, const char* const* argv) {
   const OverloadResult overload = RunOverload();
   std::printf(
       "# overload: shed %llu attempts -> %llu delivered + %llu shed "
-      "(balanced, %.1fM submits/s frozen); spill %llu attempts -> "
-      "%llu delivered, peak depth %llu, %llu lost\n",
+      "(balanced, %.1fM submits/s frozen)\n",
       static_cast<unsigned long long>(overload.shed_attempts),
       static_cast<unsigned long long>(overload.shed_delivered),
       static_cast<unsigned long long>(overload.shed_shed),
-      overload.shed_submits_per_sec / 1e6,
-      static_cast<unsigned long long>(overload.spill_attempts),
-      static_cast<unsigned long long>(overload.spill_delivered),
-      static_cast<unsigned long long>(overload.spill_peak_depth),
-      static_cast<unsigned long long>(overload.spill_lost_events));
+      overload.shed_submits_per_sec / 1e6);
 
   const ObservabilityResult obs = RunObservability(
       Partition(trace.events(), 1), events, flags.GetUint64("queue_capacity"),

@@ -10,7 +10,7 @@
 /// that pair is also CI's smoke test for the net subsystem.
 ///
 /// Overload policy works exactly as in-process (`--overload`, see
-/// overload.h); the wire adds credit-based flow control on top, so a
+/// pipeline/event.h); the wire adds credit-based flow control on top, so a
 /// saturated pipeline makes remote producers park client-side instead of
 /// flooding the socket (docs/net_protocol.md).
 ///
@@ -23,7 +23,7 @@
 ///
 ///   ./build/example_analytics_server [--port=N] [--bind=ADDR]
 ///       [--slots=N] [--queue_capacity=N] [--workers=N] [--shards=N]
-///       [--overload=block|shed|spill] [--run_seconds=N]
+///       [--overload=block|shed] [--run_seconds=N]
 ///       [--metrics_out=FILE]
 
 #include <algorithm>
@@ -50,7 +50,6 @@ namespace {
 countlib::pipeline::OverloadPolicy ParsePolicy(const std::string& name) {
   using countlib::pipeline::OverloadPolicy;
   if (name == "shed") return OverloadPolicy::kShed;
-  if (name == "spill") return OverloadPolicy::kSpill;
   COUNTLIB_CHECK(name == "block") << "unknown --overload policy: " << name;
   return OverloadPolicy::kBlock;
 }
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
   flags.AddUint64("shards", 0,
                   "private store shards (0 = one per drain worker); the "
                   "pipeline clamps the worker pool to this many lanes");
-  flags.AddString("overload", "block", "block|shed|spill");
+  flags.AddString("overload", "block", "block|shed");
   flags.AddUint64("run_seconds", 30, "serve this long, then drain and exit");
   flags.AddString("metrics_out", "", "final Prometheus dump path (optional)");
   COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
   popt.num_producers = flags.GetUint64("slots");
   popt.queue_capacity = flags.GetUint64("queue_capacity");
   popt.num_workers = workers;
-  popt.overload.policy = ParsePolicy(flags.GetString("overload"));
+  popt.overload = ParsePolicy(flags.GetString("overload"));
   popt.enable_metrics = metrics;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
 
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
   std::printf("analytics_server: listening on %s:%u (%llu slots, %s)\n",
               sopt.bind_address.c_str(), server->port(),
               static_cast<unsigned long long>(popt.num_producers),
-              pipeline::OverloadPolicyName(popt.overload.policy));
+              pipeline::OverloadPolicyName(popt.overload));
   std::fflush(stdout);
 
   // The dashboard: a merged cross-shard cut once a second while the load

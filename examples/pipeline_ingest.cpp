@@ -26,15 +26,11 @@
 /// milliseconds of CPU per second instead of burning cores on sleep-polls.
 ///
 /// What happens under *sustained* overload is a policy you pick per
-/// pipeline (`--overload`, see overload.h):
+/// pipeline (`--overload`, see pipeline/event.h):
 ///   block — producers wait for ring space; nothing is lost (default).
 ///   shed  — producers never wait: over-capacity events are dropped after
 ///           a short spin, with exact per-slot accounting in
 ///           `PipelineStats` (delivered + shed == submitted).
-///   spill — over-capacity events overflow into a bounded in-memory
-///           buffer the workers drain opportunistically; lossless until
-///           the spill fills, and the spill depth counts toward the
-///           autoscaler's pressure signal so the pool grows to drain it.
 ///
 /// With `--metrics_out=FILE` the whole run is instrumented through the
 /// obs layer (src/obs/README.md): the pipeline, store, and autoscaler
@@ -46,7 +42,7 @@
 /// `FILE.json` gets the JSON twin, time series included.
 ///
 ///   ./build/example_pipeline_ingest [--pages=N] [--visits=N] [--threads=N]
-///       [--slots=N] [--overload=block|shed|spill]
+///       [--slots=N] [--overload=block|shed]
 ///       [--metrics_out=FILE] [--metrics_period_ms=N]
 
 #include <algorithm>
@@ -97,7 +93,7 @@ int main(int argc, char** argv) {
   flags.AddUint64("slots", 4, "producer slots in the registry");
   flags.AddString("overload", "block",
                   "what a blocking Submit does under sustained backpressure: "
-                  "block | shed | spill");
+                  "block | shed");
   flags.AddString("metrics_out", "",
                   "instrument the run and write the Prometheus text dump "
                   "here (and the JSON twin to <file>.json); empty disables "
@@ -138,10 +134,7 @@ int main(int argc, char** argv) {
   options.enable_metrics = metrics;
   const std::string overload = flags.GetString("overload");
   if (overload == "shed") {
-    options.overload.policy = pipeline::OverloadPolicy::kShed;
-  } else if (overload == "spill") {
-    options.overload.policy = pipeline::OverloadPolicy::kSpill;
-    options.overload.spill_capacity = 1u << 16;
+    options.overload = pipeline::OverloadPolicy::kShed;
   } else {
     COUNTLIB_CHECK(overload == "block") << "unknown --overload: " << overload;
   }
@@ -149,14 +142,15 @@ int main(int argc, char** argv) {
       pipeline::IngestPipeline::Make(store.get(), options).ValueOrDie();
 
   // The elastic control loop, as policy instead of hand-placed
-  // SetWorkerCount calls: sample queue pressure (ring depth plus spill
-  // depth under --overload=spill) every 5ms, double the pool when the
-  // backlog tops half the total ring capacity, walk it back down one
-  // worker at a time once the queues go shallow and the workers idle.
+  // SetWorkerCount calls: sample the ring depth every 5ms, double the
+  // pool when the backlog tops half the total ring capacity, walk it back
+  // down one worker at a time once the queues go shallow and the workers
+  // idle.
   pipeline::AutoscalerConfig scaling;
   scaling.min_workers = 1;
-  // max_workers stays 0: Make resolves it to the producer-slot count
-  // (clamped to the pipeline's own 256-worker ceiling).
+  // max_workers stays 0: Make resolves it to the pipeline's
+  // max_workers() — min(producer slots, store lanes, 256), here the slot
+  // count, since the store has one shard per slot.
   scaling.sample_interval = std::chrono::milliseconds(5);
   scaling.cooldown = std::chrono::milliseconds(25);
   scaling.scale_up_queue_depth = slots * options.queue_capacity / 2;
@@ -247,17 +241,12 @@ int main(int argc, char** argv) {
   std::printf("%llu transient threads shared %llu producer slots\n",
               static_cast<unsigned long long>(threads),
               static_cast<unsigned long long>(slots));
-  if (stats.events_shed > 0 || stats.events_spilled > 0) {
+  if (stats.events_shed > 0) {
     // The overload policy's books: shed events are deliberate, exactly
-    // counted loss; spilled events took the overflow detour but were all
-    // delivered (Drain empties the spill buffer).
-    std::printf(
-        "overload (%s): %llu events shed, %llu events spilled "
-        "(spill depth now %llu)\n",
-        pipeline::OverloadPolicyName(ingest->overload_policy()),
-        static_cast<unsigned long long>(stats.events_shed),
-        static_cast<unsigned long long>(stats.events_spilled),
-        static_cast<unsigned long long>(stats.spill_depth));
+    // counted loss.
+    std::printf("overload (%s): %llu events shed\n",
+                pipeline::OverloadPolicyName(ingest->overload_policy()),
+                static_cast<unsigned long long>(stats.events_shed));
   }
   std::printf(
       "autoscaler: %llu samples, %llu scale-ups / %llu scale-downs "

@@ -34,9 +34,8 @@
 /// Credit exhaustion is how the server's overload policy reaches this
 /// process: under kBlock the window collapses to the liveness floor and
 /// `Submit` blocks here instead of flooding the socket; under kShed acks
-/// keep flowing but report shed counts; under kSpill the window tracks
-/// spill headroom. The client does not need to know which policy the
-/// server runs — the ledgers express all three.
+/// keep flowing but report shed counts. The client does not need to know
+/// which policy the server runs — the ledgers express both.
 
 #ifndef COUNTLIB_NET_CLIENT_H_
 #define COUNTLIB_NET_CLIENT_H_
@@ -79,7 +78,7 @@ struct ClientOptions {
 struct ClientStats {
   uint64_t events_submitted = 0;     ///< accepted by Submit/SubmitBatch
   uint64_t events_sent = 0;          ///< put on the wire
-  uint64_t events_delivered = 0;     ///< acked as applied/spilled
+  uint64_t events_delivered = 0;     ///< acked as accepted by the pipeline
   uint64_t events_shed = 0;          ///< acked as shed by policy
   uint64_t events_lost_unacked = 0;  ///< sent on a connection that died
   uint64_t events_pending = 0;       ///< buffered locally, not yet sent

@@ -1,6 +1,6 @@
 /// \file credit.h
 /// \brief Credit accounting for the socket ingestion protocol — the piece
-/// that extends kBlock/kShed/kSpill overload semantics across the wire
+/// that extends kBlock/kShed overload semantics across the wire
 /// (docs/net_protocol.md, "Credit state machine").
 ///
 /// The scheme follows netmix-style budget accounting (SNIPPETS.md §2-3):
@@ -11,8 +11,8 @@
 ///     available = credit_grant_total_received - events_sent
 ///
 /// and parks (its credit stall) when `available` reaches zero. The server
-/// sizes the target window from live pipeline headroom — per-slot ring
-/// headroom plus spill headroom — so a backed-up pipeline shrinks the
+/// sizes the target window from live pipeline headroom — the free space
+/// in the connection's producer ring — so a backed-up pipeline shrinks the
 /// window toward the liveness floor of 1 and a healthy one re-opens it,
 /// which is exactly "the remote producer parks/sheds client-side" without
 /// a per-event round trip.
@@ -30,20 +30,15 @@
 namespace countlib {
 namespace net {
 
-/// The credit window the server targets given current pipeline headroom.
+/// The credit window the server targets given the slot's ring headroom.
 /// Clamped to [1, max_window]: the floor of 1 is the liveness guarantee —
 /// even a fully backed-up pipeline leaves the client one credit, so every
 /// stall is ended by the next ack and the protocol cannot deadlock; the
-/// submit itself then blocks/sheds/spills under the pipeline's own
-/// policy.
+/// submit itself then blocks or sheds under the pipeline's own policy.
 inline uint64_t ComputeCreditTarget(uint64_t ring_headroom,
-                                    uint64_t spill_headroom,
                                     uint64_t max_window) {
-  uint64_t target = ring_headroom + spill_headroom;
-  if (target < ring_headroom) target = max_window;  // saturated add
-  if (target > max_window) target = max_window;
-  if (target < 1) target = 1;
-  return target;
+  if (ring_headroom > max_window) return max_window;
+  return ring_headroom < 1 ? 1 : ring_headroom;
 }
 
 /// Server-side ledger for one connection. `Consume` records events

@@ -303,14 +303,13 @@ uint64_t EventServer::CreditTargetForSlot(uint64_t slot,
   const uint64_t capacity = pipeline_->queue_capacity();
   const uint64_t depth = pipeline_->QueueDepth(slot);
   const uint64_t ring_headroom = depth >= capacity ? 0 : capacity - depth;
-  const uint64_t spill_headroom = pipeline_->SpillHeadroom();
-  if (ring_headroom + spill_headroom == 0) {
+  if (ring_headroom == 0) {
     // The refill is about to clamp to the liveness floor: the client will
     // park on its last credit — the wire-side analogue of a producer
     // parking on the not-full eventcount.
     credit_stalls_.Add(1);
   }
-  return ComputeCreditTarget(ring_headroom, spill_headroom, effective_window);
+  return ComputeCreditTarget(ring_headroom, effective_window);
 }
 
 void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
@@ -378,8 +377,8 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
         const uint64_t shed_before =
             pipeline_->ShedCountForSlot(slot->slot());
         for (uint32_t i = 0; i < count; ++i) {
-          // Blocking submit: the pipeline's overload policy (block, shed,
-          // spill) decides what saturation means, exactly as in-process.
+          // Blocking submit: the pipeline's overload policy (block or
+          // shed) decides what saturation means, exactly as in-process.
           st = slot->Submit(records[i].key, records[i].weight);
           if (st.IsInvalidArgument()) {
             decode_errors_.Add(1);  // zero-weight record: protocol error

@@ -15,8 +15,8 @@
 ///
 /// Submission credits (src/net/credit.h) extend the pipeline's overload
 /// policies to remote producers. The handshake grants an initial window
-/// sized from live pipeline headroom (per-slot ring headroom + spill
-/// headroom, capped by `ServerOptions::max_credit_window`); each ack
+/// sized from live pipeline headroom (the free space in the connection's
+/// ring, capped by `ServerOptions::max_credit_window`); each ack
 /// piggybacks a refill toward the current target. A backed-up pipeline
 /// shrinks the window to the liveness floor of 1, so clients park on
 /// their last credit instead of flooding the server — there is no
@@ -99,7 +99,7 @@ struct ServerStats {
   uint64_t bytes_rx = 0;
   uint64_t bytes_tx = 0;
   uint64_t events_rx = 0;         ///< events in decoded complete frames
-  uint64_t events_delivered = 0;  ///< accepted by the pipeline (or spilled)
+  uint64_t events_delivered = 0;  ///< accepted by the pipeline
   uint64_t events_shed = 0;       ///< shed by the pipeline's kShed policy
   uint64_t decode_errors = 0;     ///< malformed frames and protocol violations
   uint64_t partial_frames = 0;    ///< connections dropped mid-frame

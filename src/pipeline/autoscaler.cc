@@ -108,27 +108,22 @@ void Autoscaler::Stop() {
 
 bool Autoscaler::Tick() {
   const PipelineStats stats = pipeline_->Stats();
-  // mo: relaxed ×4 — control-thread-only stats cells; Stats()/gauge
+  // mo: relaxed ×3 — control-thread-only stats cells; Stats()/gauge
   // readers fold them without ordering requirements.
   samples_.fetch_add(1, std::memory_order_relaxed);
   last_queue_depth_.store(stats.queue_depth, std::memory_order_relaxed);
-  last_spill_depth_.store(stats.spill_depth, std::memory_order_relaxed);
   current_workers_.store(stats.workers, std::memory_order_relaxed);
   const uint64_t idle_delta = stats.idle_passes - last_idle_passes_;
   last_idle_passes_ = stats.idle_passes;
 
-  // Vote on total pressure: ring backlog plus whatever overflowed into
-  // the spill buffer — a kSpill pipeline whose rings look shallow because
-  // Submit is diverting into the spill is still underwater, and growing
-  // the pool is exactly how the spill gets drained back out. "Up" needs
-  // depth alone; "down" additionally wants evidence of slack — idle
-  // passes since the last sample, or a worker caught between drains — so
-  // a pool that is exactly keeping a shallow queue shallow is left alone.
-  const uint64_t pressure = stats.queue_depth + stats.spill_depth;
-  if (pressure >= config_.scale_up_queue_depth) {
+  // Vote on the ring backlog. "Up" needs depth alone; "down" additionally
+  // wants evidence of slack — idle passes since the last sample, or a
+  // worker caught between drains — so a pool that is exactly keeping a
+  // shallow queue shallow is left alone.
+  if (stats.queue_depth >= config_.scale_up_queue_depth) {
     ++up_streak_;
     down_streak_ = 0;
-  } else if (pressure <= config_.scale_down_queue_depth &&
+  } else if (stats.queue_depth <= config_.scale_down_queue_depth &&
              (idle_delta > 0 || stats.busy_workers < stats.workers)) {
     ++down_streak_;
     up_streak_ = 0;
@@ -207,7 +202,7 @@ void Autoscaler::ControlLoop() {
 
 AutoscalerStats Autoscaler::Stats() const {
   AutoscalerStats stats;
-  // mo: relaxed ×8 — snapshot of independent stats cells; each field is
+  // mo: relaxed ×7 — snapshot of independent stats cells; each field is
   // individually fresh, the set is not one atomic cut.
   stats.samples = samples_.load(std::memory_order_relaxed);
   stats.scale_ups = scale_ups_.load(std::memory_order_relaxed);
@@ -215,7 +210,6 @@ AutoscalerStats Autoscaler::Stats() const {
   stats.cooldown_holds = cooldown_holds_.load(std::memory_order_relaxed);
   stats.resize_errors = resize_errors_.load(std::memory_order_relaxed);
   stats.last_queue_depth = last_queue_depth_.load(std::memory_order_relaxed);
-  stats.last_spill_depth = last_spill_depth_.load(std::memory_order_relaxed);
   stats.current_workers = current_workers_.load(std::memory_order_relaxed);
   return stats;
 }

@@ -4,15 +4,13 @@
 /// on top of the PR 2 resize mechanism.
 ///
 /// A background control thread samples the pipeline on a fixed cadence
-/// (`PipelineStats`: the queue-depth and spill-depth gauges, the idle-pass
-/// counter delta, and the busy-worker gauge) and votes each sample on the
-/// total **pressure** — queued events plus events sitting in the `kSpill`
-/// overflow buffer, so a pipeline that is shedding load into its spill
-/// buffer reads as underwater even while its rings drain:
+/// (`PipelineStats`: the queue-depth gauge, the idle-pass counter delta,
+/// and the busy-worker gauge) and votes each sample on the queue depth —
+/// the events waiting across all producer rings:
 ///
-///  - **up** when the pressure is at or above `scale_up_queue_depth` —
-///    the pool is underwater regardless of what the workers are doing;
-///  - **down** when the pressure is at or below `scale_down_queue_depth`
+///  - **up** when the depth is at or above `scale_up_queue_depth` — the
+///    pool is underwater regardless of what the workers are doing;
+///  - **down** when the depth is at or below `scale_down_queue_depth`
 ///    AND the workers look slack (idle passes accumulated since the last
 ///    sample, or not every worker mid-drain at the instant of the sample).
 ///
@@ -76,10 +74,9 @@ struct AutoscalerConfig {
   /// Minimum time between two resizes, regardless of votes. Bounds the
   /// rate of join-barrier re-partitions the pipeline pays for.
   std::chrono::milliseconds cooldown{250};
-  /// Vote up when the pressure gauge (events waiting across all rings
-  /// plus the spill buffer) is >= this. Must be >= 1. Size it well below
-  /// total ring capacity so growth starts before producers hit sustained
-  /// backpressure.
+  /// Vote up when the queue-depth gauge (events waiting across all rings)
+  /// is >= this. Must be >= 1. Size it well below total ring capacity so
+  /// growth starts before producers hit sustained backpressure.
   uint64_t scale_up_queue_depth = 4096;
   /// Consecutive up votes required before growing (hysteresis).
   uint64_t scale_up_samples = 2;
@@ -111,7 +108,6 @@ struct AutoscalerStats {
   uint64_t cooldown_holds = 0;   ///< decided votes suppressed by the cooldown window
   uint64_t resize_errors = 0;    ///< SetWorkerCount calls that failed (excluding draining)
   uint64_t last_queue_depth = 0; ///< queue-depth gauge at the latest sample
-  uint64_t last_spill_depth = 0; ///< spill-depth gauge at the latest sample (kSpill)
   uint64_t current_workers = 0;  ///< worker-count gauge at the latest sample
 };
 
@@ -177,7 +173,6 @@ class Autoscaler {
   std::atomic<uint64_t> cooldown_holds_{0};
   std::atomic<uint64_t> resize_errors_{0};
   std::atomic<uint64_t> last_queue_depth_{0};
-  std::atomic<uint64_t> last_spill_depth_{0};
   std::atomic<uint64_t> current_workers_{0};
 
   /// Registry handles; the callbacks capture `this`, so this member is

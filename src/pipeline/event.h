@@ -1,15 +1,16 @@
 /// \file event.h
 /// \brief Shared vocabulary of the ingestion pipeline: the event type that
-/// flows through the producer queues, the pipeline's tuning knobs, and the
-/// observable counters (`PipelineStats`, `WorkerStats`).
+/// flows through the producer queues, the overload policy, the pipeline's
+/// tuning knobs, and the observable counters (`PipelineStats`,
+/// `WorkerStats`).
 ///
 /// The §1 motivating system ("count visits to every Wikipedia page under
 /// production write traffic") needs an ingest path between the producers
 /// and the bit-packed analytics stores; `src/pipeline/` provides it. An
-/// `Event` (see event_type.h) carries one `analytics::KeyWeight` update
-/// plus an optional coarse submit timestamp for latency telemetry; the
-/// drain path pre-aggregates events into `KeyWeight` batches before the
-/// store apply, so the timestamp never reaches the store.
+/// `Event` carries one `analytics::KeyWeight` update plus an optional
+/// coarse submit timestamp for latency telemetry; the drain path
+/// pre-aggregates events into `KeyWeight` batches before the store apply,
+/// so the timestamp never reaches the store.
 
 #ifndef COUNTLIB_PIPELINE_EVENT_H_
 #define COUNTLIB_PIPELINE_EVENT_H_
@@ -18,11 +19,42 @@
 #include <vector>
 
 #include "analytics/counter_store.h"
-#include "pipeline/event_type.h"
-#include "pipeline/overload.h"
 
 namespace countlib {
 namespace pipeline {
+
+/// \brief One ingestion event: `weight` increments to `key`, stamped with
+/// a coarse submit time when latency telemetry is on.
+///
+/// The timestamp exists for the telemetry layer: when a
+/// `MetricsCollector` is ticking the `obs::CoarseClock` and the pipeline
+/// was built with `enable_metrics`, a sampled subset of submits stamp
+/// `ts` and the draining worker records submit→apply latency when it
+/// applies them.
+struct Event {
+  uint64_t key = 0;
+  uint64_t weight = 0;
+  /// Coarse submit timestamp (`obs::CoarseClock::NowNanos()`), or 0 when
+  /// the event is not latency-sampled. Never persisted past the drain.
+  uint64_t ts = 0;
+};
+
+/// \brief What a blocking `Submit` does when a producer queue stays full
+/// past the short spin budget. `TrySubmit` ignores the policy: it is the
+/// allocation-free probe and reports `kPending` on a full ring regardless.
+enum class OverloadPolicy : uint8_t {
+  /// Park on the ring's not-full eventcount until a drain frees space.
+  /// Lossless; producers absorb the backpressure, and `queue_capacity` is
+  /// the headroom they get before they do.
+  kBlock = 0,
+  /// Drop the event and return OK. Loss is exactly accounted per slot
+  /// (`PipelineStats::events_shed`, `shed_per_slot`), so
+  /// `delivered + shed == submitted` holds to the last event.
+  kShed = 1,
+};
+
+/// Stable human-readable policy name ("block" / "shed").
+const char* OverloadPolicyName(OverloadPolicy policy);
 
 /// \brief Tuning knobs for `IngestPipeline::Make`.
 struct PipelineOptions {
@@ -40,14 +72,9 @@ struct PipelineOptions {
   uint64_t num_workers = 1;
   /// Max events a worker drains into one pre-aggregated store batch.
   uint64_t max_batch = 1024;
-  /// Consecutive empty drain passes a worker spins (yielding) before it
-  /// parks on the wakeup condition variable. Lower = less idle CPU, higher
-  /// = lower wake latency under bursty traffic.
-  uint64_t idle_spin_passes = 64;
   /// What a blocking `Submit` does when a producer queue stays full:
-  /// block (default), shed with exact accounting, or spill into a bounded
-  /// shared overflow buffer. See overload.h.
-  OverloadOptions overload;
+  /// block (lossless, the default) or shed with exact accounting.
+  OverloadPolicy overload = OverloadPolicy::kBlock;
   /// Register this pipeline's counters/gauges/histograms with
   /// `obs::Registry::Default()` and record hot-path latencies. Off by
   /// default: an uninstrumented pipeline pays zero telemetry cost beyond
@@ -87,12 +114,10 @@ struct PipelineStats {
   /// Submit once the pipeline is drained.
   uint64_t events_shed = 0;
   /// Exact per-producer-slot shed counts; events_shed is their sum.
-  /// Size = num_producers under `OverloadPolicy::kShed`, empty under the
-  /// other policies (where every count is zero by construction — leaving
-  /// it empty keeps the frequently-sampled Stats() path allocation-free).
+  /// Size = num_producers under `OverloadPolicy::kShed`, empty under
+  /// `kBlock` (where every count is zero by construction — leaving it
+  /// empty keeps the frequently-sampled Stats() path allocation-free).
   std::vector<uint64_t> shed_per_slot;
-  uint64_t events_spilled = 0;     ///< events ever routed through the spill buffer (kSpill)
-  uint64_t spill_depth = 0;        ///< events currently in the spill buffer (gauge)
 };
 
 /// \brief Per-worker activity counters, taken with

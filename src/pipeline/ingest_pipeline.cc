@@ -21,8 +21,14 @@ constexpr std::chrono::milliseconds kIdleSleep(50);
 /// Yield-retries a blocking `Submit` makes before engaging the overload
 /// policy: under transient fullness a drain frees space within
 /// microseconds, and a yield is much cheaper than a park round trip (or a
-/// shed/spill decision taken too eagerly).
+/// shed decision taken too eagerly).
 constexpr int kSubmitSpinYields = 64;
+
+/// Consecutive empty drain passes a worker spins (yielding) before it
+/// parks on the wake eventcount: long enough to ride out the gaps of
+/// bursty traffic without a park round trip, short enough that an idle
+/// worker stops burning CPU almost at once.
+constexpr uint64_t kIdleSpinPasses = 64;
 
 /// How long a parked producer sleeps before rechecking its ring. This is
 /// the lost-wakeup backstop for the (rare) stale fullness verdict in
@@ -59,12 +65,6 @@ const Status& QueueFullStatus() {
   return st;
 }
 
-const Status& SpillFullStatus() {
-  static const Status st =
-      Status::Pending("Submit: spill buffer full (sustained overload)");
-  return st;
-}
-
 const Status& DrainingStatus() {
   static const Status st =
       Status::FailedPrecondition("IngestPipeline: pipeline is draining");
@@ -98,6 +98,16 @@ const Status& PausedFlushStatus() {
 
 }  // namespace
 
+const char* OverloadPolicyName(OverloadPolicy policy) {
+  switch (policy) {
+    case OverloadPolicy::kBlock:
+      return "block";
+    case OverloadPolicy::kShed:
+      return "shed";
+  }
+  return "unknown";
+}
+
 Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
     analytics::CounterWriter* store, const PipelineOptions& options) {
   if (store == nullptr) {
@@ -122,15 +132,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
   }
   if (options.max_batch > (uint64_t{1} << 30)) {
     return Status::InvalidArgument("IngestPipeline: max_batch <= 2^30");
-  }
-  if (options.idle_spin_passes > (uint64_t{1} << 20)) {
-    return Status::InvalidArgument("IngestPipeline: idle_spin_passes <= 2^20");
-  }
-  if (options.overload.policy == OverloadPolicy::kSpill &&
-      (options.overload.spill_capacity < 1 ||
-       options.overload.spill_capacity > (uint64_t{1} << 30))) {
-    return Status::InvalidArgument(
-        "IngestPipeline: overload.spill_capacity in [1, 2^30]");
   }
   if (options.latency_sample_shift > 20) {
     return Status::InvalidArgument(
@@ -158,9 +159,6 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
     // mo: relaxed — construction-time zeroing; the thread spawn below
     // publishes it.
     shed_per_slot_[i].store(0, std::memory_order_relaxed);
-  }
-  if (options_.overload.policy == OverloadPolicy::kSpill) {
-    spill_ = std::make_unique<SpillBuffer>(options_.overload.spill_capacity);
   }
   slot_leased_.assign(options_.num_producers, 0);
   sample_mask_ = (uint64_t{1} << options_.latency_sample_shift) - 1;
@@ -212,10 +210,6 @@ void IngestPipeline::RegisterMetrics() {
     }
     return depth;
   }));
-  rs.push_back(reg.RegisterGauge("countlib_pipeline_spill_depth", [this] {
-    return spill_ == nullptr ? 0.0
-                             : static_cast<double>(spill_->SizeApprox());
-  }));
   rs.push_back(reg.RegisterGauge("countlib_pipeline_workers", [this] {
     // mo: acquire — same pairing as num_workers(): never report a pool
     // size whose spawn has not completed.
@@ -231,7 +225,7 @@ void IngestPipeline::RegisterMetrics() {
     return static_cast<double>(slots_in_use_.load(std::memory_order_relaxed));
   }));
   // First-class must-stay-zero invariant: every accepted event is either
-  // applied, dropped to a store error, or still sitting in a queue/spill.
+  // applied, dropped to a store error, or still sitting in a queue.
   // Transiently nonzero while events are mid-drain (the reads race);
   // exactly zero whenever the pipeline is quiescent (post-Flush/Drain).
   rs.push_back(reg.RegisterGauge("countlib_pipeline_unaccounted_events",
@@ -239,9 +233,6 @@ void IngestPipeline::RegisterMetrics() {
     double queued = 0;
     for (const auto& ring : rings_) {
       queued += static_cast<double>(ring->SizeApprox());
-    }
-    if (spill_ != nullptr) {
-      queued += static_cast<double>(spill_->SizeApprox());
     }
     return static_cast<double>(submitted_.Value()) -
            static_cast<double>(applied_.Value()) -
@@ -342,31 +333,6 @@ Status IngestPipeline::TrySubmit(uint64_t producer, uint64_t key,
   return Status::OK();
 }
 
-Status IngestPipeline::SpillSubmit(const Event& e) {
-  // Same Drain refcount fence as TrySubmit: a spill push that passes the
-  // closed_ check completes before Drain's final sweep, so an OK here is
-  // the same no-loss promise as an OK from the ring path.
-  // mo: seq_cst — refcount raise, same Dekker handshake as TrySubmit.
-  active_submitters_.fetch_add(1, std::memory_order_seq_cst);
-  // mo: seq_cst — closed_ probe half of the handshake.
-  if (closed_.load(std::memory_order_seq_cst)) {
-    // mo: release — see the TrySubmit bail-out.
-    active_submitters_.fetch_sub(1, std::memory_order_release);
-    return DrainingStatus();
-  }
-  const bool pushed = spill_->TryPush(e);
-  // mo: release — orders the spill push before the count drop (Drain's
-  // no-stranded-event proof covers the spill path too).
-  active_submitters_.fetch_sub(1, std::memory_order_release);
-  if (!pushed) return SpillFullStatus();
-  submitted_.Add(1);
-  // Spilled events are invisible to the ring-emptiness verdicts the worker
-  // park predicate reads, so always notify: a worker parked over empty
-  // rings must wake to drain the spill. Spilling is already the slow path.
-  wake_ec_.NotifyIfWaiters();
-  return Status::OK();
-}
-
 Status IngestPipeline::Submit(uint64_t producer, uint64_t key, uint64_t weight) {
   // Stay hot through transient fullness: a drain in progress frees space
   // within microseconds, so yield-retry before engaging the overload
@@ -379,7 +345,7 @@ Status IngestPipeline::Submit(uint64_t producer, uint64_t key, uint64_t weight) 
   // Sustained fullness: the overload policy decides. kPending implies
   // `producer` is a valid index, so the shard/counter accesses below are
   // in range.
-  if (options_.overload.policy == OverloadPolicy::kShed) {
+  if (options_.overload == OverloadPolicy::kShed) {
     // Bounded-latency drop: the spin budget above is the whole latency
     // bound. Accounting is exact and per slot; the OK return means
     // "accepted or shed" under this policy (see PipelineStats).
@@ -388,27 +354,20 @@ Status IngestPipeline::Submit(uint64_t producer, uint64_t key, uint64_t weight) 
     shed_total_.Add(1);
     return Status::OK();
   }
-  const bool spill = options_.overload.policy == OverloadPolicy::kSpill;
-  // kBlock (and kSpill once the spill is full): park on the ring's
-  // not-full eventcount shard. Same discipline as the worker wakeup —
-  // snapshot the shard epoch, recheck the condition (a TrySubmit, then a
-  // spill attempt), sleep until the epoch moves. A drain that pops from a
+  // kBlock: park on the ring's not-full eventcount shard. Same discipline
+  // as the worker wakeup — snapshot the shard epoch, recheck the condition
+  // (a TrySubmit), sleep until the epoch moves. A drain that pops from a
   // full ring notifies the shard with the seq_cst epoch bump before
   // reading the waiter count, and ParkOne registers the waiter with
   // seq_cst before the predicate's first epoch read, so either the drain
   // sees the waiter and notifies or the waiter sees the new epoch and
   // skips the sleep (the Dekker pattern, now written once in EventCount).
-  // The bounded timeout backstops PopBatch's (rare) stale fullness verdict
-  // and spill-space-only progress.
+  // The bounded timeout backstops PopBatch's (rare) stale fullness verdict.
   while (true) {
     EventCount& ec = NonFullShard(producer);
     const uint64_t epoch = ec.Epoch();
     Status st = TrySubmit(producer, key, weight);
     if (!st.IsPending()) return st;
-    if (spill) {
-      st = SpillSubmit(Event{key, weight, SampleTimestamp()});
-      if (!st.IsPending()) return st;
-    }
     producer_parks_.Add(1);
     const uint64_t park_start_ns =
         obs_ == nullptr ? 0 : obs::CoarseClock::RealNowNanos();
@@ -545,13 +504,6 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
       NonFullShard(id).NotifyIfWaiters();
     }
   }
-  // Opportunistic spill drain: top the batch up from the shared overflow
-  // buffer once the owned rings have had their turn. The gauge pre-check
-  // keeps the no-spill steady state free of the spill mutex.
-  if (spill_ != nullptr && count < options_.max_batch &&
-      spill_->SizeApprox() > 0) {
-    count += spill_->PopBatch(raw->data() + count, options_.max_batch - count);
-  }
   if (count > 0) {
     // Pre-aggregate duplicate keys: under a Zipfian event stream most of a
     // batch lands on few hot keys, so this collapses the per-event
@@ -638,7 +590,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     for (uint64_t id : owned) {
       if (rings_[id]->SizeApprox() != 0) return false;
     }
-    return spill_ == nullptr || spill_->SizeApprox() == 0;
+    return true;
   };
   uint64_t idle_streak = 0;
   uint64_t pass = 0;
@@ -648,8 +600,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     // mo: acquire — pairs with the resize's seq_cst retirement bump.
     if (worker_gen_.load(std::memory_order_acquire) != gen) return;
     // Load stop BEFORE draining: once stop_ is set the queues are closed,
-    // so a subsequent empty pass proves the owned rings (and the spill
-    // buffer) are fully drained.
+    // so a subsequent empty pass proves the owned rings are fully drained.
     // mo: acquire — pairs with Drain's release store; once stop_ is seen,
     // the queues are closed and an empty pass is proof of full drain.
     const bool saw_stop = stop_.load(std::memory_order_acquire);
@@ -662,16 +613,15 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     if (saw_stop) return;
     // mo: relaxed — stats cell (see DrainOnce).
     cells->idle.fetch_add(1, std::memory_order_relaxed);
-    if (++idle_streak < options_.idle_spin_passes) {
+    if (++idle_streak < kIdleSpinPasses) {
       std::this_thread::yield();
       continue;
     }
-    // Eventcount park: snapshot the epoch, recheck the rings (and spill),
-    // then sleep until the epoch moves (producer push into an empty ring,
-    // spill push, shutdown, or resize). Any push that lands after the
-    // snapshot bumps the epoch, so ParkOne catches it before or after
-    // blocking; kIdleSleep backstops the stale-emptiness corner of
-    // TryPush's verdict.
+    // Eventcount park: snapshot the epoch, recheck the rings, then sleep
+    // until the epoch moves (producer push into an empty ring, shutdown,
+    // or resize). Any push that lands after the snapshot bumps the epoch,
+    // so ParkOne catches it before or after blocking; kIdleSleep
+    // backstops the stale-emptiness corner of TryPush's verdict.
     const uint64_t epoch = wake_ec_.Epoch();
     if (!nothing_pending()) continue;
     const bool signaled = wake_ec_.ParkOne(
@@ -706,13 +656,12 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
 
 Status IngestPipeline::Flush() {
   // Quiesce predicate, queues first and busy count second: a worker marks
-  // itself busy before popping, so "all rings and the spill empty, nobody
-  // busy" proves every event accepted before this call has been applied.
+  // itself busy before popping, so "all rings empty, nobody busy" proves
+  // every event accepted before this call has been applied.
   const auto quiesced = [this] {
     for (const auto& ring : rings_) {
       if (ring->SizeApprox() != 0) return false;
     }
-    if (spill_ != nullptr && spill_->SizeApprox() != 0) return false;
     // mo: acquire — a zero busy count must not be read ahead of the ring
     // emptiness checks above; workers raise the count before popping.
     return busy_workers_.load(std::memory_order_acquire) == 0;
@@ -746,7 +695,7 @@ Status IngestPipeline::Flush() {
 Status IngestPipeline::Drain() {
   std::call_once(drain_once_, [this] {
     // mo: seq_cst — the close half of the Dekker handshake with
-    // TrySubmit/SpillSubmit's refcount raise.
+    // TrySubmit's refcount raise.
     closed_.store(true, std::memory_order_seq_cst);
     // Release acquirers blocked on the slot registry and producers parked
     // on the not-full eventcounts: they observe closed_ and return
@@ -755,11 +704,10 @@ Status IngestPipeline::Drain() {
     for (uint64_t s = 0; s < nonfull_shards_; ++s) {
       nonfull_ecs_[s].NotifyIfWaiters();
     }
-    // Wait out in-flight TrySubmit calls (and spill pushes, which use the
-    // same fence): once the count is zero, any submitter that passed the
-    // closed_ check has finished its push, so the sweep below observes
-    // every accepted event. seq_cst pairs with the seq_cst RMW/load in
-    // TrySubmit/SpillSubmit (Dekker handshake).
+    // Wait out in-flight TrySubmit calls: once the count is zero, any
+    // submitter that passed the closed_ check has finished its push, so the
+    // sweep below observes every accepted event. seq_cst pairs with the
+    // seq_cst RMW/load in TrySubmit (Dekker handshake).
     // mo: seq_cst — the count probe half of the same handshake.
     while (active_submitters_.load(std::memory_order_seq_cst) != 0) {
       std::this_thread::yield();
@@ -777,10 +725,10 @@ Status IngestPipeline::Drain() {
     }
     // Workers exit only after an empty pass, but sweep once more so
     // nothing a submitter racing the shutdown slipped in is stranded.
-    // The sweep reuses the workers' aggregate-then-batch path (rings plus
-    // spill) so stats and slot-rewrite costs stay consistent; DrainOnce's
-    // busy_workers_ raise makes it visible to a concurrent Flush. The
-    // sweep is not attributed to any worker id (cells == nullptr).
+    // The sweep reuses the workers' aggregate-then-batch path so stats and
+    // slot-rewrite costs stay consistent; DrainOnce's busy_workers_ raise
+    // makes it visible to a concurrent Flush. The sweep is not attributed
+    // to any worker id (cells == nullptr).
     std::vector<uint64_t> all_rings(rings_.size());
     for (uint64_t i = 0; i < all_rings.size(); ++i) all_rings[i] = i;
     std::vector<Event> raw(options_.max_batch);
@@ -815,9 +763,9 @@ PipelineStats IngestPipeline::Stats() const {
   stats.producer_wakeups = producer_wakeups_.Value();
   stats.events_shed = shed_total_.Value();
   // Only a kShed pipeline materializes the per-slot vector: the Autoscaler
-  // samples Stats() on a tight cadence, and under the other policies the
-  // counts are all zero by construction — keep that path allocation-free.
-  if (options_.overload.policy == OverloadPolicy::kShed) {
+  // samples Stats() on a tight cadence, and under kBlock the counts are
+  // all zero by construction — keep that path allocation-free.
+  if (options_.overload == OverloadPolicy::kShed) {
     stats.shed_per_slot.reserve(rings_.size());
     for (uint64_t i = 0; i < rings_.size(); ++i) {
       // mo: relaxed — per-slot stats cells; exactness comes from the RMWs,
@@ -825,10 +773,6 @@ PipelineStats IngestPipeline::Stats() const {
       stats.shed_per_slot.push_back(
           shed_per_slot_[i].load(std::memory_order_relaxed));
     }
-  }
-  if (spill_ != nullptr) {
-    stats.events_spilled = spill_->TotalSpilled();
-    stats.spill_depth = spill_->SizeApprox();
   }
   {
     MutexLock lock(&cells_mu_);

@@ -62,10 +62,10 @@
 ///  - **Worker wake** (`wake_ec_`): a producer notifies only on an
 ///    empty→nonempty ring transition (`SpscRing::TryPush(e, &was_empty)`),
 ///    so steady-state submits into a nonempty ring stay lock-free. An idle
-///    worker spins `PipelineOptions::idle_spin_passes` passes, then
-///    snapshots the epoch, rechecks its rings, and parks. Because the
-///    producer's emptiness verdict derives from an acquire load of the
-///    consumer index it can (rarely) be stale, so the park's bounded
+///    worker spins a fixed number of empty passes, then snapshots the
+///    epoch, rechecks its rings, and parks. Because the producer's
+///    emptiness verdict derives from an acquire load of the consumer
+///    index it can (rarely) be stale, so the park's bounded
 ///    backstop doubles as the lost-wakeup net (~20 wakes/s per idle
 ///    worker).
 ///  - **Producer not-full** (`nonfull_ecs_`, sharded): workers bump a
@@ -82,20 +82,16 @@
 ///  - **Slot registry** (`slots_ec_`): blocked `AcquireProducerSlot`
 ///    callers park until a release or pop progress re-opens a slot.
 ///
-/// ## Overload control: block, shed, or spill
+/// ## Overload control: block or shed
 ///
 /// What a blocking `Submit` does when a ring *stays* full is a per-pipeline
-/// policy (`PipelineOptions::overload`, see overload.h): `kBlock` parks on
-/// the not-full eventcount (lossless, the default); `kShed` drops the
-/// event after the spin budget with exact per-slot accounting
-/// (`PipelineStats::events_shed` / `shed_per_slot[]`) so
-/// `delivered + shed == submitted` holds to the last event; `kSpill`
-/// overflows into a preallocated shared `SpillBuffer` that workers drain
-/// opportunistically alongside the rings — lossless until the spill fills,
-/// then it degrades to `kBlock` parking. Spill depth is part of the
-/// autoscaler's pressure signal, so sustained spilling grows the pool.
-/// `TrySubmit` is policy-independent: it stays the allocation-free
-/// `kPending` probe.
+/// policy (`PipelineOptions::overload`, see event.h): `kBlock` parks on
+/// the not-full eventcount (lossless, the default — the ring's
+/// `queue_capacity` is the headroom a producer gets before it waits);
+/// `kShed` drops the event after the spin budget with exact per-slot
+/// accounting (`PipelineStats::events_shed` / `shed_per_slot[]`) so
+/// `delivered + shed == submitted` holds to the last event. `TrySubmit`
+/// is policy-independent: it stays the allocation-free `kPending` probe.
 ///
 /// ## Elasticity
 ///
@@ -115,7 +111,7 @@
 ///
 /// An event acknowledged with OK by `TrySubmit` is never lost, even when
 /// the submit races a concurrent `Drain` — draining waits out in-flight
-/// submits before its final sweep. The same fence covers spill pushes.
+/// submits before its final sweep.
 
 #ifndef COUNTLIB_PIPELINE_INGEST_PIPELINE_H_
 #define COUNTLIB_PIPELINE_INGEST_PIPELINE_H_
@@ -131,7 +127,6 @@
 #include "analytics/store_interface.h"
 #include "obs/metrics.h"
 #include "pipeline/event.h"
-#include "pipeline/overload.h"
 #include "pipeline/producer_slot.h"
 #include "pipeline/spsc_ring.h"
 #include "util/event_count.h"
@@ -171,11 +166,9 @@ class IngestPipeline {
 
   /// Blocking submit: like `TrySubmit`, but on `kPending` it spins briefly
   /// and then follows the pipeline's overload policy — park on the ring's
-  /// not-full eventcount (`kBlock`), drop with exact accounting (`kShed`;
-  /// the OK return then means "accepted or shed", see
-  /// `PipelineStats::events_shed`), or overflow into the shared spill
-  /// buffer (`kSpill`, parking only once the spill is also full). Never
-  /// returns `kPending`.
+  /// not-full eventcount (`kBlock`) or drop with exact accounting
+  /// (`kShed`; the OK return then means "accepted or shed", see
+  /// `PipelineStats::events_shed`). Never returns `kPending`.
   Status Submit(uint64_t producer, uint64_t key, uint64_t weight = 1);
 
   /// Leases a free, fully drained producer slot, blocking until one is
@@ -203,16 +196,15 @@ class IngestPipeline {
   Status SetWorkerCount(uint64_t n);
 
   /// Blocks until every event accepted before the call has been applied to
-  /// the store (including spilled events). With producers still submitting
-  /// concurrently this is a quiesce point, not a barrier. Fails fast with
-  /// `kFailedPrecondition` when the pipeline is paused
-  /// (`SetWorkerCount(0)`) with events still queued or spilled — there is
+  /// the store. With producers still submitting concurrently this is a
+  /// quiesce point, not a barrier. Fails fast with `kFailedPrecondition`
+  /// when the pipeline is paused (`SetWorkerCount(0)`) with events still
+  /// queued — there is
   /// no worker to make progress, so waiting would hang. Otherwise returns
   /// the first worker error, if any.
   Status Flush();
 
-  /// Closes submission, flushes all queues (and the spill buffer), and
-  /// joins the workers. Idempotent: later calls (and the destructor)
+  /// Closes submission, flushes all queues, and joins the workers. Idempotent: later calls (and the destructor)
   /// return the same result immediately. Returns the first worker error,
   /// if any.
   Status Drain();
@@ -243,11 +235,11 @@ class IngestPipeline {
   }
 
   /// The pipeline's overload policy (fixed at `Make`).
-  OverloadPolicy overload_policy() const { return options_.overload.policy; }
+  OverloadPolicy overload_policy() const { return options_.overload; }
 
   /// Per-slot ring capacity (the power-of-two rounding of
   /// `PipelineOptions::queue_capacity`; fixed at `Make`). The net server
-  /// sizes its credit windows from this plus `SpillHeadroom()`.
+  /// sizes its credit windows from a slot's free share of it.
   uint64_t queue_capacity() const {
     return rings_.empty() ? 0 : rings_[0]->capacity();
   }
@@ -260,8 +252,7 @@ class IngestPipeline {
 
   /// Cumulative events shed from `producer`'s slot — the same cells as
   /// `PipelineStats::shed_per_slot`, readable without snapshotting every
-  /// slot. Always 0 under policies other than `kShed` and for
-  /// out-of-range slots. The net server diffs this around each submitted
+  /// slot. Always 0 under `kBlock` and for out-of-range slots. The net server diffs this around each submitted
   /// batch to report exact per-connection shed counts in its acks.
   uint64_t ShedCountForSlot(uint64_t producer) const {
     if (shed_per_slot_ == nullptr || producer >= rings_.size()) return 0;
@@ -269,15 +260,6 @@ class IngestPipeline {
     // ordering beyond the counter's own monotonicity (the reader already
     // synchronized with the shedding thread via Submit's return).
     return shed_per_slot_[producer].load(std::memory_order_relaxed);
-  }
-
-  /// Remaining spill-buffer headroom in events (0 unless the policy is
-  /// `kSpill`). Approximate, like the depth it derives from.
-  uint64_t SpillHeadroom() const {
-    if (spill_ == nullptr) return 0;
-    const uint64_t depth = spill_->SizeApprox();
-    const uint64_t cap = spill_->capacity();
-    return depth >= cap ? 0 : cap - depth;
   }
 
  private:
@@ -302,7 +284,6 @@ class IngestPipeline {
 
   /// Drains up to `max_batch` events from the rings named by `ring_ids`
   /// into `raw` (sized `max_batch` by the caller, reused across passes),
-  /// tops the batch up from the spill buffer when one exists,
   /// pre-aggregates via the reused `agg` map into `batch`, and applies
   /// through store lane `lane` (the caller's single-writer channel:
   /// worker `w` passes `w`; Drain's post-join sweep passes 0).
@@ -323,12 +304,6 @@ class IngestPipeline {
   EventCount& NonFullShard(uint64_t ring) {
     return nonfull_ecs_[ring % nonfull_shards_];
   }
-
-  /// Accepts `e` into the spill buffer under the Drain refcount fence.
-  /// OK on success, `kPending` when the spill is full, the draining
-  /// status once closed. Wakes workers — spilled events must be drained
-  /// even when every ring is empty.
-  Status SpillSubmit(const Event& e);
 
   /// Coarse submit timestamp for the current event, or 0 when the event
   /// is not in the latency sample (1 in 2^latency_sample_shift per
@@ -370,7 +345,7 @@ class IngestPipeline {
   std::atomic<uint64_t> worker_count_{0};  ///< gauge mirror of workers_.size()
 
   /// Idle workers park here; producers notify on empty→nonempty pushes,
-  /// spill pushes, shutdown, and resize.
+  /// and shutdown and resize notify too.
   EventCount wake_ec_;
 
   /// Consumer→producer not-full eventcounts, sharded by ring group
@@ -397,12 +372,9 @@ class IngestPipeline {
   EventCount slots_ec_;
   std::atomic<uint64_t> slots_in_use_{0};
 
-  /// Overload-control state: shed accounting is exact and per slot;
-  /// spill_ exists only under `kSpill` (preallocated, shared by all
-  /// producers, drained opportunistically by every worker).
+  /// Overload-control state: shed accounting is exact and per slot.
   std::unique_ptr<std::atomic<uint64_t>[]> shed_per_slot_;
   obs::Counter shed_total_;
-  std::unique_ptr<SpillBuffer> spill_;
 
   std::atomic<bool> closed_{false};   ///< no new submissions accepted
   std::atomic<bool> stop_{false};     ///< workers may exit once their rings are empty

@@ -12,8 +12,16 @@ namespace {
 
 class PersistenceTest : public testing::Test {
  protected:
-  void TearDown() override { std::remove(kPath); }
-  static constexpr const char* kPath = "/tmp/countlib_store_test.bin";
+  // ctest runs every case as its own process, in parallel under -j, so
+  // each case saves to a file named after itself: a shared path would let
+  // one case load (or delete) another's file.
+  void SetUp() override {
+    path_ = testing::TempDir() + "countlib_store_test_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".bin";
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+  std::string path_;
 };
 
 analytics::CounterStore MakeStore(uint64_t seed = 1) {
@@ -27,10 +35,10 @@ TEST_F(PersistenceTest, RoundTripPreservesEveryEstimate) {
   for (uint64_t key = 0; key < 500; ++key) {
     ASSERT_TRUE(store.Increment(key * 17, 1 + key * 13).ok());
   }
-  ASSERT_TRUE(store.SaveToFile(kPath).ok());
+  ASSERT_TRUE(store.SaveToFile(path_).ok());
 
   auto restored = MakeStore(999);
-  ASSERT_TRUE(restored.LoadFromFile(kPath).ok());
+  ASSERT_TRUE(restored.LoadFromFile(path_).ok());
   EXPECT_EQ(restored.num_keys(), store.num_keys());
   EXPECT_EQ(restored.TotalStateBits(), store.TotalStateBits());
   for (uint64_t key = 0; key < 500; ++key) {
@@ -43,9 +51,9 @@ TEST_F(PersistenceTest, RoundTripPreservesEveryEstimate) {
 TEST_F(PersistenceTest, RestoredStoreKeepsCounting) {
   auto store = MakeStore();
   ASSERT_TRUE(store.Increment(42, 1000).ok());
-  ASSERT_TRUE(store.SaveToFile(kPath).ok());
+  ASSERT_TRUE(store.SaveToFile(path_).ok());
   auto restored = MakeStore(7);
-  ASSERT_TRUE(restored.LoadFromFile(kPath).ok());
+  ASSERT_TRUE(restored.LoadFromFile(path_).ok());
   ASSERT_TRUE(restored.Increment(42, 1000).ok());
   const double est = restored.Estimate(42).ValueOrDie();
   EXPECT_NEAR(est, 2000.0, 600.0);
@@ -53,28 +61,28 @@ TEST_F(PersistenceTest, RestoredStoreKeepsCounting) {
 
 TEST_F(PersistenceTest, EmptyStoreRoundTrips) {
   auto store = MakeStore();
-  ASSERT_TRUE(store.SaveToFile(kPath).ok());
+  ASSERT_TRUE(store.SaveToFile(path_).ok());
   auto restored = MakeStore(2);
-  ASSERT_TRUE(restored.LoadFromFile(kPath).ok());
+  ASSERT_TRUE(restored.LoadFromFile(path_).ok());
   EXPECT_EQ(restored.num_keys(), 0u);
 }
 
 TEST_F(PersistenceTest, StrideMismatchRejected) {
   auto store = MakeStore();
   ASSERT_TRUE(store.Increment(1, 5).ok());
-  ASSERT_TRUE(store.SaveToFile(kPath).ok());
+  ASSERT_TRUE(store.SaveToFile(path_).ok());
   auto other = analytics::CounterStore::MakeWithBitBudget(CounterKind::kSampling,
                                                           20, 1u << 24, 1)
                    .ValueOrDie();
-  EXPECT_TRUE(other.LoadFromFile(kPath).IsFailedPrecondition());
+  EXPECT_TRUE(other.LoadFromFile(path_).IsFailedPrecondition());
 }
 
 TEST_F(PersistenceTest, GarbageFileRejected) {
-  std::FILE* f = std::fopen(kPath, "wb");
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
   std::fputs("definitely not a store", f);
   std::fclose(f);
   auto store = MakeStore();
-  EXPECT_TRUE(store.LoadFromFile(kPath).IsIOError());
+  EXPECT_TRUE(store.LoadFromFile(path_).IsIOError());
   EXPECT_TRUE(store.LoadFromFile("/nonexistent/store.bin").IsIOError());
 }
 
@@ -83,18 +91,18 @@ TEST_F(PersistenceTest, TruncatedFileRejectedAndStateUnharmed) {
   for (uint64_t key = 0; key < 50; ++key) {
     ASSERT_TRUE(store.Increment(key, 100).ok());
   }
-  ASSERT_TRUE(store.SaveToFile(kPath).ok());
+  ASSERT_TRUE(store.SaveToFile(path_).ok());
   // Truncate the file to half.
-  std::FILE* f = std::fopen(kPath, "rb");
+  std::FILE* f = std::fopen(path_.c_str(), "rb");
   std::fseek(f, 0, SEEK_END);
   long size = std::ftell(f);
   std::fclose(f);
-  ASSERT_EQ(truncate(kPath, size / 2), 0);
+  ASSERT_EQ(truncate(path_.c_str(), size / 2), 0);
 
   auto victim = MakeStore(3);
   ASSERT_TRUE(victim.Increment(7, 123).ok());
   const double before = victim.Estimate(7).ValueOrDie();
-  EXPECT_FALSE(victim.LoadFromFile(kPath).ok());
+  EXPECT_FALSE(victim.LoadFromFile(path_).ok());
   // The failed load must not have corrupted the existing contents.
   EXPECT_DOUBLE_EQ(victim.Estimate(7).ValueOrDie(), before);
 }
@@ -104,11 +112,11 @@ TEST_F(PersistenceTest, ExactKindRoundTripsExactly) {
                                                           (1u << 20) - 1, 1)
                    .ValueOrDie();
   ASSERT_TRUE(store.Increment(11, 54321).ok());
-  ASSERT_TRUE(store.SaveToFile(kPath).ok());
+  ASSERT_TRUE(store.SaveToFile(path_).ok());
   auto restored = analytics::CounterStore::MakeWithBitBudget(
                       CounterKind::kExact, 20, (1u << 20) - 1, 2)
                       .ValueOrDie();
-  ASSERT_TRUE(restored.LoadFromFile(kPath).ok());
+  ASSERT_TRUE(restored.LoadFromFile(path_).ok());
   EXPECT_DOUBLE_EQ(restored.Estimate(11).ValueOrDie(), 54321.0);
 }
 

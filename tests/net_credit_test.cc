@@ -1,5 +1,5 @@
 // Credit-ledger tests: the target computation's clamps (liveness floor of
-// 1, max-window cap, saturated addition) and the ledger's invariants —
+// 1, max-window cap) and the ledger's invariants —
 // monotone cumulative grants, overdraw detection, and refills that top up
 // toward a shrinking or growing target without ever retracting credit.
 // These are the deadlock-freedom and no-unbounded-buffering arguments of
@@ -15,23 +15,23 @@ namespace countlib {
 namespace net {
 namespace {
 
-TEST(NetCreditTest, TargetIsHeadroomPlusSpillCappedByWindow) {
-  EXPECT_EQ(ComputeCreditTarget(100, 50, 1000), 150u);
-  EXPECT_EQ(ComputeCreditTarget(100, 50, 120), 120u);
-  EXPECT_EQ(ComputeCreditTarget(0, 50, 1000), 50u);
+TEST(NetCreditTest, TargetIsHeadroomCappedByWindow) {
+  EXPECT_EQ(ComputeCreditTarget(100, 1000), 100u);
+  EXPECT_EQ(ComputeCreditTarget(100, 100), 100u);
+  EXPECT_EQ(ComputeCreditTarget(100, 60), 60u);
 }
 
 TEST(NetCreditTest, TargetNeverDropsBelowTheLivenessFloor) {
   // Zero headroom must still leave one credit: the client's stall is then
   // always ended by an ack, and the pipeline's own overload policy — not
   // the transport — decides what happens to that one event.
-  EXPECT_EQ(ComputeCreditTarget(0, 0, 1000), 1u);
-  EXPECT_EQ(ComputeCreditTarget(0, 0, 1), 1u);
+  EXPECT_EQ(ComputeCreditTarget(0, 1000), 1u);
+  EXPECT_EQ(ComputeCreditTarget(0, 1), 1u);
 }
 
 TEST(NetCreditTest, TargetSurvivesHeadroomOverflow) {
   const uint64_t huge = ~uint64_t{0} - 5;
-  EXPECT_EQ(ComputeCreditTarget(huge, 100, 4096), 4096u);
+  EXPECT_EQ(ComputeCreditTarget(huge, 4096), 4096u);
 }
 
 TEST(NetCreditTest, LedgerTracksConsumptionAndAvailability) {
@@ -77,7 +77,7 @@ TEST(NetCreditTest, RefillAtTheFloorAlwaysEndsAStall) {
   CreditLedger ledger(8);
   ASSERT_TRUE(ledger.Consume(8));
   EXPECT_EQ(ledger.available(), 0u);
-  ledger.Refill(ComputeCreditTarget(0, 0, 1u << 16));
+  ledger.Refill(ComputeCreditTarget(0, 1u << 16));
   EXPECT_GE(ledger.available(), 1u);
 }
 
@@ -85,11 +85,11 @@ TEST(NetCreditTest, WindowBoundsOutstandingEvents) {
   // No-unbounded-buffering: however many refill rounds run, available
   // credit never exceeds the max window, so the client can never have
   // more than max_window events the server hasn't consumed.
-  CreditLedger ledger(ComputeCreditTarget(4096, 0, 4096));
+  CreditLedger ledger(ComputeCreditTarget(4096, 4096));
   for (int round = 0; round < 100; ++round) {
     EXPECT_LE(ledger.available(), 4096u);
     ASSERT_TRUE(ledger.Consume(ledger.available() / 2 + 1));
-    ledger.Refill(ComputeCreditTarget(4096, 0, 4096));
+    ledger.Refill(ComputeCreditTarget(4096, 4096));
   }
   EXPECT_LE(ledger.available(), 4096u);
 }

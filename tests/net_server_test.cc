@@ -140,18 +140,17 @@ TEST(NetServerTest, RequestedWindowIsHonored) {
   ASSERT_TRUE(client->Close().ok());
 }
 
-TEST(NetServerTest, WindowIsSizedFromRingAndSpillHeadroom) {
-  // A kSpill pipeline advertises ring + spill headroom; a small ring with
-  // a big spill should open a window larger than the ring alone.
+TEST(NetServerTest, WindowIsSizedFromRingHeadroom) {
+  // The lossless headroom is the slot's ring: an idle slot's first window
+  // is exactly queue_capacity (well under the default max_credit_window).
   auto store = MakeExactStore();
   pipeline::PipelineOptions opt = BaseOptions();
   opt.queue_capacity = 64;
-  opt.overload.policy = pipeline::OverloadPolicy::kSpill;
-  opt.overload.spill_capacity = 1 << 12;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  ASSERT_EQ(pipe->queue_capacity(), 64u);
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
   auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
-  EXPECT_GT(client->Stats().credits_available, 64u);
+  EXPECT_EQ(client->Stats().credits_available, pipe->queue_capacity());
   ASSERT_TRUE(client->Close().ok());
 }
 
@@ -187,7 +186,7 @@ TEST(NetServerTest, ShedPolicyIsReportedOverTheWire) {
   pipeline::PipelineOptions opt = BaseOptions();
   opt.num_producers = 1;
   opt.queue_capacity = 64;
-  opt.overload.policy = pipeline::OverloadPolicy::kShed;
+  opt.overload = pipeline::OverloadPolicy::kShed;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // pause: nothing drains
 

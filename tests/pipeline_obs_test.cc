@@ -217,7 +217,7 @@ TEST(PipelineObsTest, ShedAccountingBalances) {
   options.num_producers = 1;
   options.queue_capacity = 16;
   options.enable_metrics = true;
-  options.overload.policy = OverloadPolicy::kShed;
+  options.overload = OverloadPolicy::kShed;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // force sustained fullness
   for (uint64_t i = 0; i < 200; ++i) {
