@@ -13,7 +13,7 @@
 /// comes from even on a single core. Every store is kSampling at 16 bits
 /// with one shard per producer (direct) or worker (pipeline).
 ///
-/// Five extra scenarios track the elastic-pipeline work:
+/// Six extra scenarios track the elastic-pipeline work:
 ///  - **elastic**: replays the trace while `SetWorkerCount` steps the
 ///    worker pool 1→4→2→4 mid-stream (the resize barrier is on the hot
 ///    path, so regressions show up as throughput loss).
@@ -31,9 +31,6 @@
 ///    and land its event promptly once a drain frees space — the
 ///    producer-side mirror of the idle scenario, measuring the not-full
 ///    eventcount that replaced the 100µs sleep-poll backoff.
-///  - **autoscale**: a producer burst against a 1-worker pool with the
-///    `Autoscaler` attached must grow the pool (and shrink it back once
-///    quiet) with zero lost events (asserted).
 ///  - **net**: the socket front-end (src/net/) on loopback — EventClient
 ///    connections framing the trace over TCP with credit flow control
 ///    into the same pipeline config, against the in-process Submit
@@ -59,9 +56,7 @@
 /// lost_events, unaccounted_events}`,
 /// `saturated_producer_cpu
 /// {park_seconds, cpu_seconds, parks, wakeups, retries_while_parked,
-/// wake_latency_s}`, `autoscale {events, burst_seconds, events_per_sec,
-/// peak_workers, final_workers, scale_ups, scale_downs, samples,
-/// lost_events}`, `overload {shed {attempts, delivered, shed,
+/// wake_latency_s}`, `overload {shed {attempts, delivered, shed,
 /// unaccounted_events, submits_per_sec}}`, `observability {events,
 /// uninstrumented_events_per_sec, instrumented_events_per_sec,
 /// overhead_pct, record_attempts, record_allocs, latency_samples,
@@ -95,7 +90,6 @@
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
-#include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/cli.h"
@@ -160,18 +154,6 @@ struct SaturatedProducerResult {
   uint64_t wakeups;         // parks ended by a drain's nonfull signal
   uint64_t retries_while_parked;  // TrySubmit rejects while blocked
   double wake_latency_s;    // resume -> Submit returned
-};
-
-struct AutoscaleResult {
-  uint64_t events;
-  double burst_seconds;
-  double events_per_sec;
-  uint64_t peak_workers;
-  uint64_t final_workers;
-  uint64_t scale_ups;
-  uint64_t scale_downs;
-  uint64_t samples;
-  uint64_t lost_events;
 };
 
 struct OverloadResult {
@@ -454,79 +436,6 @@ SaturatedProducerResult RunSaturatedProducer(double seconds) {
   // timeout ladder.
   COUNTLIB_CHECK_LT(r.cpu_seconds, 0.005 * (seconds < 1.0 ? 1.0 : seconds));
   COUNTLIB_CHECK_LT(r.wake_latency_s, 0.25);
-  return r;
-}
-
-/// A burst against a 1-worker pool with the Autoscaler attached: the pool
-/// must grow under the burst, shrink back once quiet, and lose nothing.
-/// max_batch is kept small so the burst visibly outruns the initial
-/// worker.
-AutoscaleResult RunAutoscale(double burst_seconds) {
-  auto store = MakeStore(4, 1u << 24);
-  pipeline::PipelineOptions opt;
-  opt.num_producers = 4;
-  opt.num_workers = 1;
-  opt.queue_capacity = 2048;
-  opt.max_batch = 64;
-  auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-
-  pipeline::AutoscalerConfig config;
-  config.min_workers = 1;
-  config.max_workers = 4;
-  config.sample_interval = std::chrono::milliseconds(5);
-  config.cooldown = std::chrono::milliseconds(25);
-  config.scale_up_queue_depth = 2048;
-  config.scale_up_samples = 1;
-  config.scale_down_queue_depth = 128;
-  config.scale_down_samples = 4;
-  auto scaler = pipeline::Autoscaler::Make(ingest.get(), config).ValueOrDie();
-
-  AutoscaleResult r{};
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> produced{0};
-  std::vector<std::thread> producers;
-  for (uint64_t p = 0; p < 4; ++p) {
-    producers.emplace_back([&, p] {
-      uint64_t i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        COUNTLIB_CHECK_OK(ingest->Submit(p, /*key=*/(p * 8191 + i++) & 4095, 1));
-        produced.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  const double start = Now();
-  r.peak_workers = ingest->num_workers();
-  while (Now() - start < burst_seconds) {
-    r.peak_workers = std::max(r.peak_workers, ingest->num_workers());
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : producers) t.join();
-  r.burst_seconds = Now() - start;
-  r.events = produced.load();
-  r.events_per_sec = static_cast<double>(r.events) / r.burst_seconds;
-
-  // Quiet period: wait (bounded) for the pool to walk back to the floor.
-  const double quiet_deadline = Now() + 10.0;
-  while (ingest->num_workers() > config.min_workers && Now() < quiet_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  r.final_workers = ingest->num_workers();
-  scaler->Stop();
-  const pipeline::AutoscalerStats as = scaler->Stats();
-  r.scale_ups = as.scale_ups;
-  r.scale_downs = as.scale_downs;
-  r.samples = as.samples;
-
-  COUNTLIB_CHECK_OK(ingest->Flush());
-  COUNTLIB_CHECK_OK(ingest->Drain());
-  const pipeline::PipelineStats stats = ingest->Stats();
-  r.lost_events = r.events - stats.events_applied;
-  // The acceptance gates: the burst grew the pool, the quiet shrank it
-  // back, and the churn lost nothing.
-  COUNTLIB_CHECK_GT(r.peak_workers, uint64_t{1});
-  COUNTLIB_CHECK_EQ(r.final_workers, config.min_workers);
-  COUNTLIB_CHECK_EQ(r.lost_events, uint64_t{0});
   return r;
 }
 
@@ -816,7 +725,6 @@ std::string ToJson(const std::vector<RunResult>& results,
                    const std::vector<uint64_t>& worker_steps,
                    const IdleResult& idle, const BackpressureResult& bp,
                    const SaturatedProducerResult& sat,
-                   const AutoscaleResult& autoscale,
                    const OverloadResult& overload,
                    const ObservabilityResult& obs, const NetResult& net,
                    uint64_t keys, double skew) {
@@ -883,21 +791,6 @@ std::string ToJson(const std::vector<RunResult>& results,
       static_cast<unsigned long long>(sat.wakeups),
       static_cast<unsigned long long>(sat.retries_while_parked),
       sat.wake_latency_s);
-  out += buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"autoscale\":{\"events\":%llu,\"burst_seconds\":%.4f,"
-      "\"events_per_sec\":%.1f,\"peak_workers\":%llu,"
-      "\"final_workers\":%llu,\"scale_ups\":%llu,\"scale_downs\":%llu,"
-      "\"samples\":%llu,\"lost_events\":%llu}",
-      static_cast<unsigned long long>(autoscale.events),
-      autoscale.burst_seconds, autoscale.events_per_sec,
-      static_cast<unsigned long long>(autoscale.peak_workers),
-      static_cast<unsigned long long>(autoscale.final_workers),
-      static_cast<unsigned long long>(autoscale.scale_ups),
-      static_cast<unsigned long long>(autoscale.scale_downs),
-      static_cast<unsigned long long>(autoscale.samples),
-      static_cast<unsigned long long>(autoscale.lost_events));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -1040,19 +933,6 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(sat.retries_while_parked),
       sat.wake_latency_s * 1e3);
 
-  const AutoscaleResult autoscale = RunAutoscale(0.5);
-  std::printf(
-      "# autoscale: %.2fs burst of %llu events -> pool 1 -> %llu -> %llu "
-      "(%llu ups, %llu downs over %llu samples), %llu lost\n",
-      autoscale.burst_seconds,
-      static_cast<unsigned long long>(autoscale.events),
-      static_cast<unsigned long long>(autoscale.peak_workers),
-      static_cast<unsigned long long>(autoscale.final_workers),
-      static_cast<unsigned long long>(autoscale.scale_ups),
-      static_cast<unsigned long long>(autoscale.scale_downs),
-      static_cast<unsigned long long>(autoscale.samples),
-      static_cast<unsigned long long>(autoscale.lost_events));
-
   const OverloadResult overload = RunOverload();
   std::printf(
       "# overload: shed %llu attempts -> %llu delivered + %llu shed "
@@ -1098,8 +978,8 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(net.unaccounted_events));
 
   const std::string json =
-      ToJson(results, elastic, worker_steps, idle, bp, sat, autoscale,
-             overload, obs, net, keys, skew);
+      ToJson(results, elastic, worker_steps, idle, bp, sat, overload, obs,
+             net, keys, skew);
   std::printf("%s\n", json.c_str());
   const std::string json_out = flags.GetString("json_out");
   if (!json_out.empty()) {

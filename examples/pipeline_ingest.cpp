@@ -1,13 +1,10 @@
 /// \file pipeline_ingest.cpp
-/// \brief The §1 analytics system end to end, elastic edition: a pool of
-/// transient producer threads leases slots from the `IngestPipeline`'s
-/// producer-slot registry and feeds page-visit events through the async
-/// batched path into a `ShardedCounterStore` — every drain worker writes a
-/// private bit-packed shard, no locks on the hot path — while an
-/// `Autoscaler` watches queue pressure and drives `SetWorkerCount` for
-/// us — the pool starts at one drain thread, grows under the burst, and
-/// shrinks back once the producers finish (shard = lane ownership migrates
-/// with ring ownership at the resize barriers, docs/store_api.md). A
+/// \brief The §1 analytics system end to end: a pool of transient
+/// producer threads leases slots from the `IngestPipeline`'s producer-slot
+/// registry and feeds page-visit events through the async batched path
+/// into a `ShardedCounterStore`. A fixed pool of `--slots` drain workers,
+/// one per shard, applies them — worker w writes shard w, a private
+/// bit-packed shard, so the hot path takes no locks (docs/store_api.md). A
 /// dashboard then reads the results with one merged `TopK` snapshot call —
 /// an exact cross-shard cut per Remark 2.4.
 ///
@@ -33,9 +30,9 @@
 ///           `PipelineStats` (delivered + shed == submitted).
 ///
 /// With `--metrics_out=FILE` the whole run is instrumented through the
-/// obs layer (src/obs/README.md): the pipeline, store, and autoscaler
-/// register their counters/gauges/histograms in the process-wide registry,
-/// a `MetricsCollector` drives the coarse latency ticker and samples the
+/// obs layer (src/obs/README.md): the pipeline and store register their
+/// counters/gauges/histograms in the process-wide registry, a
+/// `MetricsCollector` drives the coarse latency ticker and samples the
 /// gauges into ring-buffer time series, and a dump thread rewrites FILE
 /// with the Prometheus text exposition every `--metrics_period_ms` (plus a
 /// final dump after drain — the one CI validates with tools/promcheck.py).
@@ -59,7 +56,6 @@
 #include "obs/collector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/cli.h"
@@ -86,7 +82,8 @@ void DumpMetrics(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace countlib;
 
-  FlagParser flags("pipeline_ingest: elastic async batched ingestion demo");
+  FlagParser flags(
+      "pipeline_ingest: async batched ingestion from leased producer slots");
   flags.AddUint64("pages", 50000, "distinct pages");
   flags.AddUint64("visits", 2000000, "total visit events");
   flags.AddUint64("threads", 8, "transient producer threads sharing the slots");
@@ -115,8 +112,7 @@ int main(int argc, char** argv) {
   const bool metrics = !metrics_out.empty();
 
   // Zipf page popularity, 16 bits of packed counter state per page, one
-  // private shard per producer slot (the autoscaler's worker ceiling is
-  // the slot count, and the pipeline clamps workers to the store's lanes).
+  // private shard per producer slot and one drain worker per shard.
   auto trace = stream::Trace::GenerateZipf(pages, 1.05, visits, 99).ValueOrDie();
   auto store = analytics::ShardedCounterStore::Make(
                    slots, CounterKind::kSampling, 16, visits, 1)
@@ -130,7 +126,7 @@ int main(int argc, char** argv) {
   options.num_producers = slots;
   options.queue_capacity = 8192;
   options.max_batch = 2048;
-  options.num_workers = 1;  // start small; the autoscaler grows the pool
+  options.num_workers = std::min<uint64_t>(slots, 256);  // Make's pool cap
   options.enable_metrics = metrics;
   const std::string overload = flags.GetString("overload");
   if (overload == "shed") {
@@ -140,25 +136,6 @@ int main(int argc, char** argv) {
   }
   auto ingest =
       pipeline::IngestPipeline::Make(store.get(), options).ValueOrDie();
-
-  // The elastic control loop, as policy instead of hand-placed
-  // SetWorkerCount calls: sample the ring depth every 5ms, double the
-  // pool when the backlog tops half the total ring capacity, walk it back
-  // down one worker at a time once the queues go shallow and the workers
-  // idle.
-  pipeline::AutoscalerConfig scaling;
-  scaling.min_workers = 1;
-  // max_workers stays 0: Make resolves it to the pipeline's
-  // max_workers() — min(producer slots, store lanes, 256), here the slot
-  // count, since the store has one shard per slot.
-  scaling.sample_interval = std::chrono::milliseconds(5);
-  scaling.cooldown = std::chrono::milliseconds(25);
-  scaling.scale_up_queue_depth = slots * options.queue_capacity / 2;
-  scaling.scale_up_samples = 1;
-  scaling.scale_down_queue_depth = 256;
-  scaling.scale_down_samples = 4;
-  scaling.enable_metrics = metrics;
-  auto scaler = pipeline::Autoscaler::Make(ingest.get(), scaling).ValueOrDie();
 
   // The telemetry side, entirely optional: the collector ticks the coarse
   // clock (which arms the pipeline's latency stamping) and samples every
@@ -206,20 +183,13 @@ int main(int argc, char** argv) {
   }
 
   for (auto& t : pool) t.join();
-  // Give the autoscaler a beat to observe the quiet queues and shrink,
-  // then stop it before the pipeline goes away (it must not outlive the
-  // pipeline it steers).
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  const uint64_t workers_at_end = ingest->num_workers();
-  scaler->Stop();
-  const pipeline::AutoscalerStats scaling_stats = scaler->Stats();
   COUNTLIB_CHECK_OK(ingest->Drain());
 
   if (metrics) {
     // Stop the live rewriter; the final dump waits until after the
     // dashboard's merged TopK read below, so the validated file carries a
     // populated countlib_store_shard_merge_latency_ns histogram alongside
-    // the settled must-stay-zero metrics (events_dropped, resize_errors,
+    // the settled must-stay-zero metrics (events_dropped,
     // unaccounted_events) that tools/promcheck.py asserts in CI.
     if (dump_thread.joinable()) {
       dumping.store(false, std::memory_order_release);
@@ -248,16 +218,8 @@ int main(int argc, char** argv) {
                 pipeline::OverloadPolicyName(ingest->overload_policy()),
                 static_cast<unsigned long long>(stats.events_shed));
   }
-  std::printf(
-      "autoscaler: %llu samples, %llu scale-ups / %llu scale-downs "
-      "(pool ended at %llu worker%s)\n",
-      static_cast<unsigned long long>(scaling_stats.samples),
-      static_cast<unsigned long long>(scaling_stats.scale_ups),
-      static_cast<unsigned long long>(scaling_stats.scale_downs),
-      static_cast<unsigned long long>(workers_at_end),
-      workers_at_end == 1 ? "" : "s");
 
-  std::printf("\nper-worker activity (cumulative across resizes):\n");
+  std::printf("\nper-worker activity:\n");
   for (const auto& w : ingest->PerWorkerStats()) {
     std::printf("  worker %llu: %10llu events in %6llu batches, %llu wakeups\n",
                 static_cast<unsigned long long>(w.worker_id),

@@ -88,8 +88,7 @@ void MetricsCollector::SampleOnce(uint64_t now_ns) {
   // deadlock against it.
   const auto samples = registry_->SampleGauges();
   MutexLock lock(&series_mu_);
-  for (const auto& [name, value, kind] : samples) {
-    (void)kind;
+  for (const auto& [name, value] : samples) {
     auto it = series_.find(name);
     if (it == series_.end()) {
       it = series_.emplace(name, TimeSeries(options_.series_capacity)).first;

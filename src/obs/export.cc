@@ -82,11 +82,7 @@ std::string ToPrometheusText(const Snapshot& snap) {
     out.push_back('\n');
   }
   for (const auto& [name, value] : snap.gauges) {
-    const auto kind_it = snap.gauge_kinds.find(name);
-    const bool monotonic = kind_it != snap.gauge_kinds.end() &&
-                           kind_it->second == GaugeKind::kCounterGauge;
-    out.append("# TYPE ").append(name).append(monotonic ? " counter\n"
-                                                        : " gauge\n");
+    out.append("# TYPE ").append(name).append(" gauge\n");
     out.append(name).push_back(' ');
     AppendDouble(&out, value);
     out.push_back('\n');

@@ -8,8 +8,7 @@
 /// Export contract (see obs/README.md for the name inventory):
 ///
 ///  - counters  → `# TYPE <name> counter` + `<name> <value>`
-///  - gauges    → `# TYPE <name> gauge` (or `counter` for
-///                `GaugeKind::kCounterGauge` readings)
+///  - gauges    → `# TYPE <name> gauge` + `<name> <value>`
 ///  - histograms → Prometheus classic histograms: cumulative
 ///                `<name>_bucket{le="<2^i - 1>"}` lines ending in
 ///                `le="+Inf"`, plus `<name>_sum` and `<name>_count`

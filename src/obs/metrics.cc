@@ -125,12 +125,10 @@ Registration Registry::RegisterCounter(const std::string& name,
 }
 
 Registration Registry::RegisterGauge(const std::string& name,
-                                     std::function<double()> fn,
-                                     GaugeKind kind) {
+                                     std::function<double()> fn) {
   Entry e;
   e.name = SanitizeName(name);
   e.gauge = std::move(fn);
-  e.gauge_kind = kind;
   return Insert(std::move(e));
 }
 
@@ -172,7 +170,6 @@ Snapshot Registry::TakeSnapshot() const {
       snap.histograms[e.name].Merge(e.histogram->Snapshot());
     } else if (e.gauge) {
       snap.gauges[e.name] += e.gauge();
-      snap.gauge_kinds[e.name] = e.gauge_kind;
     } else if (e.series) {
       for (auto& [name, points] : e.series()) {
         auto& dst = snap.series[name];
@@ -183,25 +180,15 @@ Snapshot Registry::TakeSnapshot() const {
   return snap;
 }
 
-std::vector<std::tuple<std::string, double, GaugeKind>> Registry::SampleGauges()
-    const {
-  std::map<std::string, std::pair<double, GaugeKind>> agg;
+std::vector<std::pair<std::string, double>> Registry::SampleGauges() const {
+  std::map<std::string, double> agg;
   {
     MutexLock lock(&mu_);
     for (const Entry& e : entries_) {
-      if (!e.gauge) continue;
-      auto [it, inserted] = agg.emplace(e.name,
-                                        std::make_pair(0.0, e.gauge_kind));
-      (void)inserted;  // duplicates aggregate; first registration wins the kind
-      it->second.first += e.gauge();
+      if (e.gauge) agg[e.name] += e.gauge();  // duplicates aggregate
     }
   }
-  std::vector<std::tuple<std::string, double, GaugeKind>> out;
-  out.reserve(agg.size());
-  for (const auto& [name, vk] : agg) {
-    out.emplace_back(name, vk.first, vk.second);
-  }
-  return out;
+  return {agg.begin(), agg.end()};
 }
 
 uint64_t Registry::NumRegistered() const {

@@ -52,7 +52,7 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/mutex.h"
@@ -193,12 +193,6 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// How a registered callback metric should be typed on export: a `kGauge`
-/// can move both ways; a `kCounterGauge` is a monotonic reading (e.g. a
-/// stats struct's cumulative field surfaced through a callback) and is
-/// exported with Prometheus type `counter`.
-enum class GaugeKind : uint8_t { kGauge = 0, kCounterGauge = 1 };
-
 /// One sampled point of a gauge time series (`t_ns` is the collector's
 /// steady-clock timestamp).
 struct SeriesPoint {
@@ -211,7 +205,6 @@ struct SeriesPoint {
 struct Snapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, GaugeKind> gauge_kinds;
   std::map<std::string, HistogramSnapshot> histograms;
   /// Bounded ring-buffer time series contributed by attached
   /// `MetricsCollector`s, oldest point first.
@@ -257,7 +250,7 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// The default process-wide registry (what `GlobalSnapshot` and the
-  /// pipeline/store/autoscaler instrumentation use).
+  /// pipeline/store/net instrumentation use).
   static Registry& Default();
 
   /// Registers `counter` under `name`. The counter must outlive the
@@ -272,8 +265,7 @@ class Registry {
   /// call back into the registry, and keep whatever it reads alive until
   /// the handle is released.
   Registration RegisterGauge(const std::string& name,
-                             std::function<double()> fn,
-                             GaugeKind kind = GaugeKind::kGauge);
+                             std::function<double()> fn);
 
   /// Registers `histogram` under `name`; same lifetime contract as
   /// counters.
@@ -285,9 +277,9 @@ class Registry {
   /// from attached collectors are included. Gauge callbacks run inline.
   Snapshot TakeSnapshot() const;
 
-  /// Samples just the gauges (the collector's fast path): name, value,
-  /// kind — aggregated by name like `TakeSnapshot`.
-  std::vector<std::tuple<std::string, double, GaugeKind>> SampleGauges() const;
+  /// Samples just the gauges (the collector's fast path): name and value,
+  /// aggregated by name like `TakeSnapshot`.
+  std::vector<std::pair<std::string, double>> SampleGauges() const;
 
   /// Number of live registrations across all kinds (for tests).
   uint64_t NumRegistered() const;
@@ -311,7 +303,6 @@ class Registry {
     const Counter* counter = nullptr;
     const Histogram* histogram = nullptr;
     std::function<double()> gauge;
-    GaugeKind gauge_kind = GaugeKind::kGauge;
     std::function<std::map<std::string, std::vector<SeriesPoint>>()> series;
   };
 

@@ -1,7 +1,6 @@
 /// \file timer.h
 /// \brief Timing helpers for the obs layer: the coarse ticker that makes
-/// per-event timestamps affordable, and the RAII scoped timer for
-/// section-level latencies.
+/// per-event timestamps affordable, and a real steady-clock read.
 ///
 /// Two clocks, two cost profiles:
 ///
@@ -16,9 +15,6 @@
 ///  - `CoarseClock::RealNowNanos()` — an actual steady-clock read (vDSO,
 ///    ~20ns). For per-batch / per-park measurements where one call
 ///    amortizes over many events or a long wait.
-///
-/// `ScopedTimer` records `RealNowNanos` elapsed into a `Histogram` on
-/// destruction; a null histogram disables it (no branches for the caller).
 
 #ifndef COUNTLIB_OBS_TIMER_H_
 #define COUNTLIB_OBS_TIMER_H_
@@ -26,8 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-
-#include "obs/metrics.h"
 
 namespace countlib {
 namespace obs {
@@ -61,29 +55,6 @@ class CoarseClock {
 
  private:
   static std::atomic<uint64_t> tick_;
-};
-
-/// \brief RAII section timer: records elapsed `RealNowNanos` into the
-/// histogram on destruction. Null histogram = disabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram) noexcept
-      : histogram_(histogram),
-        start_ns_(histogram == nullptr ? 0 : CoarseClock::RealNowNanos()) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      const uint64_t now = CoarseClock::RealNowNanos();
-      histogram_->Record(now > start_ns_ ? now - start_ns_ : 0);
-    }
-  }
-
- private:
-  Histogram* histogram_;
-  uint64_t start_ns_;
 };
 
 }  // namespace obs

@@ -107,7 +107,6 @@ struct PipelineStats {
   uint64_t producer_wakeups = 0;   ///< producer parks ended by a drain's not-full signal (not timeout)
   uint64_t queue_depth = 0;        ///< events currently sitting in queues (approximate)
   uint64_t workers = 0;            ///< current drain-thread count (gauge; 0 while paused)
-  uint64_t busy_workers = 0;       ///< workers inside a drain pass right now (gauge)
   uint64_t slots_in_use = 0;       ///< producer slots currently leased via the registry (gauge)
   /// Events deliberately dropped by a `kShed` Submit (total across slots).
   /// Invariant: events_applied + events_shed accounts for every OK'd
@@ -116,7 +115,7 @@ struct PipelineStats {
   /// Exact per-producer-slot shed counts; events_shed is their sum.
   /// Size = num_producers under `OverloadPolicy::kShed`, empty under
   /// `kBlock` (where every count is zero by construction — leaving it
-  /// empty keeps the frequently-sampled Stats() path allocation-free).
+  /// empty keeps the Stats() path allocation-free).
   std::vector<uint64_t> shed_per_slot;
 };
 

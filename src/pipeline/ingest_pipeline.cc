@@ -409,25 +409,14 @@ Result<ProducerSlot> IngestPipeline::TryAcquireProducerSlot() {
 
 Result<ProducerSlot> IngestPipeline::AcquireProducerSlot() {
   // Park-episode loop on the registry eventcount: snapshot the epoch,
-  // rescan under the registry lock, park on the snapshot. A release (or a
-  // drain's pop progress) after the snapshot bumps the epoch, so the park
-  // is skipped or ended immediately; the backstop covers notifies skipped
-  // by the HasWaiters gate racing this registration.
+  // rescan via TryAcquireProducerSlot, park on the snapshot. A release (or
+  // a drain's pop progress) after the snapshot bumps the epoch, so the
+  // park is skipped or ended immediately; the backstop covers notifies
+  // skipped by the HasWaiters gate racing this registration.
   while (true) {
     const uint64_t epoch = slots_ec_.Epoch();
-    {
-      MutexLock lock(&slots_mu_);
-      // mo: acquire — same closed_ pairing as TryAcquireProducerSlot.
-      if (closed_.load(std::memory_order_acquire)) return DrainingStatus();
-      for (uint64_t i = 0; i < rings_.size(); ++i) {
-        if (!slot_leased_[i] && rings_[i]->SizeApprox() == 0) {
-          slot_leased_[i] = 1;
-          // mo: relaxed — gauge cell; lease state is under slots_mu_.
-          slots_in_use_.fetch_add(1, std::memory_order_relaxed);
-          return ProducerSlot(this, i);
-        }
-      }
-    }
+    Result<ProducerSlot> slot = TryAcquireProducerSlot();
+    if (!slot.status().IsPending()) return slot;
     slots_ec_.ParkOne(
         // mo: acquire — cancel probe, pairs with Drain's closed_ publish.
         epoch, [this] { return closed_.load(std::memory_order_acquire); },
@@ -755,16 +744,14 @@ PipelineStats IngestPipeline::Stats() const {
   stats.batches_applied = batches_.Value();
   // mo: acquire — pool gauge, paired with the spawn/join release stores.
   stats.workers = worker_count_.load(std::memory_order_acquire);
-  // mo: acquire — busy gauge trails real drain activity (see Flush).
-  stats.busy_workers = busy_workers_.load(std::memory_order_acquire);
   // mo: relaxed — freestanding gauge cell.
   stats.slots_in_use = slots_in_use_.load(std::memory_order_relaxed);
   stats.producer_parks = producer_parks_.Value();
   stats.producer_wakeups = producer_wakeups_.Value();
   stats.events_shed = shed_total_.Value();
-  // Only a kShed pipeline materializes the per-slot vector: the Autoscaler
-  // samples Stats() on a tight cadence, and under kBlock the counts are
-  // all zero by construction — keep that path allocation-free.
+  // Only a kShed pipeline materializes the per-slot vector: under kBlock
+  // the counts are all zero by construction, so that path stays
+  // allocation-free.
   if (options_.overload == OverloadPolicy::kShed) {
     stats.shed_per_slot.reserve(rings_.size());
     for (uint64_t i = 0; i < rings_.size(); ++i) {

@@ -24,8 +24,7 @@
 /// use of lane 0 cannot race a worker. Against a `ShardedCounterStore`
 /// this means the whole drain path is lock-free: each worker writes its
 /// own private shard and never touches another worker's cache lines. The
-/// worker count is clamped to `max_workers()`, which is at most
-/// `store->num_lanes()`.
+/// worker count is clamped to min(producer slots, store lanes, 256).
 ///
 /// Lifecycle: `Make` starts the workers; `Flush` quiesces (everything
 /// accepted so far is applied); `Drain` closes submission, flushes, and
@@ -106,8 +105,8 @@
 /// submitters park until a resume (or `Drain`, which applies everything in
 /// its final sweep regardless). `Flush` fails fast with
 /// `kFailedPrecondition` while the pipeline is paused with events queued
-/// instead of hanging. See `autoscaler.h` for the policy layer that drives
-/// `SetWorkerCount` automatically from queue depth and idle signals.
+/// instead of hanging. The pool is exactly the size the caller sets:
+/// nothing in the pipeline resizes it on its own.
 ///
 /// An event acknowledged with OK by `TrySubmit` is never lost, even when
 /// the submit races a concurrent `Drain` — draining waits out in-flight
@@ -142,8 +141,8 @@ class IngestPipeline {
  public:
   /// Starts the pipeline: one SPSC queue per producer slot and
   /// `options.num_workers` drain threads over `store` (clamped to
-  /// `max_workers()`). The store must outlive the pipeline; it is not
-  /// owned.
+  /// min(producer slots, store lanes, 256)). The store must outlive the
+  /// pipeline; it is not owned.
   static Result<std::unique_ptr<IngestPipeline>> Make(
       analytics::CounterWriter* store, const PipelineOptions& options);
 
@@ -183,16 +182,16 @@ class IngestPipeline {
   Result<ProducerSlot> TryAcquireProducerSlot();
 
   /// Grows or shrinks the worker pool to `n` threads (clamped to
-  /// `max_workers()`), re-partitioning ring — and store-lane — ownership
-  /// at a safe barrier. Concurrent submissions keep queueing during the
-  /// switch; no accepted event is lost. Serialized with concurrent
-  /// resizes; returns `kFailedPrecondition` once draining has begun and
-  /// `kInvalidArgument` for `n` > 256. `n == 0` pauses the pipeline: no
-  /// drain threads run, accepted events wait in their queues, and `Flush`
-  /// fails fast instead of hanging — resume with any `n >= 1` (nothing
-  /// queued is ever lost; `Drain`'s final sweep also applies a paused
-  /// backlog). While paused, `AcquireProducerSlot` can block indefinitely
-  /// on an undrained slot.
+  /// min(producer slots, store lanes, 256)), re-partitioning ring — and
+  /// store-lane — ownership at a safe barrier. Concurrent submissions
+  /// keep queueing during the switch; no accepted event is lost.
+  /// Serialized with concurrent resizes; returns `kFailedPrecondition`
+  /// once draining has begun and `kInvalidArgument` for `n` > 256.
+  /// `n == 0` pauses the pipeline: no drain threads run, accepted events
+  /// wait in their queues, and `Flush` fails fast instead of hanging —
+  /// resume with any `n >= 1` (nothing queued is ever lost; `Drain`'s
+  /// final sweep also applies a paused backlog). While paused,
+  /// `AcquireProducerSlot` can block indefinitely on an undrained slot.
   Status SetWorkerCount(uint64_t n);
 
   /// Blocks until every event accepted before the call has been applied to
@@ -220,11 +219,6 @@ class IngestPipeline {
   Status LastError() const;
 
   uint64_t num_producers() const { return rings_.size(); }
-
-  /// The worker ceiling, fixed at `Make`: min(producer slots, store lanes,
-  /// 256). More workers than rings is never useful, and worker w writes
-  /// store lane w. `Make` and `SetWorkerCount` clamp every pool size here.
-  uint64_t max_workers() const { return max_workers_; }
 
   /// Current drain-thread count (changes only via `SetWorkerCount`; 0
   /// while paused or after `Drain`).
@@ -325,6 +319,9 @@ class IngestPipeline {
 
   analytics::CounterWriter* store_;
   PipelineOptions options_;
+  /// The worker ceiling, fixed at `Make`: min(producer slots, store lanes,
+  /// 256). More workers than rings is never useful, and worker w writes
+  /// store lane w. `Make` and `SetWorkerCount` clamp every pool size here.
   const uint64_t max_workers_;
   std::vector<std::unique_ptr<SpscRing>> rings_;
 

@@ -20,9 +20,6 @@ Snapshot SampleSnapshot() {
   snap.counters["countlib_pipeline_events_submitted_total"] = 1000;
   snap.counters["countlib_pipeline_events_dropped_total"] = 0;
   snap.gauges["countlib_pipeline_queue_depth"] = 12.0;
-  snap.gauges["countlib_autoscaler_resize_errors_total"] = 0.0;
-  snap.gauge_kinds["countlib_autoscaler_resize_errors_total"] =
-      GaugeKind::kCounterGauge;
   Histogram h;
   h.Record(0);
   h.Record(3);
@@ -41,10 +38,6 @@ TEST(ObsExportTest, PrometheusCountersAndGauges) {
   EXPECT_TRUE(Contains(text,
                        "# TYPE countlib_pipeline_queue_depth gauge\n"
                        "countlib_pipeline_queue_depth 12\n"));
-  // kCounterGauge readings export with type counter, not gauge.
-  EXPECT_TRUE(Contains(
-      text, "# TYPE countlib_autoscaler_resize_errors_total counter\n"
-            "countlib_autoscaler_resize_errors_total 0\n"));
 }
 
 TEST(ObsExportTest, PrometheusHistogramIsCumulativeWithInf) {

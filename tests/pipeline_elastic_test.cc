@@ -51,6 +51,23 @@ TEST(ElasticPipelineTest, SetWorkerCountValidatesAndClamps) {
   EXPECT_TRUE(pipeline->SetWorkerCount(2).IsFailedPrecondition());
 }
 
+// Worker w writes store lane w, so a store with fewer lanes than producer
+// slots caps the pool below the slot count.
+TEST(ElasticPipelineTest, WorkerCountIsCappedByStoreLanes) {
+  auto store = analytics::ShardedCounterStore::Make(
+                   /*num_shards=*/2, CounterKind::kExact, 32,
+                   (uint64_t{1} << 32) - 1, /*seed=*/1)
+                   .ValueOrDie();
+  PipelineOptions opt;
+  opt.num_producers = 8;
+  opt.num_workers = 8;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  EXPECT_EQ(pipeline->num_workers(), 2u);
+  ASSERT_TRUE(pipeline->SetWorkerCount(8).ok());
+  EXPECT_EQ(pipeline->num_workers(), 2u);
+  ASSERT_TRUE(pipeline->Drain().ok());
+}
+
 TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
   auto store = MakeExactStore();
   PipelineOptions opt;

@@ -19,7 +19,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
-#include "pipeline/autoscaler.h"
 #include "pipeline/ingest_pipeline.h"
 
 // Binary-wide allocation counter: the zero-alloc tests diff it around a
@@ -155,24 +154,18 @@ TEST(PipelineObsTest, NoTickerMeansNoStamping) {
 }
 
 TEST(PipelineObsTest, InvariantsZeroAfterStress) {
-  // Multi-producer stress with an autoscaler and a live collector; after
-  // the dust settles every must-stay-zero metric must read zero and the
-  // accounting must balance to the last event.
+  // Multi-producer stress with worker-pool resizes and a live collector;
+  // after the dust settles every must-stay-zero metric must read zero and
+  // the accounting must balance to the last event.
   auto store = MakeStore();
   const auto store_regs = store->RegisterMetrics();
   PipelineOptions options;
   options.num_producers = 4;
+  options.num_workers = 2;
   options.queue_capacity = 256;
   options.enable_metrics = true;
   options.latency_sample_shift = 4;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
-  AutoscalerConfig config;
-  config.sample_interval = std::chrono::milliseconds(5);
-  config.cooldown = std::chrono::milliseconds(10);
-  config.scale_up_queue_depth = 64;
-  config.scale_down_queue_depth = 8;
-  config.enable_metrics = true;
-  auto scaler = Autoscaler::Make(pipeline.get(), config).ValueOrDie();
   obs::CollectorOptions collector_options;
   collector_options.sample_interval = std::chrono::milliseconds(5);
   auto collector =
@@ -188,14 +181,26 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
       }
     });
   }
+  // Resize 2→4→1→3 while the producers run, one step per quarter of the
+  // stream (the deadline only guards against a producer that died early).
+  // EXPECT, not ASSERT: a failed resize must not return before the
+  // producer threads are joined.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  uint64_t quarter = 0;
+  for (uint64_t n : {4u, 1u, 3u}) {
+    const uint64_t mark = ++quarter * kThreads * kPerThread / 4;
+    while (pipeline->Stats().events_submitted < mark &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(pipeline->SetWorkerCount(n).ok());
+  }
   for (auto& t : producers) t.join();
   ASSERT_TRUE(pipeline->Flush().ok());
-  scaler->Stop();
 
   const obs::Snapshot snap = obs::GlobalSnapshot();
   EXPECT_EQ(snap.counters.at("countlib_pipeline_events_dropped_total"), 0u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_autoscaler_resize_errors_total"),
-                   0.0);
   EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_pipeline_unaccounted_events"),
                    0.0);
   EXPECT_EQ(snap.counters.at("countlib_pipeline_events_submitted_total"),

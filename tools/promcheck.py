@@ -16,8 +16,8 @@ Checks:
   - histograms are well-formed: cumulative bucket counts never decrease as
     ``le`` rises, a ``+Inf`` bucket exists, and it equals ``_count``;
   - must-stay-zero metrics read exactly zero when present (the pipeline's
-    drop counter, the autoscaler's resize-error counter, and the
-    shed-accounting imbalance gauge); ``--require`` names must be present.
+    drop counter and the shed-accounting imbalance gauge); ``--require``
+    names must be present.
 
 Usage:
   tools/promcheck.py metrics.prom [--require countlib_pipeline_events_applied_total]
@@ -39,7 +39,6 @@ LE_RE = re.compile(r'le="([^"]*)"')
 
 MUST_BE_ZERO = (
     "countlib_pipeline_events_dropped_total",
-    "countlib_autoscaler_resize_errors_total",
     "countlib_pipeline_unaccounted_events",
 )
 
