@@ -2,9 +2,9 @@
 /// \brief STORE: the paper's §1 motivation — M counters, bits per counter.
 ///
 /// Drives a Zipf page-visit trace into bit-packed counter stores at several
-/// per-key bit budgets and algorithms, reporting bits/key and accuracy
-/// against the exact per-key truth, versus the naive 64-bit-per-key
-/// baseline. Also demonstrates the δ ≪ 1/M sizing rule: with M keys and
+/// per-key bit budgets and algorithms, reporting bits/key (counter state,
+/// the measured key index, and their total) and accuracy against the exact
+/// per-key truth, versus the naive 64-bit-per-key baseline. Also demonstrates the δ ≪ 1/M sizing rule: with M keys and
 /// per-counter failure δ = 0.1/M, the measured count of keys outside the
 /// ε-band should be ~0.
 
@@ -46,7 +46,8 @@ int Main(int argc, const char* const* argv) {
               flags.GetDouble("skew"));
 
   TableWriter table(&std::cout,
-                    {"algorithm", "bits_per_key", "total_state_kib",
+                    {"algorithm", "bits_per_key", "index_bits_per_key",
+                     "total_bits_per_key", "total_state_kib",
                      "median_rel_err_big_keys", "q99_rel_err_big_keys",
                      "keys_outside_20pct"});
 
@@ -82,6 +83,8 @@ int Main(int argc, const char* const* argv) {
             ? 0
             : big_errs[static_cast<size_t>(0.99 * (big_errs.size() - 1))];
     table.BeginRow() << store.AlgorithmName() << store.bits_per_key()
+                     << store.IndexBitsPerKey()
+                     << store.bits_per_key() + store.IndexBitsPerKey()
                      << static_cast<double>(store.TotalStateBits()) / 8192.0
                      << median << q99 << outside;
     COUNTLIB_CHECK_OK(table.EndRow());

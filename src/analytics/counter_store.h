@@ -7,13 +7,28 @@
 /// `CounterStore` keeps per-key counter *state* bit-packed in a dense pool:
 /// each key owns exactly `StateBits()` bits (the provisioned program state
 /// of the chosen algorithm — e.g. 18 bits for a sampling counter at
-/// ε=10%, δ=1%, n_max=2^24, vs 64 for a naive machine counter). Updates
-/// deserialize the slot into a scratch counter, apply the increment, and
-/// serialize back — mirroring the paper's model where O(log N)-bit scratch
-/// registers are free but *stored* state is precious.
+/// ε=10%, δ=1%, n_max=2^24, vs 64 for a naive machine counter).
 ///
-/// The key→slot index is kept separately and its memory is reported
-/// separately: it is the same for any counter algorithm and so cancels in
+/// ## The update model
+///
+/// An update is one word load, `Counter::UnpackState`, the counter's
+/// increment kernel, `Counter::PackState`, and one word store: the slot is
+/// read and written with one unaligned 64-bit access plus shift and mask
+/// (a second word only when the slot straddles the first word's end), so
+/// the O(log N)-bit scratch registers of the paper's model are machine
+/// registers and only the *stored* state is precious. Strides are at most
+/// 62 bits — every `MakeCounterForBits` counter fits. `IncrementBatch`
+/// pipelines the memory traffic: it prefetches the index entry of update
+/// i+2D and the slot of update i+D while it applies update i, in input
+/// order, so the coins drawn match one `Increment` per update.
+///
+/// ## The index
+///
+/// Keys map to slots through one open-addressing, linear-probing array of
+/// 12-byte {u64 key, u32 slot} entries (slot 2^32−1 marks a free entry, so
+/// every u64 key is valid). It doubles at 3/4 load. Its memory is measured,
+/// not modeled: `IndexBitsPerKey()` is the array's bytes over the key
+/// count. It is the same for any counter algorithm and so cancels in
 /// comparisons.
 
 #ifndef COUNTLIB_ANALYTICS_COUNTER_STORE_H_
@@ -23,22 +38,15 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "analytics/key_weight.h"
 #include "core/counter.h"
 #include "core/counter_factory.h"
 #include "util/status.h"
 
 namespace countlib {
 namespace analytics {
-
-/// \brief One weighted update: `weight` increments to `key`. The unit of
-/// the batch APIs and of the ingestion pipeline's queues.
-struct KeyWeight {
-  uint64_t key;
-  uint64_t weight;
-};
 
 /// \brief A key together with its current estimate (snapshot accessors).
 struct KeyEstimate {
@@ -55,19 +63,15 @@ class CounterStore {
   static Result<CounterStore> MakeWithBitBudget(CounterKind kind, int state_bits,
                                                 uint64_t n_max, uint64_t seed);
 
-  /// Builds a store whose per-key counters achieve the accuracy target.
-  /// Pass δ ≪ 1/expected_keys so all counters are simultaneously correct
-  /// with high probability (the paper's δ ≪ 1/M discussion).
-  static Result<CounterStore> MakeWithAccuracy(CounterKind kind, const Accuracy& acc,
-                                               uint64_t seed);
-
   /// Adds `weight` increments to `key`'s counter (creating it on first use).
   Status Increment(uint64_t key, uint64_t weight = 1);
 
-  /// Applies `n` updates in one pass. Callers that pre-aggregate duplicate
-  /// keys (the ingestion pipeline does) pay one packed-slot
-  /// deserialize/serialize per *distinct* key instead of per event.
-  /// Stops at the first error; already-applied updates stay applied.
+  /// Applies `n` updates in one pass, in input order (see the file
+  /// comment). Callers that pre-aggregate duplicate keys (the ingestion
+  /// pipeline does) pay one slot unpack/pack per *distinct* key instead of
+  /// per event. Allocation-free when every key is already indexed.
+  /// `CapacityExceeded` when a new key needs slot 2^32−1. Stops at the
+  /// first error; already-applied updates stay applied.
   Status IncrementBatch(const KeyWeight* updates, size_t n);
 
   /// The key's current estimate; NotFound if never incremented.
@@ -105,8 +109,9 @@ class CounterStore {
     return static_cast<uint64_t>(stride_bits_) * index_.size();
   }
 
-  /// Approximate bits of index overhead per key (hash-map bookkeeping;
-  /// algorithm-independent).
+  /// Measured bits of index per key: the probe array's allocated bytes
+  /// times 8 over the key count (0 for an empty store). Algorithm-
+  /// independent.
   double IndexBitsPerKey() const;
 
   /// The algorithm's display name.
@@ -116,7 +121,11 @@ class CounterStore {
   /// file. The counter algorithm and calibration are NOT stored — the
   /// loader must construct a store with identical parameters first (they
   /// are program constants in the paper's model); a stride checksum guards
-  /// against mismatches.
+  /// against mismatches. Layout, all integers u64 little-endian: the magic
+  /// "clstore1", the stride, the slot count, the key count, one (key, slot)
+  /// pair per key (in unspecified order), the pool byte count
+  /// ceil(slots * stride / 8), then the pool bytes (slot i holds bits
+  /// [i*stride, (i+1)*stride), LSB-first within bytes).
   Status SaveToFile(const std::string& path) const;
 
   /// Restores a store previously saved with `SaveToFile` into this
@@ -124,32 +133,67 @@ class CounterStore {
   Status LoadFromFile(const std::string& path);
 
  private:
-  CounterStore(std::unique_ptr<Counter> scratch, std::vector<uint8_t> zero_state,
-               int stride_bits)
-      : scratch_(std::move(scratch)),
-        zero_state_(std::move(zero_state)),
-        stride_bits_(stride_bits) {}
+  /// The key → slot probe array (see the file comment).
+  class KeyIndex {
+   public:
+    /// Marks a free entry; also one past the largest slot id.
+    static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
+
+    KeyIndex();
+
+    uint64_t size() const { return size_; }
+    /// Allocated bytes of the probe array.
+    uint64_t bytes() const { return entries_.size(); }
+    /// The key's slot, or kEmptySlot when absent.
+    uint32_t Find(uint64_t key) const;
+    /// Prefetches the key's home entry.
+    void Prefetch(uint64_t key) const;
+    /// Maps absent `key` to `slot`, first doubling the array if the insert
+    /// would pass 3/4 load.
+    void Insert(uint64_t key, uint32_t slot);
+    /// Grows the array (out of line) until `keys` entries fit under 3/4 load.
+    void Reserve(uint64_t keys);
+    /// Invokes `fn(key, slot)` for every entry, in array order.
+    template <typename Fn>
+    void ForEachEntry(Fn&& fn) const;
+
+   private:
+    uint64_t Home(uint64_t key) const;
+    void Grow(uint64_t capacity);
+
+    std::vector<uint8_t> entries_;  // capacity * 12 bytes
+    uint64_t mask_ = 0;             // capacity - 1 (a power of two)
+    int shift_ = 64;                // 64 - log2(capacity)
+    uint64_t size_ = 0;
+  };
+
+  CounterStore(std::unique_ptr<Counter> scratch, uint64_t zero_word,
+               int stride_bits);
 
   static Result<CounterStore> FromScratchCounter(std::unique_ptr<Counter> scratch);
 
-  /// Decodes slot bits into `into` (any identically-configured counter).
-  Status LoadSlotInto(uint64_t slot, Counter* into) const;
-  /// Loads slot bits into the scratch counter.
-  Status LoadSlot(uint64_t slot) const;
-  /// Stores the scratch counter's state back into the slot.
-  Status StoreSlot(uint64_t slot);
-
-  Result<uint64_t> GetOrCreateSlot(uint64_t key);
+  /// Pool bytes holding `slots` slots, excluding the load padding.
+  uint64_t DataBytes(uint64_t slots) const;
+  /// The slot's packed word (one or two unaligned loads).
+  uint64_t ReadWord(uint64_t slot) const;
+  /// Stores `word` (at most stride bits) into the slot.
+  void WriteWord(uint64_t slot, uint64_t word);
+  /// The key's slot, creating a fresh one (the zero state) if absent.
+  Result<uint32_t> FindOrCreateSlot(uint64_t key);
+  /// Appends one fresh slot to the pool, growing it (out of line) as needed.
+  Status AppendSlot(uint32_t* slot);
+  /// Unpack → IncrementMany → pack on the scratch counter.
+  Status ApplyToSlot(uint32_t slot, uint64_t weight);
+  /// Decodes the slot into `into` (any identically-configured counter).
+  Status UnpackSlotInto(uint64_t slot, Counter* into) const;
 
   std::unique_ptr<Counter> scratch_;
-  // Slot decode buffer, reused by LoadSlot under the same
-  // single-caller-at-a-time contract scratch_ already relies on.
-  mutable std::vector<uint8_t> slot_buf_;
-  std::vector<uint8_t> zero_state_;  // serialized fresh state (stride bits)
+  uint64_t zero_word_;  // PackState() of a fresh counter
   int stride_bits_;
-  std::vector<uint8_t> pool_;        // bit-packed states, stride per slot
+  uint64_t stride_mask_;
+  std::vector<uint8_t> pool_;  // DataBytes(num_slots_) + load padding
   uint64_t num_slots_ = 0;
-  std::unordered_map<uint64_t, uint64_t> index_;  // key -> slot
+  KeyIndex index_;
 };
 
 }  // namespace analytics

@@ -19,6 +19,14 @@ constexpr std::chrono::milliseconds kFrozenParkBackstop(10);
 /// are short, so this sleep almost never runs to its bound.
 constexpr std::chrono::milliseconds kStableParkBackstop(1);
 
+/// The out-of-range-lane result, built off the allocation-free write path.
+Status LaneOutOfRangeStatus(uint64_t lane, uint64_t lanes) {
+  return Status::InvalidArgument("ShardedCounterStore: lane " +
+                                 std::to_string(lane) +
+                                 " out of range (store has " +
+                                 std::to_string(lanes) + " lanes)");
+}
+
 }  // namespace
 
 /// RAII freeze token. Construction acquires the token and stabilizes every
@@ -158,12 +166,7 @@ ShardedCounterStore::ShardedCounterStore(
 Status ShardedCounterStore::IncrementBatch(uint64_t lane,
                                            const KeyWeight* updates,
                                            size_t n) {
-  if (lane >= shards_.size()) {
-    return Status::InvalidArgument(
-        "ShardedCounterStore: lane " + std::to_string(lane) +
-        " out of range (store has " + std::to_string(shards_.size()) +
-        " lanes)");
-  }
+  if (lane >= shards_.size()) return LaneOutOfRangeStatus(lane, shards_.size());
   if (n == 0) return Status::OK();
   Shard& shard = *shards_[lane];
   // Acquire the shard against a freeze — the writer half of the Dekker
@@ -191,9 +194,19 @@ Status ShardedCounterStore::IncrementBatch(uint64_t lane,
       unfrozen_ec_.ParkOne(e, [] { return false; }, kFrozenParkBackstop);
     }
   }
-  // Shard acquired: apply the batch to the private store. No locks — the
-  // single-writer-per-lane contract makes this data-race-free, and the
-  // freeze handshake keeps readers out.
+  return ApplyToAcquiredShard(&shard, updates, n);
+}
+
+// HOTPATH: every pipeline worker's store apply once its shard is acquired
+// (the freeze park above is the one blocking step of IncrementBatch) — no
+// allocation and no park once the batch's keys are indexed in the shard.
+Status ShardedCounterStore::ApplyToAcquiredShard(Shard* shard_ptr,
+                                                 const KeyWeight* updates,
+                                                 size_t n) {
+  Shard& shard = *shard_ptr;
+  // Apply the batch to the private store. No locks — the single-writer-
+  // per-lane contract makes this data-race-free, and the freeze handshake
+  // keeps readers out.
   Status st = shard.store->IncrementBatch(updates, n);
   // Publish (still inside the busy section, so readers see a consistent
   // trio of pool + mirrors + epoch).

@@ -199,6 +199,11 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   /// writers on destruction. Only one exists at a time.
   class FreezeGuard;
 
+  /// The batch on `shard`, which the caller has acquired (busy == 1, no
+  /// freeze); publishes the mirrors and epoch, then releases the shard.
+  Status ApplyToAcquiredShard(Shard* shard, const KeyWeight* updates,
+                              size_t n);
+
   /// Builds the merged cut. Caller must hold the freeze and have
   /// stabilized the shards (FreezeGuard does both).
   Result<CounterStore> MergeShardsLocked() const;

@@ -94,16 +94,20 @@ double CsurosCounter::Estimate() const {
 int CsurosCounter::CurrentStateBits() const { return BitWidth(s_); }
 
 Status CsurosCounter::SerializeState(BitWriter* out) const {
-  out->WriteBits(s_, params_.TotalBits());
+  out->WriteBits(PackState(), params_.TotalBits());
   return Status::OK();
 }
 
 Status CsurosCounter::DeserializeState(BitReader* in) {
-  COUNTLIB_ASSIGN_OR_RETURN(uint64_t s, in->ReadBits(params_.TotalBits()));
+  COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.TotalBits()));
+  return UnpackState(word);
+}
+
+Status CsurosCounter::UnpackState(uint64_t word) {
   const uint64_t s_max =
       (static_cast<uint64_t>(params_.exponent_cap) + 1) << params_.mantissa_bits;
-  if (s >= s_max) return Status::InvalidArgument("Csuros state out of range");
-  s_ = s;
+  if (word >= s_max) return Status::InvalidArgument("Csuros state out of range");
+  s_ = word;
   saturated_ = false;
   return Status::OK();
 }

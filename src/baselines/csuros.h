@@ -55,6 +55,8 @@ class CsurosCounter : public Counter {
   std::string Name() const override { return params_.ToString(); }
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
+  uint64_t PackState() const override { return s_; }
+  Status UnpackState(uint64_t word) override;
 
   uint64_t s() const { return s_; }
   uint32_t exponent() const {

@@ -28,14 +28,18 @@ std::string ExactCounter::Name() const {
 }
 
 Status ExactCounter::SerializeState(BitWriter* out) const {
-  out->WriteBits(count_, StateBits());
+  out->WriteBits(PackState(), StateBits());
   return Status::OK();
 }
 
 Status ExactCounter::DeserializeState(BitReader* in) {
-  COUNTLIB_ASSIGN_OR_RETURN(uint64_t count, in->ReadBits(StateBits()));
-  if (count > n_cap_) return Status::InvalidArgument("ExactCounter: count > n_cap");
-  count_ = count;
+  COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(StateBits()));
+  return UnpackState(word);
+}
+
+Status ExactCounter::UnpackState(uint64_t word) {
+  if (word > n_cap_) return Status::InvalidArgument("ExactCounter: count > n_cap");
+  count_ = word;
   return Status::OK();
 }
 

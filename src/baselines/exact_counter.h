@@ -30,6 +30,8 @@ class ExactCounter : public Counter {
   std::string Name() const override;
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
+  uint64_t PackState() const override { return count_; }
+  Status UnpackState(uint64_t word) override;
   Status MergeFrom(const Counter& donor) override;
 
   uint64_t count() const { return count_; }

@@ -69,6 +69,19 @@ class Counter {
   /// Restores program state previously written by `SerializeState`.
   virtual Status DeserializeState(BitReader* in) = 0;
 
+  /// The word codec: the same `StateBits()` bits `SerializeState` writes,
+  /// in the low bits of one word (stream bit i is word bit i). Exact,
+  /// Morris, sampling and Csuros implement it, and their bit-stream codec
+  /// wraps it; it is what `analytics::CounterStore` runs per update. The
+  /// other kinds keep only the bit stream: for them this aborts.
+  virtual uint64_t PackState() const;
+
+  /// Restores a state packed by `PackState`, with the same range checks as
+  /// `DeserializeState` (`kInvalidArgument` on an out-of-range field; the
+  /// counter is then unchanged). `kUnimplemented` for kinds without a word
+  /// codec.
+  virtual Status UnpackState(uint64_t word);
+
   /// Merges `donor`'s state into this counter. Per Remark 2.4 the merged
   /// state is distributed exactly as a single counter over the
   /// concatenation of both streams — nothing is lost in (ε, δ) — which is

@@ -1,13 +1,75 @@
 #include "core/morris.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "random/geometric.h"
 #include "core/merge.h"
 #include "util/logging.h"
 #include "util/math.h"
+#include "util/mutex.h"
 
 namespace countlib {
+
+namespace {
+
+/// Process-wide cache of level tables, most recently built last. Bounded:
+/// a process that sweeps many calibrations keeps only the last few tables
+/// alive beyond the counters still holding them.
+constexpr size_t kLevelCacheEntries = 8;
+
+struct LevelCache {
+  // Leaf: nothing is acquired while it is held, and a miss builds its
+  // table outside it.
+  Mutex mu LOCK_LEVEL(80);
+  std::vector<std::shared_ptr<const MorrisLevels>> tables GUARDED_BY(mu);
+};
+
+LevelCache& Cache() {
+  static LevelCache cache;
+  return cache;
+}
+
+}  // namespace
+
+std::shared_ptr<const MorrisLevels> MorrisLevels::For(
+    const MorrisParams& params) {
+  LevelCache& cache = Cache();
+  {
+    MutexLock lock(&cache.mu);
+    for (const auto& table : cache.tables) {
+      if (table->Matches(params)) return table;
+    }
+  }
+  auto built = std::make_shared<const MorrisLevels>(params);
+  MutexLock lock(&cache.mu);
+  for (const auto& table : cache.tables) {
+    if (table->Matches(params)) return table;  // a racing builder won
+  }
+  if (cache.tables.size() == kLevelCacheEntries) {
+    cache.tables.erase(cache.tables.begin());
+  }
+  cache.tables.push_back(built);
+  return built;
+}
+
+MorrisLevels::MorrisLevels(const MorrisParams& params)
+    : a_(params.a), x_cap_(params.x_cap) {
+  const uint64_t levels = std::min(params.x_cap, kMaxTabledLevels - 1) + 1;
+  entries_.resize(levels);
+  for (uint64_t x = 0; x < levels; ++x) {
+    entries_[x].p = ComputeP(x);
+    entries_[x].log1m_p = std::log1p(-entries_[x].p);
+  }
+}
+
+double MorrisLevels::ComputeP(uint64_t x) const {
+  return std::exp(-static_cast<double>(x) * std::log1p(a_));
+}
+
+double MorrisLevels::ComputeLog1mP(uint64_t x) const {
+  return std::log1p(-ComputeP(x));
+}
 
 Result<MorrisCounter> MorrisCounter::Make(const MorrisParams& params, uint64_t seed) {
   if (!(params.a > 0.0) || !std::isfinite(params.a)) {
@@ -34,7 +96,7 @@ void MorrisCounter::Reset() {
 }
 
 double MorrisCounter::LevelProbability(uint64_t x) const {
-  return std::exp(-static_cast<double>(x) * std::log1p(params_.a));
+  return levels_->P(x);
 }
 
 void MorrisCounter::Increment() {
@@ -44,7 +106,7 @@ void MorrisCounter::Increment() {
   }
   if (rng_.Bernoulli(p_current_)) {
     ++x_;
-    p_current_ = LevelProbability(x_);
+    p_current_ = levels_->P(x_);
   }
 }
 
@@ -57,11 +119,12 @@ void MorrisCounter::IncrementMany(uint64_t n) {
       saturated_ = true;
       return;
     }
-    uint64_t wait = SampleGeometric(&rng_, p_current_);
+    uint64_t wait =
+        SampleGeometricLog1m(&rng_, p_current_, levels_->Log1mP(x_));
     if (wait > n) return;
     n -= wait;
     ++x_;
-    p_current_ = LevelProbability(x_);
+    p_current_ = levels_->P(x_);
   }
 }
 
@@ -74,21 +137,25 @@ int MorrisCounter::CurrentStateBits() const { return BitWidth(x_); }
 void MorrisCounter::SetLevelForMerge(uint64_t x) {
   COUNTLIB_CHECK_LE(x, params_.x_cap);
   x_ = x;
-  p_current_ = LevelProbability(x_);
+  p_current_ = levels_->P(x_);
 }
 
 Status MorrisCounter::SerializeState(BitWriter* out) const {
-  out->WriteBits(x_, params_.XBits());
+  out->WriteBits(PackState(), params_.XBits());
   return Status::OK();
 }
 
 Status MorrisCounter::DeserializeState(BitReader* in) {
-  COUNTLIB_ASSIGN_OR_RETURN(uint64_t x, in->ReadBits(params_.XBits()));
-  if (x > params_.x_cap) {
+  COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.XBits()));
+  return UnpackState(word);
+}
+
+Status MorrisCounter::UnpackState(uint64_t word) {
+  if (word > params_.x_cap) {
     return Status::InvalidArgument("Morris state exceeds x_cap");
   }
-  x_ = x;
-  p_current_ = LevelProbability(x_);
+  x_ = word;
+  p_current_ = levels_->P(x_);
   saturated_ = false;
   return Status::OK();
 }

@@ -19,7 +19,9 @@
 #define COUNTLIB_CORE_MORRIS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/counter.h"
 #include "core/params.h"
@@ -27,6 +29,55 @@
 #include "util/status.h"
 
 namespace countlib {
+
+/// \brief The per-level constants of one Morris calibration: the
+/// acceptance probability p_x = (1+a)^{-x} and log1p(-p_x), the two
+/// transcendental terms of every level step. Built once per (a, x_cap) and
+/// shared by every counter with that calibration, so a `MorrisCounter`
+/// stays O(1) bytes and its unpack → increment → pack cycle computes no
+/// `exp` or `log1p` (only the geometric draw's `log(u)` remains). Entries
+/// are computed with the very expressions an untabled counter would use,
+/// so draws are bit-identical. Levels past `kMaxTabledLevels` (only
+/// accuracy-calibrated counters with tiny `a` reach them) are computed on
+/// demand.
+class MorrisLevels {
+ public:
+  /// Table size cap: 2^16 levels (1 MiB) covers every bit-budget Morris
+  /// counter up to 16 state bits.
+  static constexpr uint64_t kMaxTabledLevels = uint64_t{1} << 16;
+
+  /// The shared table for `params` (a, x_cap), from a small process-wide
+  /// cache; built on a miss.
+  static std::shared_ptr<const MorrisLevels> For(const MorrisParams& params);
+
+  /// (1+a)^{-x}.
+  double P(uint64_t x) const {
+    return x < entries_.size() ? entries_[x].p : ComputeP(x);
+  }
+  /// log1p(-(1+a)^{-x}).
+  double Log1mP(uint64_t x) const {
+    return x < entries_.size() ? entries_[x].log1m_p : ComputeLog1mP(x);
+  }
+
+  /// True when the table was built for `params`' (a, x_cap).
+  bool Matches(const MorrisParams& params) const {
+    return params.a == a_ && params.x_cap == x_cap_;
+  }
+
+  explicit MorrisLevels(const MorrisParams& params);
+
+ private:
+  struct Entry {
+    double p;
+    double log1m_p;
+  };
+  double ComputeP(uint64_t x) const;
+  double ComputeLog1mP(uint64_t x) const;
+
+  double a_;
+  uint64_t x_cap_;
+  std::vector<Entry> entries_;
+};
 
 /// \brief Morris(a) approximate counter.
 class MorrisCounter : public Counter {
@@ -48,6 +99,8 @@ class MorrisCounter : public Counter {
   std::string Name() const override { return params_.ToString(); }
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
+  uint64_t PackState() const override { return x_; }
+  Status UnpackState(uint64_t word) override;
   Status MergeFrom(const Counter& donor) override;
 
   /// The level register X (exposed for experiments and exact-law checks).
@@ -70,15 +123,16 @@ class MorrisCounter : public Counter {
 
  private:
   MorrisCounter(const MorrisParams& params, uint64_t seed)
-      : params_(params), rng_(seed) {}
+      : params_(params), rng_(seed), levels_(MorrisLevels::For(params)) {}
 
   MorrisParams params_;
   Rng rng_;
   uint64_t x_ = 0;
   bool saturated_ = false;
-  // Cached (1+a)^{-x_}; recomputed from scratch on every level change, so
+  // Cached (1+a)^{-x_}; reloaded from `levels_` on every level change, so
   // no multiplicative drift accumulates across levels.
   double p_current_ = 1.0;
+  std::shared_ptr<const MorrisLevels> levels_;
 };
 
 }  // namespace countlib

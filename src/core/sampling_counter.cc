@@ -17,6 +17,9 @@ Result<SamplingCounter> SamplingCounter::Make(const SamplingCounterParams& param
   if (params.t_cap < 1 || params.t_cap > 63) {
     return Status::InvalidArgument("SamplingCounter: t_cap must be in [1, 63]");
   }
+  if (params.TotalBits() > 64) {
+    return Status::InvalidArgument("SamplingCounter: state wider than 64 bits");
+  }
   SamplingCounter counter(params, seed);
   counter.Reset();
   return counter;
@@ -95,14 +98,19 @@ Status SamplingCounter::AddSubsampledSurvivor(uint32_t source_t) {
 }
 
 Status SamplingCounter::SerializeState(BitWriter* out) const {
-  out->WriteBits(y_, params_.YBits());
-  out->WriteBits(t_, params_.TBits());
+  out->WriteBits(PackState(), params_.TotalBits());
   return Status::OK();
 }
 
 Status SamplingCounter::DeserializeState(BitReader* in) {
-  COUNTLIB_ASSIGN_OR_RETURN(uint64_t y, in->ReadBits(params_.YBits()));
-  COUNTLIB_ASSIGN_OR_RETURN(uint64_t t, in->ReadBits(params_.TBits()));
+  COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.TotalBits()));
+  return UnpackState(word);
+}
+
+Status SamplingCounter::UnpackState(uint64_t word) {
+  const int y_bits = params_.YBits();
+  const uint64_t y = word & ((uint64_t{1} << y_bits) - 1);
+  const uint64_t t = word >> y_bits;
   if (y >= params_.budget) {
     return Status::InvalidArgument("SamplingCounter state: y out of range");
   }

@@ -33,7 +33,8 @@ namespace countlib {
 /// \brief Subsampling counter with rate halving (simplified Nelson-Yu).
 class SamplingCounter : public Counter {
  public:
-  /// Validates `params` (budget a power of two >= 4, t_cap in [1, 63]).
+  /// Validates `params` (budget a power of two >= 4, t_cap in [1, 63],
+  /// state at most 64 bits).
   static Result<SamplingCounter> Make(const SamplingCounterParams& params,
                                       uint64_t seed);
 
@@ -49,6 +50,11 @@ class SamplingCounter : public Counter {
   std::string Name() const override { return params_.ToString(); }
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
+  /// Y in the low `YBits()`, t above it (the bit-stream field order).
+  uint64_t PackState() const override {
+    return y_ | (static_cast<uint64_t>(t_) << params_.YBits());
+  }
+  Status UnpackState(uint64_t word) override;
   Status MergeFrom(const Counter& donor) override;
 
   uint64_t y() const { return y_; }

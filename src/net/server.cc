@@ -376,16 +376,18 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
         }
         const uint64_t shed_before =
             pipeline_->ShedCountForSlot(slot->slot());
-        for (uint32_t i = 0; i < count; ++i) {
-          // Blocking submit: the pipeline's overload policy (block or
-          // shed) decides what saturation means, exactly as in-process.
-          st = slot->Submit(records[i].key, records[i].weight);
-          if (st.IsInvalidArgument()) {
-            decode_errors_.Add(1);  // zero-weight record: protocol error
-            return;
-          }
-          if (!st.ok()) return;  // pipeline draining: drop the connection
+        // The whole frame in one blocking batch submit (one ring publish
+        // per fit): the pipeline's overload policy (block or shed) decides
+        // what saturation means, exactly as in-process.
+        st = slot->SubmitBatch(records.data(), count);
+        if (st.IsInvalidArgument()) {
+          // A zero-weight record is a protocol error. The pipeline checks
+          // every weight before enqueuing any, so the frame is rejected
+          // whole: nothing of it is applied, delivered or acked.
+          decode_errors_.Add(1);
+          return;
         }
+        if (!st.ok()) return;  // pipeline draining: drop the connection
         const uint64_t shed_delta =
             pipeline_->ShedCountForSlot(slot->slot()) - shed_before;
         delivered_total += count - shed_delta;

@@ -27,19 +27,21 @@
 /// ## Books
 ///
 /// Acks carry cumulative `delivered_total`/`shed_total` per connection,
-/// measured around the actual `Submit` calls (shed via
+/// measured around the frame's one `SubmitBatch` call (shed via
 /// `IngestPipeline::ShedCountForSlot` deltas), so
 /// `delivered + shed == events received from acked frames` holds exactly
 /// — the client folds these into its own `submitted == delivered + shed +
 /// lost_unacked` invariant. A connection that dies mid-frame loses only
 /// the partial frame (counted in `partial_frames`); complete frames are
-/// always fully submitted before the next read.
+/// always fully submitted before the next read. A frame with a
+/// zero-weight record is rejected whole (nothing of it is submitted) and
+/// drops the connection as a protocol error.
 ///
 /// ## Locking
 ///
 /// One mutex, `conns_mu_` at LOCK_LEVEL(5) (docs/concurrency.md): it
-/// guards the connection registry only. Nothing blocking — no `Submit`,
-/// no park, no `join` — runs under it; connection threads submit
+/// guards the connection registry only. Nothing blocking — no
+/// `SubmitBatch`, no park, no `join` — runs under it; connection threads submit
 /// lock-free on their leased slot, and `Stop` extracts the registry under
 /// the lock but joins outside it.
 
@@ -128,7 +130,7 @@ class EventServer {
   /// threads. Idempotent. In-flight batches finish their pipeline
   /// submits; stop the server before draining the pipeline, and do not
   /// stop it while the pipeline is paused with full queues (a blocked
-  /// `Submit` only unblocks on pipeline progress).
+  /// `SubmitBatch` only unblocks on pipeline progress).
   Status Stop();
 
   /// The bound port (resolves an ephemeral bind).

@@ -16,7 +16,7 @@
 /// allocation, no locks, no syscalls. Decoding is zero-copy into
 /// caller-owned buffers — `DecodeEventBatch` writes records into an array
 /// the caller sized from `max_frame_events`, and every reject status is a
-/// preallocated constant (mirroring `IngestPipeline::TrySubmit`'s
+/// preallocated constant (mirroring `IngestPipeline::TrySubmitBatch`'s
 /// allocation-free reject discipline).
 ///
 /// Wire integers are little-endian regardless of host order; the
@@ -28,6 +28,7 @@
 
 #include <cstdint>
 
+#include "analytics/key_weight.h"
 #include "util/status.h"
 
 namespace countlib {
@@ -49,11 +50,10 @@ inline constexpr uint64_t kFrameHeaderSize = 24;
 /// field itself).
 inline constexpr uint64_t kFrameCrcCoverage = 20;
 
-/// One event on the wire: 16 little-endian bytes (key, weight).
-struct EventRecord {
-  uint64_t key = 0;
-  uint64_t weight = 0;
-};
+/// One event on the wire: 16 little-endian bytes (key, weight). It is the
+/// write path's update record, so a decoded frame is handed to the
+/// pipeline's `SubmitBatch` as is.
+using EventRecord = analytics::KeyWeight;
 inline constexpr uint64_t kEventRecordSize = 16;
 
 /// Frame types. Unknown types are a protocol error: v1 peers reject them

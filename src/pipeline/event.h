@@ -39,9 +39,10 @@ struct Event {
   uint64_t ts = 0;
 };
 
-/// \brief What a blocking `Submit` does when a producer queue stays full
-/// past the short spin budget. `TrySubmit` ignores the policy: it is the
-/// allocation-free probe and reports `kPending` on a full ring regardless.
+/// \brief What a blocking `SubmitBatch` (and `Submit`) does when a producer
+/// queue stays full past the short spin budget. `TrySubmitBatch` ignores
+/// the policy: it is the allocation-free probe and reports `kPending` on a
+/// full ring regardless.
 enum class OverloadPolicy : uint8_t {
   /// Park on the ring's not-full eventcount until a drain frees space.
   /// Lossless; producers absorb the backpressure, and `queue_capacity` is
@@ -92,8 +93,8 @@ struct PipelineOptions {
 /// \brief Monotonic counters describing pipeline activity, plus an
 /// instantaneous queue-depth gauge. Taken with `IngestPipeline::Stats`.
 struct PipelineStats {
-  uint64_t events_submitted = 0;   ///< TrySubmit calls that returned OK
-  uint64_t events_rejected = 0;    ///< TrySubmit calls bounced with kPending
+  uint64_t events_submitted = 0;   ///< events enqueued by TrySubmitBatch (and the calls built on it)
+  uint64_t events_rejected = 0;    ///< TrySubmitBatch calls that returned kPending (one per call, however many events it left)
   uint64_t events_applied = 0;     ///< events folded into the store (pre-agg weight preserved)
   /// Events in batches that hit a store error (see LastError). Counts the
   /// whole failed batch even though the store may have committed a prefix

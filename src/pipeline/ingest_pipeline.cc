@@ -15,7 +15,8 @@ namespace {
 
 /// How long a parked worker sleeps before rechecking its rings. This is the
 /// lost-wakeup backstop for the (rare) stale emptiness verdict in
-/// `SpscRing::TryPush` — and it bounds a fully idle worker to ~20 wakes/s.
+/// `SpscRing::TryPushBatch` — and it bounds a fully idle worker to ~20
+/// wakes/s.
 constexpr std::chrono::milliseconds kIdleSleep(50);
 
 /// Yield-retries a blocking `Submit` makes before engaging the overload
@@ -281,16 +282,24 @@ void IngestPipeline::SpawnWorkersLocked(uint64_t n) {
   worker_count_.store(n, std::memory_order_release);
 }
 
-// HOTPATH: the non-blocking submit probe — every rejection result is
+// HOTPATH: the non-blocking submit probe — one Drain handshake, one ring
+// publish and at most one worker wake per call; every rejection result is
 // preallocated and no path below may heap-allocate.
-Status IngestPipeline::TrySubmit(uint64_t producer, uint64_t key,
-                                 uint64_t weight) {
+Status IngestPipeline::TrySubmitBatch(uint64_t producer,
+                                      const analytics::KeyWeight* updates,
+                                      size_t n, size_t* accepted) {
+  if (accepted != nullptr) *accepted = 0;
   if (producer >= rings_.size()) return InvalidSlotStatus();
-  if (weight == 0) return ZeroWeightStatus();
+  // Validate the whole batch before enqueuing any of it, so a bad record
+  // rejects its batch (the net server's frame) as a unit.
+  for (size_t i = 0; i < n; ++i) {
+    if (updates[i].weight == 0) return ZeroWeightStatus();
+  }
+  if (n == 0) return Status::OK();
   // Refcount handshake with Drain: the count is raised before the closed_
   // check, and Drain waits for it to hit zero after setting closed_, so
   // every push that slips past the check happens-before the final sweep —
-  // an OK from TrySubmit can never strand an event. Both sides of the
+  // an OK from TrySubmitBatch can never strand an event. Both sides of the
   // handshake (this RMW + load, Drain's store + load) must be seq_cst:
   // it is a Dekker-style protocol, and weaker orderings allow the
   // submitter to read stale closed_ while Drain reads a stale zero count.
@@ -304,42 +313,55 @@ Status IngestPipeline::TrySubmit(uint64_t producer, uint64_t key,
     return DrainingStatus();
   }
   bool was_empty = false;
-  const bool pushed =
-      rings_[producer]->TryPush(Event{key, weight, SampleTimestamp()},
-                                &was_empty);
+  const uint64_t pushed = rings_[producer]->TryPushBatch(
+      n,
+      [this, updates](uint64_t i) {
+        return Event{updates[i].key, updates[i].weight, SampleTimestamp()};
+      },
+      &was_empty);
   // mo: release — orders the ring push before the count drop, so Drain's
   // zero observation proves every slipped-past push has completed.
   active_submitters_.fetch_sub(1, std::memory_order_release);
-  if (!pushed) {
+  if (accepted != nullptr) *accepted = pushed;
+  if (pushed > 0) {
+    submitted_.Add(pushed);
+    // Wake parked workers only on the empty->nonempty transition: pushes
+    // into a nonempty ring mean a worker is already (or will be) on its
+    // way, so the steady-state submit path touches no mutex and no CV.
+    if (was_empty) {
+      if (obs_ != nullptr) {
+        // Stamp the notify so the woken worker can record wakeup→drain
+        // latency. Real clock read, but only on the (rare under load)
+        // empty→nonempty transition.
+        // mo: relaxed — best-effort telemetry stamp; a torn or lost
+        // race only skews one histogram sample.
+        last_wake_notify_ns_.store(obs::CoarseClock::RealNowNanos(),
+                                   std::memory_order_relaxed);
+      }
+      wake_ec_.NotifyIfWaiters();
+    }
+  }
+  if (pushed < n) {
     rejected_.Add(1);
     return QueueFullStatus();
-  }
-  submitted_.Add(1);
-  // Wake parked workers only on the empty->nonempty transition: pushes
-  // into a nonempty ring mean a worker is already (or will be) on its way,
-  // so the steady-state submit path touches no mutex and no CV.
-  if (was_empty) {
-    if (obs_ != nullptr) {
-      // Stamp the notify so the woken worker can record wakeup→drain
-      // latency. Real clock read, but only on the (rare under load)
-      // empty→nonempty transition.
-      // mo: relaxed — best-effort telemetry stamp; a torn or lost
-      // race only skews one histogram sample.
-      last_wake_notify_ns_.store(obs::CoarseClock::RealNowNanos(),
-                                 std::memory_order_relaxed);
-    }
-    wake_ec_.NotifyIfWaiters();
   }
   return Status::OK();
 }
 
-Status IngestPipeline::Submit(uint64_t producer, uint64_t key, uint64_t weight) {
+Status IngestPipeline::SubmitBatch(uint64_t producer,
+                                   const analytics::KeyWeight* updates,
+                                   size_t n) {
   // Stay hot through transient fullness: a drain in progress frees space
   // within microseconds, so yield-retry before engaging the overload
-  // policy.
-  for (int i = 0; i < kSubmitSpinYields; ++i) {
-    Status st = TrySubmit(producer, key, weight);
+  // policy. The budget restarts whenever a retry makes progress.
+  size_t done = 0;
+  int spins = 0;
+  while (spins < kSubmitSpinYields) {
+    size_t accepted = 0;
+    Status st = TrySubmitBatch(producer, updates + done, n - done, &accepted);
+    done += accepted;
     if (!st.IsPending()) return st;
+    spins = accepted > 0 ? 0 : spins + 1;
     std::this_thread::yield();
   }
   // Sustained fullness: the overload policy decides. kPending implies
@@ -350,23 +372,26 @@ Status IngestPipeline::Submit(uint64_t producer, uint64_t key, uint64_t weight) 
     // bound. Accounting is exact and per slot; the OK return means
     // "accepted or shed" under this policy (see PipelineStats).
     // mo: relaxed — exact but unordered accounting; Stats folds it later.
-    shed_per_slot_[producer].fetch_add(1, std::memory_order_relaxed);
-    shed_total_.Add(1);
+    shed_per_slot_[producer].fetch_add(n - done, std::memory_order_relaxed);
+    shed_total_.Add(n - done);
     return Status::OK();
   }
-  // kBlock: park on the ring's not-full eventcount shard. Same discipline
-  // as the worker wakeup — snapshot the shard epoch, recheck the condition
-  // (a TrySubmit), sleep until the epoch moves. A drain that pops from a
-  // full ring notifies the shard with the seq_cst epoch bump before
-  // reading the waiter count, and ParkOne registers the waiter with
-  // seq_cst before the predicate's first epoch read, so either the drain
-  // sees the waiter and notifies or the waiter sees the new epoch and
-  // skips the sleep (the Dekker pattern, now written once in EventCount).
-  // The bounded timeout backstops PopBatch's (rare) stale fullness verdict.
+  // kBlock: park on the ring's not-full eventcount shard until the rest
+  // fits. Same discipline as the worker wakeup — snapshot the shard epoch,
+  // recheck the condition (a TrySubmitBatch of the rest), sleep until the
+  // epoch moves. A drain that pops from a full ring notifies the shard
+  // with the seq_cst epoch bump before reading the waiter count, and
+  // ParkOne registers the waiter with seq_cst before the predicate's first
+  // epoch read, so either the drain sees the waiter and notifies or the
+  // waiter sees the new epoch and skips the sleep (the Dekker pattern,
+  // now written once in EventCount). The bounded timeout backstops
+  // PopBatch's (rare) stale fullness verdict.
   while (true) {
     EventCount& ec = NonFullShard(producer);
     const uint64_t epoch = ec.Epoch();
-    Status st = TrySubmit(producer, key, weight);
+    size_t accepted = 0;
+    Status st = TrySubmitBatch(producer, updates + done, n - done, &accepted);
+    done += accepted;
     if (!st.IsPending()) return st;
     producer_parks_.Add(1);
     const uint64_t park_start_ns =
@@ -610,7 +635,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     // until the epoch moves (producer push into an empty ring, shutdown,
     // or resize). Any push that lands after the snapshot bumps the epoch,
     // so ParkOne catches it before or after blocking; kIdleSleep
-    // backstops the stale-emptiness corner of TryPush's verdict.
+    // backstops the stale-emptiness corner of TryPushBatch's verdict.
     const uint64_t epoch = wake_ec_.Epoch();
     if (!nothing_pending()) continue;
     const bool signaled = wake_ec_.ParkOne(
@@ -802,18 +827,31 @@ void IngestPipeline::RecordError(const Status& st) {
   if (first_error_.ok()) first_error_ = st;
 }
 
-Status ProducerSlot::TrySubmit(uint64_t key, uint64_t weight) {
+Status ProducerSlot::TrySubmitBatch(const analytics::KeyWeight* updates,
+                                    size_t n, size_t* accepted) {
+  if (pipeline_ == nullptr) {
+    if (accepted != nullptr) *accepted = 0;
+    return Status::FailedPrecondition("ProducerSlot: handle is invalid");
+  }
+  return pipeline_->TrySubmitBatch(slot_, updates, n, accepted);
+}
+
+Status ProducerSlot::SubmitBatch(const analytics::KeyWeight* updates,
+                                 size_t n) {
   if (pipeline_ == nullptr) {
     return Status::FailedPrecondition("ProducerSlot: handle is invalid");
   }
-  return pipeline_->TrySubmit(slot_, key, weight);
+  return pipeline_->SubmitBatch(slot_, updates, n);
+}
+
+Status ProducerSlot::TrySubmit(uint64_t key, uint64_t weight) {
+  const analytics::KeyWeight update{key, weight};
+  return TrySubmitBatch(&update, 1);
 }
 
 Status ProducerSlot::Submit(uint64_t key, uint64_t weight) {
-  if (pipeline_ == nullptr) {
-    return Status::FailedPrecondition("ProducerSlot: handle is invalid");
-  }
-  return pipeline_->Submit(slot_, key, weight);
+  const analytics::KeyWeight update{key, weight};
+  return SubmitBatch(&update, 1);
 }
 
 void ProducerSlot::Release() {

@@ -4,9 +4,12 @@
 /// system.
 ///
 /// Producers get private bounded SPSC queues and a non-blocking
-/// `TrySubmit` that reports `kPending` backpressure (the FASTER-style
+/// `TrySubmitBatch` that reports `kPending` backpressure (the FASTER-style
 /// OK/Pending status model) instead of ever blocking the write path on a
-/// store lock. Background workers drain the queues, **pre-aggregate
+/// store lock. A batch — the net server hands over each wire frame whole —
+/// costs one `Drain` handshake, one ring publish and at most one worker
+/// wake, however many events it carries; `TrySubmit`/`Submit` are the
+/// one-update case of the same path. Background workers drain the queues, **pre-aggregate
 /// duplicate keys within each batch** — one packed-slot
 /// deserialize/serialize per *distinct* key instead of per event, which is
 /// exactly where the store's cycles go under a Zipfian workload — and apply
@@ -59,8 +62,9 @@
 /// sleeps. Four instances, one per waiter population:
 ///
 ///  - **Worker wake** (`wake_ec_`): a producer notifies only on an
-///    empty→nonempty ring transition (`SpscRing::TryPush(e, &was_empty)`),
-///    so steady-state submits into a nonempty ring stay lock-free. An idle
+///    empty→nonempty ring transition (`SpscRing::TryPushBatch`'s
+///    `was_empty`), so steady-state submits into a nonempty ring stay
+///    lock-free. An idle
 ///    worker spins a fixed number of empty passes, then snapshots the
 ///    epoch, rechecks its rings, and parks. Because the producer's
 ///    emptiness verdict derives from an acquire load of the consumer
@@ -152,23 +156,42 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Non-blocking submit of `weight` increments to `key` on `producer`'s
-  /// queue. Returns OK when enqueued (the event will be applied),
-  /// `kPending` when the queue is full (retry after backoff),
-  /// `kFailedPrecondition` once draining has begun, and
-  /// `kInvalidArgument` for a bad producer slot or zero weight. Every
-  /// rejection result (`kPending`, `kFailedPrecondition`, and both
-  /// `kInvalidArgument` cases) is preallocated — no reject path ever
-  /// heap-allocates. The overload policy does not apply here: this is
-  /// always the pure ring probe.
-  Status TrySubmit(uint64_t producer, uint64_t key, uint64_t weight = 1);
+  /// Non-blocking submit of `n` updates on `producer`'s queue, in order,
+  /// with one ring publish: the longest prefix that fits is enqueued (and
+  /// will be applied) and `*accepted`, when non-null, receives its length.
+  /// Returns OK when all `n` were enqueued, `kPending` when the queue
+  /// filled first (retry the rest after backoff), `kFailedPrecondition`
+  /// once draining has begun, and `kInvalidArgument` for a bad producer
+  /// slot or any zero weight — every weight is checked before anything is
+  /// enqueued, so an invalid batch enqueues nothing. Each call makes one
+  /// `Drain` handshake and wakes a worker at most once. Every rejection
+  /// result is preallocated — no reject path ever heap-allocates. The
+  /// overload policy does not apply here: this is always the pure ring
+  /// probe.
+  Status TrySubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
+                        size_t n, size_t* accepted = nullptr);
 
-  /// Blocking submit: like `TrySubmit`, but on `kPending` it spins briefly
-  /// and then follows the pipeline's overload policy — park on the ring's
-  /// not-full eventcount (`kBlock`) or drop with exact accounting
-  /// (`kShed`; the OK return then means "accepted or shed", see
-  /// `PipelineStats::events_shed`). Never returns `kPending`.
-  Status Submit(uint64_t producer, uint64_t key, uint64_t weight = 1);
+  /// Blocking batch submit: like `TrySubmitBatch`, but while the rest does
+  /// not fit it spins briefly and then follows the pipeline's overload
+  /// policy — park on the ring's not-full eventcount until the rest fits
+  /// (`kBlock`), or, after one spin budget without progress, drop the rest
+  /// with exact per-slot accounting (`kShed`; the OK return then means
+  /// "accepted or shed", see `PipelineStats::events_shed`). Never returns
+  /// `kPending`.
+  Status SubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
+                     size_t n);
+
+  /// `TrySubmitBatch` of the single update {key, weight}.
+  Status TrySubmit(uint64_t producer, uint64_t key, uint64_t weight = 1) {
+    const analytics::KeyWeight update{key, weight};
+    return TrySubmitBatch(producer, &update, 1);
+  }
+
+  /// `SubmitBatch` of the single update {key, weight}.
+  Status Submit(uint64_t producer, uint64_t key, uint64_t weight = 1) {
+    const analytics::KeyWeight update{key, weight};
+    return SubmitBatch(producer, &update, 1);
+  }
 
   /// Leases a free, fully drained producer slot, blocking until one is
   /// available. Returns `kFailedPrecondition` once draining has begun
@@ -376,7 +399,7 @@ class IngestPipeline {
   std::atomic<bool> closed_{false};   ///< no new submissions accepted
   std::atomic<bool> stop_{false};     ///< workers may exit once their rings are empty
   std::atomic<uint64_t> busy_workers_{0};     ///< drains in progress (Flush fence)
-  std::atomic<uint64_t> active_submitters_{0};  ///< in-flight TrySubmit calls (Drain fence)
+  std::atomic<uint64_t> active_submitters_{0};  ///< in-flight TrySubmitBatch calls (Drain fence)
 
   /// Activity counters, striped (obs::Counter) so the submit and drain hot
   /// paths never contend on one cache line. These same cells back both

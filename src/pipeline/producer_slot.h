@@ -27,8 +27,10 @@
 #ifndef COUNTLIB_PIPELINE_PRODUCER_SLOT_H_
 #define COUNTLIB_PIPELINE_PRODUCER_SLOT_H_
 
+#include <cstddef>
 #include <cstdint>
 
+#include "analytics/key_weight.h"
 #include "util/status.h"
 
 namespace countlib {
@@ -62,11 +64,19 @@ class ProducerSlot {
   /// Returns the slot to the registry (no-op when invalid).
   ~ProducerSlot() { Release(); }
 
-  /// Non-blocking submit on the leased slot; see
-  /// `IngestPipeline::TrySubmit` for the status contract.
+  /// Non-blocking batch submit on the leased slot; see
+  /// `IngestPipeline::TrySubmitBatch` for the status contract.
+  Status TrySubmitBatch(const analytics::KeyWeight* updates, size_t n,
+                        size_t* accepted = nullptr);
+
+  /// Blocking batch submit on the leased slot; see
+  /// `IngestPipeline::SubmitBatch`.
+  Status SubmitBatch(const analytics::KeyWeight* updates, size_t n);
+
+  /// `TrySubmitBatch` of the single update {key, weight}.
   Status TrySubmit(uint64_t key, uint64_t weight = 1);
 
-  /// Blocking submit on the leased slot; see `IngestPipeline::Submit`.
+  /// `SubmitBatch` of the single update {key, weight}.
   Status Submit(uint64_t key, uint64_t weight = 1);
 
   /// Returns the slot to the registry early; the handle becomes invalid.

@@ -8,9 +8,9 @@
 /// wraparound is a mask. Indices are monotonically increasing 64-bit
 /// counters (no ABA, no modular-compare subtleties).
 ///
-/// Contract: at most one thread calls the producer side (`TryPush`) and at
-/// most one thread calls the consumer side (`PopBatch`) at any time.
-/// `SizeApprox` is safe from any thread.
+/// Contract: at most one thread calls the producer side (`TryPushBatch`,
+/// `TryPush`) and at most one thread calls the consumer side (`PopBatch`)
+/// at any time. `SizeApprox` is safe from any thread.
 
 #ifndef COUNTLIB_PIPELINE_SPSC_RING_H_
 #define COUNTLIB_PIPELINE_SPSC_RING_H_
@@ -36,29 +36,40 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side: enqueues `e`; returns false when the ring is full
-  /// (the caller surfaces this as `kPending` backpressure). When the push
-  /// succeeds and `was_empty` is non-null, `*was_empty` reports whether the
+  /// Producer side: enqueues `make(0)`, `make(1)`, ... for as many of the
+  /// `n` events as fit, with one head read and one tail publish, and
+  /// returns how many it enqueued (0 when the ring is full; the caller
+  /// surfaces a shortfall as `kPending` backpressure). When something was
+  /// enqueued and `was_empty` is non-null, `*was_empty` reports whether the
   /// ring was empty from the producer's view just before the push — the
   /// empty→nonempty transition on which the pipeline wakes sleeping
   /// workers. The consumer's head index is read with acquire semantics, so
   /// the report may lag a concurrent pop by one observation; wakeup paths
   /// must tolerate a (rare) stale verdict with a bounded-timeout recheck.
-  // HOTPATH: the producer-side submit probe — no allocation permitted.
-  bool TryPush(const Event& e, bool* was_empty = nullptr) {
+  // HOTPATH: the producer-side submit step — no allocation permitted.
+  template <typename MakeEvent>
+  uint64_t TryPushBatch(uint64_t n, MakeEvent&& make,
+                        bool* was_empty = nullptr) {
     // mo: relaxed — tail_ is producer-owned; only this thread writes it,
     // so its own last store is always visible without ordering.
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     // mo: acquire — pairs with the consumer's release store in PopBatch so
     // freed slots observed here are genuinely reusable (their reads done).
     const uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head > mask_) return false;  // full
-    buf_[tail & mask_] = e;
-    // mo: release — publishes the event write above to the consumer's
+    const uint64_t room = buf_.size() - (tail - head);
+    const uint64_t k = n < room ? n : room;
+    if (k == 0) return 0;
+    for (uint64_t i = 0; i < k; ++i) buf_[(tail + i) & mask_] = make(i);
+    // mo: release — publishes the event writes above to the consumer's
     // acquire load of tail_ in PopBatch.
-    tail_.store(tail + 1, std::memory_order_release);
+    tail_.store(tail + k, std::memory_order_release);
     if (was_empty != nullptr) *was_empty = (tail == head);
-    return true;
+    return k;
+  }
+
+  /// `TryPushBatch` of the single event `e`: false when the ring is full.
+  bool TryPush(const Event& e, bool* was_empty = nullptr) {
+    return TryPushBatch(1, [&e](uint64_t) { return e; }, was_empty) == 1;
   }
 
   /// Consumer side: dequeues up to `max` events into `out`; returns the
@@ -66,7 +77,7 @@ class SpscRing {
   /// `*was_full` reports whether the ring was full from the consumer's view
   /// just before the pop — the full→nonfull transition on which the
   /// pipeline wakes producers parked on backpressure, the mirror of
-  /// `TryPush`'s `was_empty`. The producer's tail index is read with
+  /// `TryPushBatch`'s `was_empty`. The producer's tail index is read with
   /// acquire semantics, so the report may lag a concurrent push by one
   /// observation; wakeup paths must tolerate a (rare) stale verdict with a
   /// bounded-timeout recheck.
@@ -74,8 +85,9 @@ class SpscRing {
   uint64_t PopBatch(Event* out, uint64_t max, bool* was_full = nullptr) {
     // mo: relaxed — head_ is consumer-owned; only this thread writes it.
     const uint64_t head = head_.load(std::memory_order_relaxed);
-    // mo: acquire — pairs with the producer's release store in TryPush so
-    // the event writes behind the observed tail are visible to the copies.
+    // mo: acquire — pairs with the producer's release store in
+    // TryPushBatch so the event writes behind the observed tail are visible
+    // to the copies.
     const uint64_t tail = tail_.load(std::memory_order_acquire);
     if (was_full != nullptr) *was_full = (tail - head == buf_.size());
     uint64_t n = tail - head;

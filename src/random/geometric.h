@@ -27,6 +27,12 @@ namespace countlib {
 /// Saturates at UINT64_MAX for astronomically long waits.
 uint64_t SampleGeometric(Rng* rng, double p);
 
+/// \brief `SampleGeometric` with the caller supplying `log1m_p`, which must
+/// equal `std::log1p(-p)`: the same draw, bit for bit, minus the `log1p`
+/// (callers that visit the same few `p` many times table it once — see
+/// `MorrisLevels`).
+uint64_t SampleGeometricLog1m(Rng* rng, double p, double log1m_p);
+
 /// \brief Samples the number of successes in `n` Bernoulli(p) trials by
 /// skipping between successes with geometric waits.
 ///

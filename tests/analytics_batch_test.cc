@@ -1,13 +1,17 @@
 // Tests for the stores' batch APIs and snapshot accessors used by the
-// ingestion pipeline: CounterStore::IncrementBatch / ForEach and the
+// ingestion pipeline: CounterStore::IncrementBatch / ForEach (and the slot
+// codec and file layout under them) and the
 // concurrent store's (ShardedCounterStore) lane-addressed IncrementBatch /
 // ForEach / TopK.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,22 +40,155 @@ void Put(ShardedCounterStore* store, uint64_t key, uint64_t weight) {
   ASSERT_TRUE(store->IncrementBatch(key % store->num_lanes(), &kw, 1).ok());
 }
 
+// One IncrementBatch and one Increment per update must draw the same coins
+// in the same order, for exact and approximate kinds alike, including
+// while the index grows mid-batch (2^14+ distinct keys from an initial 16
+// entries).
 TEST(CounterStoreBatchTest, BatchMatchesSequentialIncrements) {
-  auto batched = MakeExactPlainStore();
-  auto sequential = MakeExactPlainStore();
+  struct Config {
+    CounterKind kind;
+    int bits;
+  };
+  const Config configs[] = {{CounterKind::kExact, 32},
+                            {CounterKind::kMorris, 16},
+                            {CounterKind::kSampling, 18}};
+  constexpr uint64_t kKeys = (uint64_t{1} << 14) + 1000;
   std::vector<KeyWeight> updates;
-  for (uint64_t i = 0; i < 500; ++i) {
-    updates.push_back(KeyWeight{i % 37, (i % 11) + 1});
+  for (uint64_t i = 0; i < 3 * kKeys; ++i) {
+    // Scattered keys, repeated in a different order each pass.
+    const uint64_t rank = (i * 7919) % kKeys;
+    updates.push_back(KeyWeight{rank * 0x9E3779B97F4A7C15ull, (i % 11) + 1});
   }
-  ASSERT_TRUE(batched.IncrementBatch(updates.data(), updates.size()).ok());
-  for (const KeyWeight& u : updates) {
-    ASSERT_TRUE(sequential.Increment(u.key, u.weight).ok());
+  for (const Config& config : configs) {
+    SCOPED_TRACE(CounterKindToString(config.kind));
+    auto batched = CounterStore::MakeWithBitBudget(config.kind, config.bits,
+                                                   uint64_t{1} << 24, 9)
+                       .ValueOrDie();
+    auto sequential = CounterStore::MakeWithBitBudget(config.kind, config.bits,
+                                                      uint64_t{1} << 24, 9)
+                          .ValueOrDie();
+    ASSERT_TRUE(batched.IncrementBatch(updates.data(), updates.size()).ok());
+    for (const KeyWeight& u : updates) {
+      ASSERT_TRUE(sequential.Increment(u.key, u.weight).ok());
+    }
+    ASSERT_EQ(batched.num_keys(), kKeys);
+    ASSERT_EQ(sequential.num_keys(), kKeys);
+    for (uint64_t rank = 0; rank < kKeys; ++rank) {
+      const uint64_t key = rank * 0x9E3779B97F4A7C15ull;
+      ASSERT_EQ(batched.Estimate(key).ValueOrDie(),
+                sequential.Estimate(key).ValueOrDie())
+          << "key rank " << rank;
+    }
   }
-  EXPECT_EQ(batched.num_keys(), sequential.num_keys());
-  for (uint64_t key = 0; key < 37; ++key) {
-    EXPECT_EQ(batched.Estimate(key).ValueOrDie(),
-              sequential.Estimate(key).ValueOrDie());
+}
+
+// The slot codec at every stride the store takes: slots straddle byte and
+// 64-bit word edges, and neighbours must never bleed into each other.
+// Counts are read back as integers through ReadKeyState (a double cannot
+// hold every 62-bit count), before and after a file round trip.
+TEST(CounterStoreBatchTest, EveryStrideKeepsExactCountsAndRoundTrips) {
+  constexpr uint64_t kKeys = 131;
+  const std::string path =
+      ::testing::TempDir() + "countlib_stride_sweep.store";
+  for (int bits = 1; bits <= 62; ++bits) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    const uint64_t cap = (uint64_t{1} << bits) - 1;
+    auto store = CounterStore::MakeWithBitBudget(CounterKind::kExact, bits,
+                                                 cap, 1)
+                     .ValueOrDie();
+    ASSERT_EQ(store.bits_per_key(), bits);
+    // Per-key targets spread over [0, cap], applied in three interleaved
+    // passes over all keys.
+    std::vector<uint64_t> target(kKeys);
+    for (uint64_t k = 0; k < kKeys; ++k) {
+      target[k] = ((k + 1) * 0x9E3779B97F4A7C15ull) & cap;
+    }
+    for (int pass = 0; pass < 3; ++pass) {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        const uint64_t third = target[k] / 3;
+        const uint64_t w = pass < 2 ? third : target[k] - 2 * third;
+        ASSERT_TRUE(store.Increment(k, w).ok());
+      }
+    }
+    auto check = [&](const CounterStore& s) {
+      auto probe = MakeCounterForBits(CounterKind::kExact, bits, cap, 1)
+                       .ValueOrDie();
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        ASSERT_TRUE(s.ReadKeyState(k, probe.get()).ValueOrDie());
+        EXPECT_EQ(probe->PackState(), target[k]) << "key " << k;
+      }
+    };
+    check(store);
+    ASSERT_TRUE(store.SaveToFile(path).ok());
+    auto loaded = CounterStore::MakeWithBitBudget(CounterKind::kExact, bits,
+                                                  cap, 2)
+                      .ValueOrDie();
+    ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+    EXPECT_EQ(loaded.num_keys(), kKeys);
+    check(loaded);
   }
+  std::remove(path.c_str());
+}
+
+// A snapshot written by hand from the documented layout (counter_store.h,
+// SaveToFile) loads: the format is the contract, not the writer.
+TEST(CounterStoreBatchTest, HandBuiltSnapshotLoads) {
+  constexpr int kBits = 12;
+  const uint64_t counts[3] = {5, 4095, 1234};  // slot 0, 1, 2
+  // (key, slot) pairs in no particular order.
+  const uint64_t pairs[3][2] = {{100, 2}, {7, 0}, {55, 1}};
+  std::vector<uint8_t> bytes;
+  auto put_u64 = [&bytes](uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  };
+  for (char c : std::string("clstore1")) bytes.push_back(static_cast<uint8_t>(c));
+  put_u64(kBits);
+  put_u64(3);  // slots
+  put_u64(3);  // keys
+  for (const auto& pair : pairs) {
+    put_u64(pair[0]);
+    put_u64(pair[1]);
+  }
+  const uint64_t pool_bytes = (3 * kBits + 7) / 8;
+  put_u64(pool_bytes);
+  std::vector<uint8_t> pool(pool_bytes, 0);
+  for (uint64_t slot = 0; slot < 3; ++slot) {
+    for (int b = 0; b < kBits; ++b) {
+      const uint64_t bit = slot * kBits + b;
+      if ((counts[slot] >> b) & 1) pool[bit / 8] |= uint8_t(1u << (bit % 8));
+    }
+  }
+  bytes.insert(bytes.end(), pool.begin(), pool.end());
+  const std::string path = ::testing::TempDir() + "countlib_hand_built.store";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+
+  auto store = CounterStore::MakeWithBitBudget(CounterKind::kExact, kBits,
+                                               4095, 1)
+                   .ValueOrDie();
+  ASSERT_TRUE(store.LoadFromFile(path).ok());
+  EXPECT_EQ(store.num_keys(), 3u);
+  EXPECT_EQ(store.Estimate(7).ValueOrDie(), 5.0);
+  EXPECT_EQ(store.Estimate(55).ValueOrDie(), 4095.0);
+  EXPECT_EQ(store.Estimate(100).ValueOrDie(), 1234.0);
+  EXPECT_TRUE(store.Estimate(8).status().IsNotFound());
+
+  // And the writer reproduces those bytes, up to the order of the pairs.
+  ASSERT_TRUE(store.SaveToFile(path).ok());
+  f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> saved(bytes.size() + 1);
+  EXPECT_EQ(std::fread(saved.data(), 1, saved.size(), f), bytes.size());
+  std::fclose(f);
+  saved.resize(bytes.size());
+  const size_t pairs_begin = 32, pairs_end = 32 + 3 * 16;
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + pairs_begin,
+                         saved.begin()));
+  EXPECT_TRUE(std::equal(bytes.begin() + pairs_end, bytes.end(),
+                         saved.begin() + pairs_end));
+  std::remove(path.c_str());
 }
 
 TEST(CounterStoreBatchTest, EmptyBatchIsANoOp) {

@@ -107,6 +107,34 @@ TEST_F(PersistenceTest, TruncatedFileRejectedAndStateUnharmed) {
   EXPECT_DOUBLE_EQ(victim.Estimate(7).ValueOrDie(), before);
 }
 
+// Sizes in a header are checked against the file before anything is
+// allocated for them: a short file claiming billions of keys or slots is
+// rejected, not trusted.
+TEST_F(PersistenceTest, HeaderSizesBeyondTheFileRejected) {
+  auto store = MakeStore();
+  auto write_header = [&](uint64_t slots, uint64_t keys, bool pool_header) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite("clstore1", 1, 8, f);
+    const uint64_t fields[3] = {static_cast<uint64_t>(store.bits_per_key()),
+                                slots, keys};
+    std::fwrite(fields, sizeof(uint64_t), 3, f);
+    if (pool_header) {
+      const uint64_t pool_bytes =
+          (slots * static_cast<uint64_t>(store.bits_per_key()) + 7) / 8;
+      std::fwrite(&pool_bytes, sizeof(pool_bytes), 1, f);
+    }
+    std::fclose(f);
+  };
+  write_header(uint64_t{1} << 31, uint64_t{1} << 31, false);
+  EXPECT_TRUE(store.LoadFromFile(path_).IsIOError());
+  write_header(uint64_t{1} << 31, 0, true);
+  EXPECT_TRUE(store.LoadFromFile(path_).IsIOError());
+  write_header(uint64_t{1} << 33, 0, true);  // past the 2^32-1 slot ids
+  EXPECT_TRUE(store.LoadFromFile(path_).IsCapacityExceeded());
+  EXPECT_EQ(store.num_keys(), 0u);
+}
+
 TEST_F(PersistenceTest, ExactKindRoundTripsExactly) {
   auto store = analytics::CounterStore::MakeWithBitBudget(CounterKind::kExact, 20,
                                                           (1u << 20) - 1, 1)

@@ -68,7 +68,13 @@ TEST(CounterStoreTest, PackingIsDenserThanMachineWords) {
   }
   EXPECT_EQ(store.TotalStateBits(), 17000u);  // vs 64000 for uint64 counters
   EXPECT_EQ(store.AlgorithmName().find("sampling"), 0u);
-  EXPECT_GT(store.IndexBitsPerKey(), 0.0);
+  // The index is measured: 1000 keys under 3/4 load need 2048 entries of
+  // 12 bytes.
+  EXPECT_DOUBLE_EQ(store.IndexBitsPerKey(), 2048.0 * 12 * 8 / 1000);
+  auto empty = analytics::CounterStore::MakeWithBitBudget(
+                   CounterKind::kSampling, 17, 999999, 5)
+                   .ValueOrDie();
+  EXPECT_EQ(empty.IndexBitsPerKey(), 0.0);
 }
 
 TEST(CounterStoreTest, StateSurvivesInterleavedAccess) {

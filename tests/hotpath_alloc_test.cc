@@ -1,0 +1,94 @@
+// Run-time check of the `// HOTPATH` allocation contract on the write
+// path: this binary replaces the global operator new with one that counts
+// the calling thread's allocations, and the steady-state calls — a store
+// batch over keys that are already indexed, a pipeline batch submit into
+// a ring with room — must make none. (conclint checks the same contract
+// statically, on the tagged functions' own bodies only.)
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "analytics/counter_store.h"
+#include "analytics/sharded_counter_store.h"
+#include "pipeline/ingest_pipeline.h"
+
+namespace {
+thread_local uint64_t tl_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++tl_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace countlib {
+namespace {
+
+using analytics::KeyWeight;
+
+std::vector<KeyWeight> Updates(uint64_t keys, uint64_t rounds) {
+  std::vector<KeyWeight> updates;
+  for (uint64_t r = 0; r < rounds; ++r) {
+    for (uint64_t k = 0; k < keys; ++k) {
+      updates.push_back(KeyWeight{k * 0x9E3779B97F4A7C15ull, 1 + (k + r) % 3});
+    }
+  }
+  return updates;
+}
+
+TEST(HotpathAllocTest, StoreBatchOverIndexedKeysAllocatesNothing) {
+  const std::vector<KeyWeight> updates = Updates(5000, 2);
+  for (CounterKind kind :
+       {CounterKind::kExact, CounterKind::kMorris, CounterKind::kSampling}) {
+    SCOPED_TRACE(CounterKindToString(kind));
+    auto store = analytics::CounterStore::MakeWithBitBudget(
+                     kind, 16, uint64_t{1} << 20, 3)
+                     .ValueOrDie();
+    ASSERT_TRUE(store.IncrementBatch(updates.data(), 5000).ok());  // index
+    const uint64_t before = tl_allocations;
+    ASSERT_TRUE(store.IncrementBatch(updates.data(), updates.size()).ok());
+    EXPECT_EQ(tl_allocations - before, 0u);
+  }
+}
+
+TEST(HotpathAllocTest, ShardedBatchOverIndexedKeysAllocatesNothing) {
+  const std::vector<KeyWeight> updates = Updates(5000, 2);
+  auto store = analytics::ShardedCounterStore::Make(
+                   2, CounterKind::kMorris, 16, uint64_t{1} << 20, 3)
+                   .ValueOrDie();
+  ASSERT_TRUE(store->IncrementBatch(1, updates.data(), 5000).ok());
+  const uint64_t before = tl_allocations;
+  ASSERT_TRUE(store->IncrementBatch(1, updates.data(), updates.size()).ok());
+  EXPECT_EQ(tl_allocations - before, 0u);
+}
+
+TEST(HotpathAllocTest, SubmitBatchIntoARingWithRoomAllocatesNothing) {
+  auto store = analytics::ShardedCounterStore::Make(
+                   1, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+                   .ValueOrDie();
+  pipeline::PipelineOptions opt;
+  opt.num_producers = 1;
+  opt.queue_capacity = 4096;
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // the ring keeps its room
+  const std::vector<KeyWeight> updates = Updates(512, 1);
+  const uint64_t before = tl_allocations;
+  ASSERT_TRUE(pipe->SubmitBatch(0, updates.data(), updates.size()).ok());
+  ASSERT_TRUE(pipe->TrySubmitBatch(0, updates.data(), updates.size()).ok());
+  ASSERT_TRUE(pipe->Submit(0, 1, 1).ok());
+  EXPECT_EQ(tl_allocations - before, 0u);
+  ASSERT_TRUE(pipe->Drain().ok());
+  EXPECT_EQ(pipe->Stats().events_applied, 2 * updates.size() + 1);
+}
+
+}  // namespace
+}  // namespace countlib

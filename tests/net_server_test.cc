@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "analytics/sharded_counter_store.h"
+#include "net/socket_util.h"
+#include "net/wire.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/logging.h"
@@ -301,6 +303,59 @@ TEST(NetServerTest, ServerStopSurfacesAsClientError) {
             cs.events_delivered + cs.events_shed + cs.events_lost_unacked +
                 cs.events_pending);
   ASSERT_TRUE(pipe->Drain().ok());
+}
+
+// A frame with a zero-weight record is a protocol error, rejected whole:
+// the records before the bad one must not be applied either, or the
+// pipeline's events_applied would run ahead of what the server delivered
+// and acked.
+TEST(NetServerTest, ZeroWeightRecordRejectsTheWholeFrame) {
+  auto store = MakeExactStore();
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
+                  .ValueOrDie();
+  auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
+  const int fd = ConnectTcp("127.0.0.1", server->port(), 2000).ValueOrDie();
+  uint64_t got = 0;
+  {
+    uint8_t frame[kFrameHeaderSize + kHelloBodySize];
+    FrameHeader h;
+    h.type = FrameType::kHello;
+    h.payload_len = kHelloBodySize;
+    h.seq = 1;
+    EncodeFrameHeader(h, frame);
+    EncodeHelloBody(HelloBody{}, frame + kFrameHeaderSize);
+    ASSERT_TRUE(SendAll(fd, frame, sizeof(frame)).ok());
+    uint8_t ack[kFrameHeaderSize + kHelloAckBodySize];
+    ASSERT_TRUE(ReadFull(fd, ack, sizeof(ack), 50, 2000, nullptr, &got).ok());
+  }
+  {
+    const EventRecord records[3] = {{5, 1}, {6, 0}, {7, 1}};
+    const uint64_t payload_len = EventBatchPayloadSize(3);
+    std::vector<uint8_t> frame(kFrameHeaderSize + payload_len);
+    FrameHeader h;
+    h.type = FrameType::kEventBatch;
+    h.payload_len = static_cast<uint32_t>(payload_len);
+    h.seq = 2;
+    EncodeFrameHeader(h, frame.data());
+    EncodeEventBatch(records, 3, frame.data() + kFrameHeaderSize);
+    ASSERT_TRUE(SendAll(fd, frame.data(), frame.size()).ok());
+  }
+  // No ack: the server closes the connection.
+  uint8_t ack[kFrameHeaderSize + kAckBodySize];
+  got = 0;
+  EXPECT_TRUE(ReadFull(fd, ack, sizeof(ack), 50, 2000, nullptr, &got)
+                  .IsIOError());
+  EXPECT_EQ(got, 0u);
+  CloseFd(fd);
+
+  ASSERT_TRUE(server->Stop().ok());
+  ASSERT_TRUE(pipe->Flush().ok());
+  const ServerStats ss = server->Stats();
+  EXPECT_EQ(ss.decode_errors, 1u);
+  EXPECT_EQ(ss.events_delivered, 0u);
+  EXPECT_EQ(pipe->Stats().events_applied, 0u);
+  ASSERT_TRUE(pipe->Drain().ok());
+  EXPECT_EQ(pipe->Stats().events_applied, 0u);
 }
 
 }  // namespace

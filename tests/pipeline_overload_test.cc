@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -131,6 +132,111 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
     if (expected == 0) continue;
     ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected))
         << "key " << k;
+  }
+}
+
+// Batch submits: the prefix that fits is enqueued with one publish, an
+// invalid record rejects the whole batch, and each policy handles the
+// rest of a batch the way it handles a single event.
+TEST(OverloadPolicyTest, TrySubmitBatchAcceptsThePrefixThatFits) {
+  auto store = MakeExactStore();
+  PipelineOptions opt;
+  opt.num_producers = 1;
+  opt.num_workers = 1;
+  opt.queue_capacity = 8;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+
+  std::vector<analytics::KeyWeight> batch;
+  for (uint64_t i = 0; i < 12; ++i) batch.push_back({i, i + 1});
+  size_t accepted = 99;
+  Status st = pipeline->TrySubmitBatch(0, batch.data(), batch.size(), &accepted);
+  EXPECT_TRUE(st.IsPending()) << st.ToString();
+  EXPECT_EQ(accepted, 8u);
+  EXPECT_EQ(pipeline->Stats().events_submitted, 8u);
+  EXPECT_EQ(pipeline->Stats().events_rejected, 1u);  // one bounced call
+
+  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  ASSERT_TRUE(pipeline->Flush().ok());
+  ASSERT_TRUE(pipeline
+                  ->TrySubmitBatch(0, batch.data() + accepted,
+                                   batch.size() - accepted, &accepted)
+                  .ok());
+  EXPECT_EQ(accepted, 4u);
+  ASSERT_TRUE(pipeline->Drain().ok());
+  for (uint64_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(store->Estimate(i).ValueOrDie(), static_cast<double>(i + 1));
+  }
+}
+
+TEST(OverloadPolicyTest, ZeroWeightRejectsTheWholeBatch) {
+  auto store = MakeExactStore();
+  PipelineOptions opt;
+  opt.num_producers = 1;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  const analytics::KeyWeight batch[3] = {{1, 1}, {2, 0}, {3, 1}};
+  size_t accepted = 99;
+  EXPECT_TRUE(
+      pipeline->TrySubmitBatch(0, batch, 3, &accepted).IsInvalidArgument());
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_TRUE(pipeline->SubmitBatch(0, batch, 3).IsInvalidArgument());
+  EXPECT_TRUE(pipeline->TrySubmitBatch(1, batch, 1).IsInvalidArgument());
+  ASSERT_TRUE(pipeline->Drain().ok());
+  const PipelineStats stats = pipeline->Stats();
+  EXPECT_EQ(stats.events_submitted, 0u);
+  EXPECT_EQ(stats.events_applied, 0u);
+  EXPECT_EQ(store->TotalStateBits(), 0u);
+}
+
+TEST(OverloadPolicyTest, ShedDropsTheRestOfABatchExactly) {
+  auto store = MakeExactStore();
+  PipelineOptions opt;
+  opt.num_producers = 1;
+  opt.num_workers = 1;
+  opt.queue_capacity = 8;
+  opt.overload = OverloadPolicy::kShed;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  std::vector<analytics::KeyWeight> batch(20, analytics::KeyWeight{5, 1});
+  ASSERT_TRUE(pipeline->SubmitBatch(0, batch.data(), batch.size()).ok());
+  const PipelineStats paused = pipeline->Stats();
+  EXPECT_EQ(paused.events_submitted, 8u);
+  EXPECT_EQ(paused.events_shed, 12u);
+  ASSERT_EQ(paused.shed_per_slot.size(), 1u);
+  EXPECT_EQ(paused.shed_per_slot[0], 12u);
+  EXPECT_EQ(pipeline->ShedCountForSlot(0), 12u);
+  ASSERT_TRUE(pipeline->Drain().ok());
+  EXPECT_EQ(store->Estimate(5).ValueOrDie(), 8.0);
+}
+
+TEST(OverloadPolicyTest, BlockParksUntilTheRestOfABatchFits) {
+  auto store = MakeExactStore();
+  PipelineOptions opt;
+  opt.num_producers = 1;
+  opt.num_workers = 1;
+  opt.queue_capacity = 8;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  std::vector<analytics::KeyWeight> batch;
+  for (uint64_t i = 0; i < 50; ++i) batch.push_back({i % 7, 1});
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(pipeline->SubmitBatch(0, batch.data(), batch.size()).ok());
+    done.store(true);
+  });
+  std::this_thread::sleep_for(milliseconds(100));
+  EXPECT_FALSE(done.load());
+  EXPECT_EQ(pipeline->Stats().events_submitted, 8u);  // the first fit
+  EXPECT_GE(pipeline->Stats().producer_parks, 1u);
+  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
+  producer.join();
+  ASSERT_TRUE(pipeline->Drain().ok());
+  const PipelineStats stats = pipeline->Stats();
+  EXPECT_EQ(stats.events_submitted, 50u);
+  EXPECT_EQ(stats.events_applied, 50u);
+  EXPECT_EQ(stats.events_shed, 0u);
+  for (uint64_t k = 0; k < 7; ++k) {
+    EXPECT_EQ(store->Estimate(k).ValueOrDie(), k < 1 ? 8.0 : 7.0) << k;
   }
 }
 

@@ -122,6 +122,30 @@ TEST(SpscRingTest, TryPushReportsEmptyToNonemptyTransition) {
   EXPECT_TRUE(was_empty);
 }
 
+// A batch push enqueues the prefix that fits, in order, with one tail
+// publish; the emptiness verdict covers the batch as a whole.
+TEST(SpscRingTest, TryPushBatchEnqueuesThePrefixThatFits) {
+  SpscRing ring(8);
+  const auto make = [](uint64_t i) { return Event{100 + i, i + 1}; };
+  bool was_empty = false;
+  EXPECT_EQ(ring.TryPushBatch(5, make, &was_empty), 5u);
+  EXPECT_TRUE(was_empty);
+  EXPECT_EQ(ring.TryPushBatch(5, make, &was_empty), 3u);  // 3 of 5 fit
+  EXPECT_FALSE(was_empty);
+  was_empty = true;
+  EXPECT_EQ(ring.TryPushBatch(5, make, &was_empty), 0u);  // full
+  EXPECT_TRUE(was_empty);  // untouched by a push that enqueued nothing
+  EXPECT_EQ(ring.TryPushBatch(0, make, &was_empty), 0u);
+  Event out[8];
+  ASSERT_EQ(ring.PopBatch(out, 8), 8u);
+  for (uint64_t i = 0; i < 8; ++i) {
+    const uint64_t j = i < 5 ? i : i - 5;  // second batch restarts at 0
+    EXPECT_EQ(out[i].key, 100 + j) << i;
+    EXPECT_EQ(out[i].weight, j + 1) << i;
+  }
+  EXPECT_EQ(ring.SizeApprox(), 0u);
+}
+
 // The consumer-side fullness verdict that drives the pipeline's
 // full->nonfull producer wakeup: true exactly when the pop found the ring
 // full — the mirror of TryPush's was_empty.

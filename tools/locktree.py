@@ -33,8 +33,9 @@ Rules (names are stable; the allowlist references them):
 
   park-under-lock    A blocking call — ``EventCount::ParkOne``/``ParkUntil``,
                      ``std::thread::join``, or one of the blocking pipeline
-                     APIs (Submit, Flush, Drain, AcquireProducerSlot) — is
-                     reachable, directly or transitively, while any
+                     APIs (Submit, SubmitBatch, Flush, Drain,
+                     AcquireProducerSlot) — is reachable, directly or
+                     transitively, while any
                      countlib::Mutex is held. Parking under a lock turns a
                      bounded critical section into an unbounded one and is
                      one missed notify away from deadlock.
@@ -103,7 +104,7 @@ JOIN_METHOD = "join"
 # Blocking-by-contract pipeline APIs (docs/concurrency.md): calls to these
 # names count as blocking even when the callee's body is outside the
 # linted set (partial runs, fixture tests).
-BLOCKING_CONTRACT_METHODS = ("Submit", "Flush", "Drain",
+BLOCKING_CONTRACT_METHODS = ("Submit", "SubmitBatch", "Flush", "Drain",
                              "AcquireProducerSlot")
 
 # Call-shaped tokens that are never calls we care about.
