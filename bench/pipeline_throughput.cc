@@ -60,13 +60,13 @@
 /// unaccounted_events, submits_per_sec}}`, `observability {events,
 /// uninstrumented_events_per_sec, instrumented_events_per_sec,
 /// overhead_pct, record_attempts, record_allocs, latency_samples,
-/// latency_p50_ns, latency_p99_ns, latency_max_ns, series_points}`.
+/// latency_p50_ns, latency_p99_ns, latency_max_ns}`.
 ///
 /// The **observability** scenario (new with the telemetry subsystem)
-/// replays the trace with `enable_metrics` off and on — a live
-/// `MetricsCollector` drives the coarse ticker so latency stamping is
-/// active — and asserts the instrumented path costs <5% throughput and
-/// never heap-allocates on the record path (sampling forced to 1/1).
+/// replays the trace with `enable_metrics` off and on — on, the pipeline
+/// stamps 1 submit in 64 on the steady clock — and asserts the
+/// instrumented path costs <5% throughput and never heap-allocates on the
+/// record path.
 
 #include <sys/resource.h>
 #include <time.h>
@@ -87,9 +87,7 @@
 #include "analytics/sharded_counter_store.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "obs/collector.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/cli.h"
@@ -590,7 +588,7 @@ NetResult RunNet(uint64_t num_events, uint64_t keys, double skew,
 struct ObservabilityResult {
   uint64_t events;                        // per replay
   double uninstrumented_events_per_sec;   // best of 3
-  double instrumented_events_per_sec;     // best of 3, collector live
+  double instrumented_events_per_sec;     // best of 3, metrics on
   double overhead_pct;                    // (base - inst) / base, floored at 0
   uint64_t record_attempts;               // alloc-audit hammer size
   uint64_t record_allocs;                 // heap allocs across the hammer
@@ -598,17 +596,16 @@ struct ObservabilityResult {
   uint64_t latency_p50_ns;
   uint64_t latency_p99_ns;
   uint64_t latency_max_ns;
-  uint64_t series_points;                 // queue-depth points collected
 };
 
 /// The telemetry overhead check: the same single-producer replay with
-/// `enable_metrics` off and on (collector live, so latency stamping is
-/// active at the default 1/64 sampling). Best-of-3 per mode damps
-/// scheduler noise; the <5% ceiling is asserted here AND judged by
-/// bench_diff against the committed baseline. A paused-pipeline phase then
-/// hammers the instrumented TrySubmit path (sampling forced to 1/1) and
-/// asserts it never touches the heap — counters, histogram recording and
-/// timestamp stamping are all preallocated.
+/// `enable_metrics` off and on (on stamps 1 submit in 64 for the
+/// submit→apply histogram). Best-of-3 per mode damps scheduler noise; the
+/// <5% ceiling is asserted here AND judged by bench_diff against the
+/// committed baseline. A paused-pipeline phase then hammers the
+/// instrumented TrySubmit path and asserts it never touches the heap —
+/// counters, histogram recording and timestamp stamping are all
+/// preallocated.
 ObservabilityResult RunObservability(
     const std::vector<std::vector<pipeline::Event>>& parts, uint64_t n_max,
     uint64_t queue_capacity, uint64_t max_batch) {
@@ -645,35 +642,20 @@ ObservabilityResult RunObservability(
     return static_cast<double>(r.events) / elapsed;
   };
 
-  {
-    // The collector drives the coarse ticker, samples the pipeline gauges
-    // into series, and makes the instrumented run pay full freight. A 1ms
-    // tick (vs the 250us default) keeps the ticker thread's own wakeups
-    // from dominating the measurement on single-core runners — latency
-    // resolution is 1ms, which the log2 buckets absorb anyway.
-    obs::CollectorOptions collector_options;
-    collector_options.tick_interval = std::chrono::milliseconds(1);
-    auto collector =
-        obs::MetricsCollector::Make(nullptr, collector_options).ValueOrDie();
-    obs::HistogramSnapshot latency{};
-    // Interleaved best-of-4 per mode: alternating off/on means machine
-    // drift (frequency steps, noisy neighbors on shared runners) hits
-    // both modes instead of poisoning one side's whole sample.
-    for (int i = 0; i < 4; ++i) {
-      r.uninstrumented_events_per_sec =
-          std::max(r.uninstrumented_events_per_sec, replay(false, nullptr));
-      r.instrumented_events_per_sec =
-          std::max(r.instrumented_events_per_sec, replay(true, &latency));
-    }
-    r.latency_samples = latency.count;
-    r.latency_p50_ns = latency.Percentile(0.50);
-    r.latency_p99_ns = latency.Percentile(0.99);
-    r.latency_max_ns = latency.max;
-    collector->Stop();
-    const auto series = collector->Series();
-    const auto it = series.find("countlib_pipeline_queue_depth");
-    r.series_points = it == series.end() ? 0 : it->second.size();
+  obs::HistogramSnapshot latency{};
+  // Interleaved best-of-4 per mode: alternating off/on means machine
+  // drift (frequency steps, noisy neighbors on shared runners) hits both
+  // modes instead of poisoning one side's whole sample.
+  for (int i = 0; i < 4; ++i) {
+    r.uninstrumented_events_per_sec =
+        std::max(r.uninstrumented_events_per_sec, replay(false, nullptr));
+    r.instrumented_events_per_sec =
+        std::max(r.instrumented_events_per_sec, replay(true, &latency));
   }
+  r.latency_samples = latency.count;
+  r.latency_p50_ns = latency.Percentile(0.50);
+  r.latency_p99_ns = latency.Percentile(0.99);
+  r.latency_max_ns = latency.max;
   r.overhead_pct = std::max(
       0.0, 100.0 *
                (r.uninstrumented_events_per_sec -
@@ -682,18 +664,15 @@ ObservabilityResult RunObservability(
 
   {
     // Allocation-freedom audit of the instrumented record path. Workers
-    // paused, coarse clock set by hand (no collector thread to muddy the
-    // counter), sampling at 1/1: every TrySubmit stamps, counts, and — on
-    // the full-ring side — takes the preallocated reject.
+    // paused: accepted TrySubmits count and stamp 1 in 64, and once the
+    // ring is full each takes the preallocated reject.
     auto store = MakeStore(1, 1u << 20);
     pipeline::PipelineOptions opt;
     opt.num_producers = 1;
     opt.queue_capacity = 1024;
     opt.enable_metrics = true;
-    opt.latency_sample_shift = 0;
     auto ingest = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(0));
-    obs::CoarseClock::Set(1000000);
     // Warm thread-locals and the lazily built pending Status: fill the
     // ring and trip the first rejection outside the counted window.
     for (uint64_t i = 0; i < 1025; ++i) (void)ingest->TrySubmit(0, i & 63, 1);
@@ -705,7 +684,6 @@ ObservabilityResult RunObservability(
     r.record_attempts = kAttempts;
     r.record_allocs =
         g_heap_allocs.load(std::memory_order_relaxed) - before;
-    obs::CoarseClock::Set(0);
     COUNTLIB_CHECK_OK(ingest->SetWorkerCount(1));
     COUNTLIB_CHECK_OK(ingest->Drain());
   }
@@ -809,8 +787,7 @@ std::string ToJson(const std::vector<RunResult>& results,
       "\"instrumented_events_per_sec\":%.1f,\"overhead_pct\":%.2f,"
       "\"record_attempts\":%llu,\"record_allocs\":%llu,"
       "\"latency_samples\":%llu,\"latency_p50_ns\":%llu,"
-      "\"latency_p99_ns\":%llu,\"latency_max_ns\":%llu,"
-      "\"series_points\":%llu}",
+      "\"latency_p99_ns\":%llu,\"latency_max_ns\":%llu}",
       static_cast<unsigned long long>(obs.events),
       obs.uninstrumented_events_per_sec, obs.instrumented_events_per_sec,
       obs.overhead_pct, static_cast<unsigned long long>(obs.record_attempts),
@@ -818,8 +795,7 @@ std::string ToJson(const std::vector<RunResult>& results,
       static_cast<unsigned long long>(obs.latency_samples),
       static_cast<unsigned long long>(obs.latency_p50_ns),
       static_cast<unsigned long long>(obs.latency_p99_ns),
-      static_cast<unsigned long long>(obs.latency_max_ns),
-      static_cast<unsigned long long>(obs.series_points));
+      static_cast<unsigned long long>(obs.latency_max_ns));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -948,8 +924,7 @@ int Main(int argc, const char* const* argv) {
   std::printf(
       "# observability: %.1fM ev/s uninstrumented vs %.1fM instrumented "
       "(%.2f%% overhead); %llu recording TrySubmits -> %llu heap allocs; "
-      "submit->apply p50/p99/max %llu/%llu/%llu ns over %llu samples, "
-      "%llu queue-depth series points\n",
+      "submit->apply p50/p99/max %llu/%llu/%llu ns over %llu samples\n",
       obs.uninstrumented_events_per_sec / 1e6,
       obs.instrumented_events_per_sec / 1e6, obs.overhead_pct,
       static_cast<unsigned long long>(obs.record_attempts),
@@ -957,8 +932,7 @@ int Main(int argc, const char* const* argv) {
       static_cast<unsigned long long>(obs.latency_p50_ns),
       static_cast<unsigned long long>(obs.latency_p99_ns),
       static_cast<unsigned long long>(obs.latency_max_ns),
-      static_cast<unsigned long long>(obs.latency_samples),
-      static_cast<unsigned long long>(obs.series_points));
+      static_cast<unsigned long long>(obs.latency_samples));
 
   const NetResult net = RunNet(
       flags.GetUint64("net_events"), keys, skew,

@@ -38,7 +38,6 @@
 
 #include "analytics/sharded_counter_store.h"
 #include "net/server.h"
-#include "obs/collector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"

@@ -31,12 +31,12 @@
 ///
 /// With `--metrics_out=FILE` the whole run is instrumented through the
 /// obs layer (src/obs/README.md): the pipeline and store register their
-/// counters/gauges/histograms in the process-wide registry, a
-/// `MetricsCollector` drives the coarse latency ticker and samples the
-/// gauges into ring-buffer time series, and a dump thread rewrites FILE
-/// with the Prometheus text exposition every `--metrics_period_ms` (plus a
-/// final dump after drain — the one CI validates with tools/promcheck.py).
-/// `FILE.json` gets the JSON twin, time series included.
+/// counters/gauges/histograms in the process-wide registry (the pipeline
+/// stamps 1 submit in 64 on the steady clock for its submit→apply
+/// histogram), and a dump thread rewrites FILE with the Prometheus text
+/// exposition every `--metrics_period_ms` (plus a final dump after drain —
+/// the one CI validates with tools/promcheck.py). Each dump samples the
+/// gauges afresh. `FILE.json` gets the JSON twin.
 ///
 ///   ./build/example_pipeline_ingest [--pages=N] [--visits=N] [--threads=N]
 ///       [--slots=N] [--overload=block|shed]
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "analytics/sharded_counter_store.h"
-#include "obs/collector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"
@@ -63,8 +62,8 @@
 
 namespace {
 
-/// One snapshot -> two files: Prometheus text at `path`, JSON (with the
-/// collector's time series) at `path`.json.
+/// One snapshot -> two files: Prometheus text at `path`, JSON at
+/// `path`.json.
 void DumpMetrics(const std::string& path) {
   const countlib::obs::Snapshot snap = countlib::obs::GlobalSnapshot();
   {
@@ -137,27 +136,20 @@ int main(int argc, char** argv) {
   auto ingest =
       pipeline::IngestPipeline::Make(store.get(), options).ValueOrDie();
 
-  // The telemetry side, entirely optional: the collector ticks the coarse
-  // clock (which arms the pipeline's latency stamping) and samples every
-  // registered gauge into bounded time series; the dump thread rewrites
-  // the export files while the run is live so an external scraper — or a
+  // The telemetry side, entirely optional: the dump thread rewrites the
+  // export files while the run is live so an external scraper — or a
   // human with `watch cat` — sees the system move.
-  std::unique_ptr<obs::MetricsCollector> collector;
   std::atomic<bool> dumping{false};
   std::thread dump_thread;
-  if (metrics) {
-    collector = obs::MetricsCollector::Make(nullptr, obs::CollectorOptions())
-                    .ValueOrDie();
-    if (metrics_period_ms > 0) {
-      dumping.store(true);
-      dump_thread = std::thread([&dumping, &metrics_out, metrics_period_ms] {
-        while (dumping.load(std::memory_order_acquire)) {
-          DumpMetrics(metrics_out);
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(metrics_period_ms));
-        }
-      });
-    }
+  if (metrics && metrics_period_ms > 0) {
+    dumping.store(true);
+    dump_thread = std::thread([&dumping, &metrics_out, metrics_period_ms] {
+      while (dumping.load(std::memory_order_acquire)) {
+        DumpMetrics(metrics_out);
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(metrics_period_ms));
+      }
+    });
   }
 
   // The producer pool: each thread claims trace chunks from a shared
@@ -185,17 +177,14 @@ int main(int argc, char** argv) {
   for (auto& t : pool) t.join();
   COUNTLIB_CHECK_OK(ingest->Drain());
 
-  if (metrics) {
-    // Stop the live rewriter; the final dump waits until after the
-    // dashboard's merged TopK read below, so the validated file carries a
-    // populated countlib_store_shard_merge_latency_ns histogram alongside
-    // the settled must-stay-zero metrics (events_dropped,
-    // unaccounted_events) that tools/promcheck.py asserts in CI.
-    if (dump_thread.joinable()) {
-      dumping.store(false, std::memory_order_release);
-      dump_thread.join();
-    }
-    collector->Stop();
+  // Stop the live rewriter; the final dump waits until after the
+  // dashboard's merged TopK read below, so the validated file carries a
+  // populated countlib_store_shard_merge_latency_ns histogram alongside
+  // the settled must-stay-zero metrics (events_dropped,
+  // unaccounted_events) that tools/promcheck.py asserts in CI.
+  if (dump_thread.joinable()) {
+    dumping.store(false, std::memory_order_release);
+    dump_thread.join();
   }
 
   const pipeline::PipelineStats stats = ingest->Stats();

@@ -37,7 +37,7 @@ Status LaneOutOfRangeStatus(uint64_t lane, uint64_t lanes) {
 class ShardedCounterStore::FreezeGuard {
  public:
   explicit FreezeGuard(const ShardedCounterStore& s) : s_(s) {
-    const uint64_t t0 = obs::CoarseClock::RealNowNanos();
+    const uint64_t t0 = obs::NowNanos();
     // Acquire the freeze token; concurrent readers serialize here.
     bool expected = false;
     // mo: seq_cst — the token acquisition must be globally ordered before
@@ -74,8 +74,7 @@ class ShardedCounterStore::FreezeGuard {
       // only compared against itself in VerifyStable.
       epochs_.push_back(shard.epoch.load(std::memory_order_relaxed));
     }
-    s_.stat_cells_->freeze_wait_ns.Record(obs::CoarseClock::RealNowNanos() -
-                                          t0);
+    s_.stat_cells_->freeze_wait_ns.Record(obs::NowNanos() - t0);
   }
 
   FreezeGuard(const FreezeGuard&) = delete;
@@ -243,13 +242,12 @@ Result<CounterStore> ShardedCounterStore::MergeShardsLocked() const {
       CounterStore merged,
       CounterStore::MakeWithBitBudget(kind_, state_bits_, n_max_, cut_seed));
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const uint64_t t0 = obs::CoarseClock::RealNowNanos();
+    const uint64_t t0 = obs::NowNanos();
     Status st = merged.MergeFrom(*shards_[i]->store);
     if (!st.ok()) {
       return st.WithContext("merging shard " + std::to_string(i));
     }
-    stat_cells_->shard_merge_latency_ns.Record(obs::CoarseClock::RealNowNanos() -
-                                               t0);
+    stat_cells_->shard_merge_latency_ns.Record(obs::NowNanos() - t0);
   }
   stat_cells_->merge_reads.Add(1);
   return merged;

@@ -171,27 +171,6 @@ std::string ToJson(const Snapshot& snap) {
     }
     out.append("}}");
   }
-  out.append(first ? "},\n" : "\n  },\n");
-
-  out.append("  \"series\": {");
-  first = true;
-  for (const auto& [name, points] : snap.series) {
-    out.append(first ? "\n    " : ",\n    ");
-    first = false;
-    AppendJsonString(&out, name);
-    out.append(": [");
-    bool first_point = true;
-    for (const SeriesPoint& p : points) {
-      if (!first_point) out.append(", ");
-      first_point = false;
-      out.push_back('[');
-      AppendU64(&out, p.t_ns);
-      out.append(", ");
-      AppendDouble(&out, p.value);
-      out.push_back(']');
-    }
-    out.push_back(']');
-  }
   out.append(first ? "}\n" : "\n  }\n");
   out.append("}\n");
   return out;

@@ -1,9 +1,9 @@
 /// \file export.h
 /// \brief The unified export surface: serialize one `obs::Snapshot` as
 /// Prometheus text exposition or JSON. Everything the process measures —
-/// pipeline counters, store gauges, hot-path latency histograms, collector
-/// time series — leaves through these two functions; examples dump the
-/// Prometheus form to a scrape file, the bench emits the JSON form.
+/// pipeline counters, store gauges, hot-path latency histograms — leaves
+/// through these two functions; examples dump the Prometheus form to a
+/// scrape file, the bench emits the JSON form.
 ///
 /// Export contract (see obs/README.md for the name inventory):
 ///
@@ -12,9 +12,8 @@
 ///  - histograms → Prometheus classic histograms: cumulative
 ///                `<name>_bucket{le="<2^i - 1>"}` lines ending in
 ///                `le="+Inf"`, plus `<name>_sum` and `<name>_count`
-///  - series    → JSON only (`"series"` object of `[t_ns, value]` pairs);
-///                Prometheus text has no native time-series form, a scrape
-///                is itself one point, so series are omitted there.
+///
+/// Both forms carry one point in time; history is the scraper's job.
 ///
 /// Both serializers are deterministic (instruments sort by name) so goldens
 /// and `tools/promcheck.py` can diff them.
@@ -32,8 +31,8 @@ namespace obs {
 /// Prometheus text exposition format (version 0.0.4) of `snap`.
 std::string ToPrometheusText(const Snapshot& snap);
 
-/// JSON object with "counters", "gauges", "histograms" (count/sum/max/
-/// p50/p90/p99 and the non-empty buckets), and "series".
+/// JSON object with "counters", "gauges" and "histograms" (count/sum/max/
+/// p50/p90/p99 and the non-empty buckets).
 std::string ToJson(const Snapshot& snap);
 
 }  // namespace obs

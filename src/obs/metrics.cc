@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/timer.h"
-
 namespace countlib {
 namespace obs {
-
-std::atomic<uint64_t> CoarseClock::tick_{0};
 
 uint64_t Counter::ThreadStripe() noexcept {
   static std::atomic<uint64_t> next{0};
@@ -140,17 +136,10 @@ Registration Registry::RegisterHistogram(const std::string& name,
   return Insert(std::move(e));
 }
 
-Registration Registry::RegisterSeriesProvider(
-    std::function<std::map<std::string, std::vector<SeriesPoint>>()> fn) {
-  Entry e;
-  e.series = std::move(fn);
-  return Insert(std::move(e));
-}
-
 void Registry::Unregister(uint64_t id) {
   // Taking mu_ here is the synchronization that makes Registration RAII
-  // safe: once Unregister returns, no snapshot or collector sample can be
-  // mid-call into this entry's callback or instrument pointer.
+  // safe: once Unregister returns, no snapshot can be mid-call into this
+  // entry's callback or instrument pointer.
   MutexLock lock(&mu_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->id == id) {
@@ -170,25 +159,9 @@ Snapshot Registry::TakeSnapshot() const {
       snap.histograms[e.name].Merge(e.histogram->Snapshot());
     } else if (e.gauge) {
       snap.gauges[e.name] += e.gauge();
-    } else if (e.series) {
-      for (auto& [name, points] : e.series()) {
-        auto& dst = snap.series[name];
-        dst.insert(dst.end(), points.begin(), points.end());
-      }
     }
   }
   return snap;
-}
-
-std::vector<std::pair<std::string, double>> Registry::SampleGauges() const {
-  std::map<std::string, double> agg;
-  {
-    MutexLock lock(&mu_);
-    for (const Entry& e : entries_) {
-      if (e.gauge) agg[e.name] += e.gauge();  // duplicates aggregate
-    }
-  }
-  return {agg.begin(), agg.end()};
 }
 
 uint64_t Registry::NumRegistered() const {

@@ -15,8 +15,8 @@
 ///    and monotonically fresh otherwise. No increment is ever lost.
 ///  - Gauges — instantaneous readings (queue depth, worker count), modeled
 ///    as **sampled callbacks**: the owner registers a `double()` function
-///    and the registry (or the background `MetricsCollector`) calls it at
-///    snapshot/sample time. Nothing is paid until somebody looks.
+///    and the registry calls it at snapshot time. Nothing is paid until
+///    somebody looks.
 ///  - `Histogram` — fixed-bucket log₂ latency distribution: 65
 ///    preallocated bucket cells (bucket i holds values whose bit width is
 ///    i, i.e. [2^(i-1), 2^i)), lock-free relaxed `Record`, and mergeable
@@ -193,22 +193,12 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// One sampled point of a gauge time series (`t_ns` is the collector's
-/// steady-clock timestamp).
-struct SeriesPoint {
-  uint64_t t_ns = 0;
-  double value = 0.0;
-};
-
 /// \brief Aggregated point-in-time view of every registered instrument,
 /// the one export surface: serialize it with obs/export.h.
 struct Snapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  /// Bounded ring-buffer time series contributed by attached
-  /// `MetricsCollector`s, oldest point first.
-  std::map<std::string, std::vector<SeriesPoint>> series;
 };
 
 class Registry;
@@ -261,7 +251,7 @@ class Registry {
                                const Counter* counter);
 
   /// Registers a sampled-callback gauge. `fn` runs under the registry
-  /// mutex at snapshot/sample time: keep it cheap (atomic loads), never
+  /// mutex at snapshot time: keep it cheap (atomic loads), never
   /// call back into the registry, and keep whatever it reads alive until
   /// the handle is released.
   Registration RegisterGauge(const std::string& name,
@@ -273,21 +263,12 @@ class Registry {
                                  const Histogram* histogram);
 
   /// Aggregated view of everything currently registered: same-named
-  /// counters and gauges sum, same-named histograms merge. Time series
-  /// from attached collectors are included. Gauge callbacks run inline.
+  /// counters and gauges sum, same-named histograms merge. Gauge
+  /// callbacks run inline.
   Snapshot TakeSnapshot() const;
-
-  /// Samples just the gauges (the collector's fast path): name and value,
-  /// aggregated by name like `TakeSnapshot`.
-  std::vector<std::pair<std::string, double>> SampleGauges() const;
 
   /// Number of live registrations across all kinds (for tests).
   uint64_t NumRegistered() const;
-
-  /// Attaches a time-series provider (a `MetricsCollector`); its series
-  /// are folded into every `TakeSnapshot`. Same RAII deregistration.
-  Registration RegisterSeriesProvider(
-      std::function<std::map<std::string, std::vector<SeriesPoint>>()> fn);
 
   /// Replaces characters outside `[a-zA-Z0-9_:]` with '_' (and prefixes
   /// '_' if the first character is a digit) — the exported name is always
@@ -303,7 +284,6 @@ class Registry {
     const Counter* counter = nullptr;
     const Histogram* histogram = nullptr;
     std::function<double()> gauge;
-    std::function<std::map<std::string, std::vector<SeriesPoint>>()> series;
   };
 
   void Unregister(uint64_t id);

@@ -8,7 +8,7 @@
 /// production write traffic") needs an ingest path between the producers
 /// and the bit-packed analytics stores; `src/pipeline/` provides it. An
 /// `Event` carries one `analytics::KeyWeight` update plus an optional
-/// coarse submit timestamp for latency telemetry; the drain path
+/// submit timestamp for latency telemetry; the drain path
 /// pre-aggregates events into `KeyWeight` batches before the store apply,
 /// so the timestamp never reaches the store.
 
@@ -24,18 +24,17 @@ namespace countlib {
 namespace pipeline {
 
 /// \brief One ingestion event: `weight` increments to `key`, stamped with
-/// a coarse submit time when latency telemetry is on.
+/// its submit time when it is in the latency sample.
 ///
-/// The timestamp exists for the telemetry layer: when a
-/// `MetricsCollector` is ticking the `obs::CoarseClock` and the pipeline
-/// was built with `enable_metrics`, a sampled subset of submits stamp
-/// `ts` and the draining worker records submit→apply latency when it
-/// applies them.
+/// The timestamp exists for the telemetry layer: when the pipeline was
+/// built with `enable_metrics`, 1 submit in 64 per submitting thread
+/// stamps `ts` and the draining worker records submit→apply latency when
+/// it applies the event.
 struct Event {
   uint64_t key = 0;
   uint64_t weight = 0;
-  /// Coarse submit timestamp (`obs::CoarseClock::NowNanos()`), or 0 when
-  /// the event is not latency-sampled. Never persisted past the drain.
+  /// Steady-clock submit time (`obs::NowNanos()`), or 0 when the event is
+  /// not latency-sampled. Never persisted past the drain.
   uint64_t ts = 0;
 };
 
@@ -77,17 +76,12 @@ struct PipelineOptions {
   /// block (lossless, the default) or shed with exact accounting.
   OverloadPolicy overload = OverloadPolicy::kBlock;
   /// Register this pipeline's counters/gauges/histograms with
-  /// `obs::Registry::Default()` and record hot-path latencies. Off by
-  /// default: an uninstrumented pipeline pays zero telemetry cost beyond
-  /// its own Stats() atomics.
+  /// `obs::Registry::Default()` and record hot-path latencies, among them
+  /// submit→apply latency for 1 submit in 64 per submitting thread,
+  /// stamped and read on the steady clock. Off by default: an
+  /// uninstrumented pipeline pays zero telemetry cost beyond its own
+  /// Stats() atomics.
   bool enable_metrics = false;
-  /// Submit→apply latency sampling: 1 event in 2^shift is stamped with a
-  /// coarse timestamp (per producer thread, round-robin). 0 stamps every
-  /// event; the default (6 → 1/64) keeps the stamp+record cost well under
-  /// the <5% instrumentation budget. Must be <= 20. Only meaningful with
-  /// `enable_metrics` and a running `obs::MetricsCollector` (no collector
-  /// ⇒ the coarse clock reads 0 ⇒ no stamping at all).
-  uint64_t latency_sample_shift = 6;
 };
 
 /// \brief Monotonic counters describing pipeline activity, plus an

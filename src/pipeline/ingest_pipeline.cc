@@ -31,6 +31,12 @@ constexpr int kSubmitSpinYields = 64;
 /// worker stops burning CPU almost at once.
 constexpr uint64_t kIdleSpinPasses = 64;
 
+/// Submit→apply latency sampling under `enable_metrics`: 1 submit in
+/// 2^kLatencySampleShift per submitting thread is stamped with the steady
+/// clock. At 1 in 64, a clock read of a few tens of nanoseconds costs
+/// well under a nanosecond per event.
+constexpr uint64_t kLatencySampleShift = 6;
+
 /// How long a parked producer sleeps before rechecking its ring. This is
 /// the lost-wakeup backstop for the (rare) stale fullness verdict in
 /// `SpscRing::PopBatch` — real wakes ride the not-full eventcount shard,
@@ -134,10 +140,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
   if (options.max_batch > (uint64_t{1} << 30)) {
     return Status::InvalidArgument("IngestPipeline: max_batch <= 2^30");
   }
-  if (options.latency_sample_shift > 20) {
-    return Status::InvalidArgument(
-        "IngestPipeline: latency_sample_shift <= 20");
-  }
   return std::unique_ptr<IngestPipeline>(new IngestPipeline(store, options));
 }
 
@@ -162,7 +164,6 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
     shed_per_slot_[i].store(0, std::memory_order_relaxed);
   }
   slot_leased_.assign(options_.num_producers, 0);
-  sample_mask_ = (uint64_t{1} << options_.latency_sample_shift) - 1;
   if (options_.enable_metrics) RegisterMetrics();
   options_.num_workers = std::min(options_.num_workers, max_workers_);
   MutexLock lock(&workers_mu_);
@@ -243,13 +244,13 @@ void IngestPipeline::RegisterMetrics() {
 
 uint64_t IngestPipeline::SampleTimestamp() const {
   if (obs_ == nullptr) return 0;
-  // Per-thread round-robin sampling: 1 submit in 2^latency_sample_shift is
+  // Per-thread round-robin sampling: 1 submit in 2^kLatencySampleShift is
   // stamped. The counter is shared by every pipeline this thread submits
   // to, which only dithers the phase, not the rate.
+  constexpr uint64_t kSampleMask = (uint64_t{1} << kLatencySampleShift) - 1;
   thread_local uint64_t submit_seq = 0;
-  if ((++submit_seq & sample_mask_) != 0) return 0;
-  // 0 when no collector is ticking — the event is simply not stamped.
-  return obs::CoarseClock::NowNanos();
+  if ((++submit_seq & kSampleMask) != 0) return 0;
+  return obs::NowNanos();
 }
 
 IngestPipeline::~IngestPipeline() {
@@ -331,12 +332,11 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
     if (was_empty) {
       if (obs_ != nullptr) {
         // Stamp the notify so the woken worker can record wakeup→drain
-        // latency. Real clock read, but only on the (rare under load)
+        // latency. A clock read, but only on the (rare under load)
         // empty→nonempty transition.
         // mo: relaxed — best-effort telemetry stamp; a torn or lost
         // race only skews one histogram sample.
-        last_wake_notify_ns_.store(obs::CoarseClock::RealNowNanos(),
-                                   std::memory_order_relaxed);
+        last_wake_notify_ns_.store(obs::NowNanos(), std::memory_order_relaxed);
       }
       wake_ec_.NotifyIfWaiters();
     }
@@ -394,18 +394,16 @@ Status IngestPipeline::SubmitBatch(uint64_t producer,
     done += accepted;
     if (!st.IsPending()) return st;
     producer_parks_.Add(1);
-    const uint64_t park_start_ns =
-        obs_ == nullptr ? 0 : obs::CoarseClock::RealNowNanos();
+    const uint64_t park_start_ns = obs_ == nullptr ? 0 : obs::NowNanos();
     const bool signaled = ec.ParkOne(
         // mo: acquire — cancel probe; pairs with Drain's closed_ publish
         // so a canceled park returns into the kFailedPrecondition path.
         epoch, [this] { return closed_.load(std::memory_order_acquire); },
         kSubmitParkBackstop);
     if (obs_ != nullptr) {
-      // Parking is already the slow path; a real clock read per park
-      // episode is noise next to the park itself.
-      obs_->producer_park.Record(obs::CoarseClock::RealNowNanos() -
-                                 park_start_ns);
+      // Parking is already the slow path; a clock read per park episode
+      // is noise next to the park itself.
+      obs_->producer_park.Record(obs::NowNanos() - park_start_ns);
     }
     if (signaled) producer_wakeups_.Add(1);
   }
@@ -494,10 +492,10 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
                                    std::vector<analytics::KeyWeight>* batch,
                                    WorkerStatCells* cells) {
   busy_workers_.fetch_add(1);
-  // One real clock read per pass when instrumented; recorded only for
-  // passes that consumed events (idle passes are counted, not timed).
-  const uint64_t pass_start_ns =
-      obs_ == nullptr ? 0 : obs::CoarseClock::RealNowNanos();
+  // One clock read per pass when instrumented; the matching end read
+  // happens only for passes that consumed events (idle passes are
+  // counted, not timed).
+  const uint64_t pass_start_ns = obs_ == nullptr ? 0 : obs::NowNanos();
   // `raw` stays sized at max_batch; `count` tracks the fill so idle passes
   // touch no buffer memory at all. The scan starts at a different ring
   // each pass so a saturated early ring cannot starve the later ones.
@@ -533,6 +531,9 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
     }
 
     Status st = store_->IncrementBatch(lane, batch->data(), batch->size());
+    // One clock read dates both the apply that made the batch visible and
+    // the end of this pass.
+    const uint64_t now = obs_ == nullptr ? 0 : obs::NowNanos();
     if (st.ok()) {
       applied_.Add(count);
       updates_.Add(batch->size());
@@ -545,18 +546,11 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
         cells->batches.fetch_add(1, std::memory_order_relaxed);
       }
       if (obs_ != nullptr) {
-        // Submit→apply latency for the stamped subset of this batch, dated
-        // at the store apply that made the events visible. Coarse clock on
-        // both ends: ts was a coarse stamp, so a real read here would only
-        // add false precision.
-        const uint64_t now = obs::CoarseClock::NowNanos();
-        if (now != 0) {
-          for (uint64_t i = 0; i < count; ++i) {
-            const uint64_t ts = (*raw)[i].ts;
-            if (ts != 0 && now > ts) {
-              obs_->submit_apply_latency.Record(now - ts);
-            }
-          }
+        // Submit→apply latency for the stamped subset of this batch. Both
+        // ends are steady-clock reads, so now >= ts.
+        for (uint64_t i = 0; i < count; ++i) {
+          const uint64_t ts = (*raw)[i].ts;
+          if (ts != 0) obs_->submit_apply_latency.Record(now - ts);
         }
       }
     } else {
@@ -564,8 +558,7 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
       RecordError(st);
     }
     if (obs_ != nullptr) {
-      obs_->batch_drain_latency.Record(obs::CoarseClock::RealNowNanos() -
-                                       pass_start_ns);
+      obs_->batch_drain_latency.Record(now - pass_start_ns);
     }
   }
   busy_workers_.fetch_sub(1);
@@ -659,7 +652,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
         // mo: relaxed — telemetry stamp, tolerates raciness by design.
         const uint64_t notified = last_wake_notify_ns_.load(
             std::memory_order_relaxed);
-        const uint64_t now = obs::CoarseClock::RealNowNanos();
+        const uint64_t now = obs::NowNanos();
         if (notified != 0 && now > notified) {
           obs_->wakeup_drain_latency.Record(now - notified);
         }

@@ -322,9 +322,9 @@ class IngestPipeline {
     return nonfull_ecs_[ring % nonfull_shards_];
   }
 
-  /// Coarse submit timestamp for the current event, or 0 when the event
-  /// is not in the latency sample (1 in 2^latency_sample_shift per
-  /// submitting thread) or no collector is ticking the coarse clock.
+  /// Steady-clock submit timestamp for the current event, or 0 when the
+  /// event is not in the latency sample (1 submit in 64 per submitting
+  /// thread) or metrics are off.
   uint64_t SampleTimestamp() const;
 
   /// Builds `obs_` and registers every instrument with
@@ -413,14 +413,10 @@ class IngestPipeline {
   obs::Counter updates_;
   obs::Counter batches_;
 
-  /// RealNowNanos of the most recent empty→nonempty wake notify; the
+  /// obs::NowNanos of the most recent empty→nonempty wake notify; the
   /// signaled worker diffs against it for the wakeup→drain histogram.
   /// Written only with `enable_metrics` on.
   std::atomic<uint64_t> last_wake_notify_ns_{0};
-
-  /// Sampling mask for submit→apply stamping: stamp when
-  /// (++tl_counter & mask) == 0. Fixed at construction.
-  uint64_t sample_mask_ = 0;
 
   mutable Mutex error_mu_ LOCK_LEVEL(40);
   Status first_error_ GUARDED_BY(error_mu_);

@@ -9,9 +9,7 @@
 //     std::function callbacks run under the registry lock and must only
 //     read relaxed mirrors, never freeze or park;
 //   IngestPipeline::workers_mu_ (10) -> cells_mu_ (20)
-//     via SetWorkerCount's resize barrier;
-//   Registry::mu_ (60) -> MetricsCollector::series_mu_ (70)
-//     via the collector's series-provider callback in TakeSnapshot.
+//     via SetWorkerCount's resize barrier.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +22,6 @@
 #include <vector>
 
 #include "analytics/sharded_counter_store.h"
-#include "obs/collector.h"
 #include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"
 
@@ -125,45 +122,6 @@ TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
   submitter.join();
 
   ASSERT_TRUE(pipe->Drain().ok());
-}
-
-// Registry (60) -> collector series (70): snapshots fold the collector's
-// ring buffers in under the registry mutex while the collector thread and
-// a direct Series() reader take series_mu_ on their own.
-TEST(LockHierarchyTest, RegistrySnapshotVsCollectorSeries) {
-  obs::Registry registry;
-  obs::Counter work;
-  obs::Registration counter_reg =
-      registry.RegisterCounter("lock_hierarchy_work", &work);
-  obs::CollectorOptions opt;
-  opt.sample_interval = std::chrono::milliseconds(1);
-  auto collector =
-      obs::MetricsCollector::Make(&registry, opt).ValueOrDie();
-
-  std::atomic<bool> stop{false};
-  std::thread snapshotter([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      obs::Snapshot snap = registry.TakeSnapshot();
-      (void)snap;
-      std::this_thread::yield();
-    }
-  });
-  std::thread series_reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      auto series = collector->Series();
-      (void)series;
-      work.Add(1);
-      std::this_thread::yield();
-    }
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  stop.store(true, std::memory_order_relaxed);
-  snapshotter.join();
-  series_reader.join();
-
-  collector->Stop();
-  EXPECT_GT(collector->ticks(), 0u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "analytics/sharded_counter_store.h"
 #include "net/socket_util.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"
 #include "stream/trace.h"
 #include "util/logging.h"
@@ -277,6 +278,34 @@ TEST(NetServerTest, LoopbackMillionEventsExactBooks) {
   EXPECT_EQ(ss.decode_errors, 0u);
   EXPECT_EQ(ss.partial_frames, 0u);
   EXPECT_EQ(ss.connections_active, 0u);
+}
+
+// The serving path is observable: with metrics on, events that arrive
+// over the wire fill the pipeline's submit→apply histogram at its 1-in-64
+// rate. The server submits each frame from the connection's own thread,
+// which is fresh, so its per-thread sampling counter starts at 0 and
+// N = 64·k events carry exactly k stamps.
+TEST(NetServerTest, ServingPathRecordsSubmitApplyLatency) {
+  constexpr uint64_t kEvents = 64 * 16;
+  auto store = MakeExactStore();
+  pipeline::PipelineOptions opt = BaseOptions();
+  opt.enable_metrics = true;
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
+  auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    ASSERT_TRUE(client->Submit(i % 97, 1).ok());
+  }
+  ASSERT_TRUE(client->Flush().ok());
+  ASSERT_TRUE(pipe->Flush().ok());
+  EXPECT_EQ(client->Stats().events_delivered, kEvents);
+  EXPECT_EQ(pipe->Stats().events_applied, kEvents);
+  const obs::HistogramSnapshot lat = obs::GlobalSnapshot().histograms.at(
+      "countlib_pipeline_submit_apply_latency_ns");
+  EXPECT_EQ(lat.count, kEvents / 64);
+  ASSERT_TRUE(client->Close().ok());
+  ASSERT_TRUE(server->Stop().ok());
+  ASSERT_TRUE(pipe->Drain().ok());
 }
 
 TEST(NetServerTest, ServerStopSurfacesAsClientError) {

@@ -25,8 +25,6 @@ Snapshot SampleSnapshot() {
   h.Record(3);
   h.Record(900);
   snap.histograms["countlib_pipeline_submit_apply_latency_ns"] = h.Snapshot();
-  snap.series["countlib_pipeline_queue_depth"] = {
-      SeriesPoint{100, 1.0}, SeriesPoint{200, 2.0}};
   return snap;
 }
 
@@ -62,13 +60,6 @@ TEST(ObsExportTest, PrometheusHistogramIsCumulativeWithInf) {
       Contains(text, "countlib_pipeline_submit_apply_latency_ns_count 3\n"));
 }
 
-TEST(ObsExportTest, PrometheusOmitsSeries) {
-  // A scrape is itself one time-series point; ring-buffer series are a
-  // JSON-only surface.
-  const std::string text = ToPrometheusText(SampleSnapshot());
-  EXPECT_FALSE(Contains(text, "["));  // series points render as [t, v] pairs
-}
-
 TEST(ObsExportTest, PrometheusIsDeterministic) {
   EXPECT_EQ(ToPrometheusText(SampleSnapshot()),
             ToPrometheusText(SampleSnapshot()));
@@ -84,7 +75,6 @@ TEST(ObsExportTest, JsonShape) {
   EXPECT_TRUE(Contains(json, "\"max\": 900"));
   EXPECT_TRUE(Contains(json, "\"p50\""));
   EXPECT_TRUE(Contains(json, "\"p99\""));
-  EXPECT_TRUE(Contains(json, "[[100, 1], [200, 2]]"));
 }
 
 TEST(ObsExportTest, JsonPercentilesAreSane) {
@@ -106,7 +96,6 @@ TEST(ObsExportTest, EmptySnapshotSerializes) {
   EXPECT_TRUE(text.empty());
   const std::string json = ToJson(empty);
   EXPECT_TRUE(Contains(json, "\"counters\": {}"));
-  EXPECT_TRUE(Contains(json, "\"series\": {}"));
 }
 
 }  // namespace

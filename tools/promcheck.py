@@ -16,8 +16,9 @@ Checks:
   - histograms are well-formed: cumulative bucket counts never decrease as
     ``le`` rises, a ``+Inf`` bucket exists, and it equals ``_count``;
   - must-stay-zero metrics read exactly zero when present (the pipeline's
-    drop counter and the shed-accounting imbalance gauge); ``--require``
-    names must be present.
+    drop counter and the shed-accounting imbalance gauge);
+  - ``--require`` names must be present, and a required histogram must be
+    populated (``_count`` above 0); a required counter or gauge may read 0.
 
 Usage:
   tools/promcheck.py metrics.prom [--require countlib_pipeline_events_applied_total]
@@ -131,6 +132,8 @@ def check(text, require=()):
     for name in require:
         if name not in values and family_of(name) not in types:
             errors.append(f"required metric {name} is missing")
+        elif types.get(name) == "histogram" and counts.get(name, 0) == 0:
+            errors.append(f"required histogram {name} is empty (_count 0)")
 
     return errors
 
@@ -141,8 +144,8 @@ def main():
     parser.add_argument("file", help="the .prom text file to validate")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME",
-                        help="fail unless this metric is present "
-                             "(repeatable)")
+                        help="fail unless this metric is present, and "
+                             "for a histogram populated (repeatable)")
     args = parser.parse_args()
 
     try:

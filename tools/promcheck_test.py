@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Tests for tools/promcheck.py: sample/TYPE grammar, histogram
-cumulativity and +Inf closure, the must-stay-zero invariants, and the CLI
-exit-code contract. Run directly or via ctest; CI runs promcheck itself
+cumulativity and +Inf closure, the must-stay-zero invariants, required
+metrics (a required histogram must be populated), and the CLI exit-code
+contract. Run directly or via ctest; CI runs promcheck itself
 over the example's real dump.
 """
 
@@ -87,9 +88,30 @@ class CheckTest(unittest.TestCase):
         self.assertTrue(any("missing" in e for e in errors))
 
     def test_required_metric_present_passes(self):
+        # A required counter or gauge only has to be present; it may read 0.
         self.assertEqual(
             promcheck.check(
-                GOOD, require=["countlib_pipeline_events_submitted_total"]),
+                GOOD, require=["countlib_pipeline_events_submitted_total",
+                               "countlib_pipeline_events_dropped_total"]),
+            [])
+
+    def test_required_empty_histogram_is_flagged(self):
+        # What the exporter writes for a histogram nothing has recorded
+        # into: valid on its own, but not as a required metric.
+        empty = (
+            "# TYPE countlib_pipeline_submit_apply_latency_ns histogram\n"
+            "countlib_pipeline_submit_apply_latency_ns_bucket{le=\"+Inf\"} 0\n"
+            "countlib_pipeline_submit_apply_latency_ns_sum 0\n"
+            "countlib_pipeline_submit_apply_latency_ns_count 0\n")
+        self.assertEqual(promcheck.check(empty), [])
+        errors = promcheck.check(
+            empty, require=["countlib_pipeline_submit_apply_latency_ns"])
+        self.assertTrue(any("is empty" in e for e in errors))
+
+    def test_required_populated_histogram_passes(self):
+        self.assertEqual(
+            promcheck.check(
+                GOOD, require=["countlib_pipeline_submit_apply_latency_ns"]),
             [])
 
 
