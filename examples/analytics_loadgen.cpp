@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   copt.requested_window = static_cast<uint32_t>(flags.GetUint64("window"));
 
   // Each connection replays a round-robin partition of the trace, so every
-  // client sees the same key skew (the bench's partitioning idiom).
+  // client sees the same key skew.
   std::vector<net::ClientStats> per_conn(connections);
   std::vector<std::thread> threads;
   const auto start = std::chrono::steady_clock::now();

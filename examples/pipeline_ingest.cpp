@@ -32,7 +32,7 @@
 /// With `--metrics_out=FILE` the whole run is instrumented through the
 /// obs layer (src/obs/README.md): the pipeline and store register their
 /// counters/gauges/histograms in the process-wide registry (the pipeline
-/// stamps 1 submit in 64 on the steady clock for its submit→apply
+/// stamps 1 event in 64 on the steady clock for its submit→apply
 /// histogram), and a dump thread rewrites FILE with the Prometheus text
 /// exposition every `--metrics_period_ms` (plus a final dump after drain —
 /// the one CI validates with tools/promcheck.py). Each dump samples the

@@ -3,7 +3,7 @@
 /// Prometheus text exposition or JSON. Everything the process measures —
 /// pipeline counters, store gauges, hot-path latency histograms — leaves
 /// through these two functions; examples dump the Prometheus form to a
-/// scrape file, the bench emits the JSON form.
+/// scrape file, and example_pipeline_ingest writes the JSON form beside it.
 ///
 /// Export contract (see obs/README.md for the name inventory):
 ///

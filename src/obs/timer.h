@@ -5,10 +5,10 @@
 /// nanoseconds). Every latency countlib exports is a difference of two
 /// readings of it, so the histograms resolve nanoseconds and need no
 /// background thread. Hot paths keep the cost down by reading it rarely,
-/// not by reading a cheaper clock: the ingest pipeline stamps 1 submit in
-/// 64, reads it at the start of a drain pass and once more after an
-/// applied batch, and the park and merge paths bracket each park episode
-/// or shard merge with two reads.
+/// not by reading a cheaper clock: the ingest pipeline reads it once per
+/// submit call that holds one of its 1-in-64 samples, at the start of a
+/// drain pass and once more after an applied batch, and the park and merge
+/// paths bracket each park episode or shard merge with two reads.
 
 #ifndef COUNTLIB_OBS_TIMER_H_
 #define COUNTLIB_OBS_TIMER_H_

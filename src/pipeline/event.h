@@ -27,9 +27,10 @@ namespace pipeline {
 /// its submit time when it is in the latency sample.
 ///
 /// The timestamp exists for the telemetry layer: when the pipeline was
-/// built with `enable_metrics`, 1 submit in 64 per submitting thread
-/// stamps `ts` and the draining worker records submit→apply latency when
-/// it applies the event.
+/// built with `enable_metrics`, every 64th event a thread pushes carries
+/// `ts`, read once per `TrySubmitBatch` call for the whole call, and the
+/// draining worker records submit→apply latency when it applies the
+/// event.
 struct Event {
   uint64_t key = 0;
   uint64_t weight = 0;
@@ -77,7 +78,7 @@ struct PipelineOptions {
   OverloadPolicy overload = OverloadPolicy::kBlock;
   /// Register this pipeline's counters/gauges/histograms with
   /// `obs::Registry::Default()` and record hot-path latencies, among them
-  /// submit→apply latency for 1 submit in 64 per submitting thread,
+  /// submit→apply latency for 1 event in 64 per submitting thread,
   /// stamped and read on the steady clock. Off by default: an
   /// uninstrumented pipeline pays zero telemetry cost beyond its own
   /// Stats() atomics.

@@ -31,11 +31,17 @@ constexpr int kSubmitSpinYields = 64;
 /// worker stops burning CPU almost at once.
 constexpr uint64_t kIdleSpinPasses = 64;
 
-/// Submit→apply latency sampling under `enable_metrics`: 1 submit in
-/// 2^kLatencySampleShift per submitting thread is stamped with the steady
-/// clock. At 1 in 64, a clock read of a few tens of nanoseconds costs
-/// well under a nanosecond per event.
+/// Submit→apply latency sampling under `enable_metrics`: the events a
+/// thread pushes are numbered per thread, and every 2^kLatencySampleShift-th
+/// is stamped with the steady clock. `TrySubmitBatch` reads the clock at
+/// most once per call, so its cost is per call, not per event.
 constexpr uint64_t kLatencySampleShift = 6;
+constexpr uint64_t kLatencySampleMask =
+    (uint64_t{1} << kLatencySampleShift) - 1;
+
+/// The calling thread's count of pushed events, across every pipeline it
+/// submits to (which only dithers the sample's phase, not its rate).
+thread_local uint64_t tl_pushed_events = 0;
 
 /// How long a parked producer sleeps before rechecking its ring. This is
 /// the lost-wakeup backstop for the (rare) stale fullness verdict in
@@ -93,6 +99,12 @@ const Status& NoFreeSlotStatus() {
 const Status& InvalidSlotStatus() {
   static const Status st =
       Status::InvalidArgument("TrySubmit: producer slot out of range");
+  return st;
+}
+
+const Status& InvalidHandleStatus() {
+  static const Status st =
+      Status::FailedPrecondition("ProducerSlot: handle is invalid");
   return st;
 }
 
@@ -242,17 +254,6 @@ void IngestPipeline::RegisterMetrics() {
   }));
 }
 
-uint64_t IngestPipeline::SampleTimestamp() const {
-  if (obs_ == nullptr) return 0;
-  // Per-thread round-robin sampling: 1 submit in 2^kLatencySampleShift is
-  // stamped. The counter is shared by every pipeline this thread submits
-  // to, which only dithers the phase, not the rate.
-  constexpr uint64_t kSampleMask = (uint64_t{1} << kLatencySampleShift) - 1;
-  thread_local uint64_t submit_seq = 0;
-  if ((++submit_seq & kSampleMask) != 0) return 0;
-  return obs::NowNanos();
-}
-
 IngestPipeline::~IngestPipeline() {
   // A destructor cannot propagate the drain status; surface it instead of
   // silently dropping events that never reached the store.
@@ -314,12 +315,31 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
     return DrainingStatus();
   }
   bool was_empty = false;
-  const uint64_t pushed = rings_[producer]->TryPushBatch(
-      n,
-      [this, updates](uint64_t i) {
-        return Event{updates[i].key, updates[i].weight, SampleTimestamp()};
-      },
-      &was_empty);
+  uint64_t pushed = 0;
+  if (obs_ == nullptr) {
+    pushed = rings_[producer]->TryPushBatch(
+        n,
+        [updates](uint64_t i) {
+          return Event{updates[i].key, updates[i].weight, 0};
+        },
+        &was_empty);
+  } else {
+    // Event i of this call is the thread's (seq + i + 1)-th push; those
+    // numbered by a multiple of 64 are stamped. One tail store publishes
+    // the whole call, so one clock read dates every stamp in it exactly.
+    const uint64_t seq = tl_pushed_events;
+    const uint64_t first_stamp =
+        kLatencySampleMask - (seq & kLatencySampleMask);
+    const uint64_t now = first_stamp < n ? obs::NowNanos() : 0;
+    pushed = rings_[producer]->TryPushBatch(
+        n,
+        [updates, seq, now](uint64_t i) {
+          const bool stamped = ((seq + i + 1) & kLatencySampleMask) == 0;
+          return Event{updates[i].key, updates[i].weight, stamped ? now : 0};
+        },
+        &was_empty);
+    tl_pushed_events = seq + pushed;
+  }
   // mo: release — orders the ring push before the count drop, so Drain's
   // zero observation proves every slipped-past push has completed.
   active_submitters_.fetch_sub(1, std::memory_order_release);
@@ -824,16 +844,14 @@ Status ProducerSlot::TrySubmitBatch(const analytics::KeyWeight* updates,
                                     size_t n, size_t* accepted) {
   if (pipeline_ == nullptr) {
     if (accepted != nullptr) *accepted = 0;
-    return Status::FailedPrecondition("ProducerSlot: handle is invalid");
+    return InvalidHandleStatus();
   }
   return pipeline_->TrySubmitBatch(slot_, updates, n, accepted);
 }
 
 Status ProducerSlot::SubmitBatch(const analytics::KeyWeight* updates,
                                  size_t n) {
-  if (pipeline_ == nullptr) {
-    return Status::FailedPrecondition("ProducerSlot: handle is invalid");
-  }
+  if (pipeline_ == nullptr) return InvalidHandleStatus();
   return pipeline_->SubmitBatch(slot_, updates, n);
 }
 

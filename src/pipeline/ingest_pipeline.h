@@ -167,7 +167,9 @@ class IngestPipeline {
   /// `Drain` handshake and wakes a worker at most once. Every rejection
   /// result is preallocated — no reject path ever heap-allocates. The
   /// overload policy does not apply here: this is always the pure ring
-  /// probe.
+  /// probe. Under `enable_metrics` the call stamps the events of it that
+  /// fall in the calling thread's 1-in-64 latency sample, with one
+  /// steady-clock read per call (none when no stamp falls in the batch).
   Status TrySubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
                         size_t n, size_t* accepted = nullptr);
 
@@ -321,11 +323,6 @@ class IngestPipeline {
   EventCount& NonFullShard(uint64_t ring) {
     return nonfull_ecs_[ring % nonfull_shards_];
   }
-
-  /// Steady-clock submit timestamp for the current event, or 0 when the
-  /// event is not in the latency sample (1 submit in 64 per submitting
-  /// thread) or metrics are off.
-  uint64_t SampleTimestamp() const;
 
   /// Builds `obs_` and registers every instrument with
   /// `obs::Registry::Default()` (enable_metrics only; ctor helper).

@@ -2,8 +2,9 @@
 // path: this binary replaces the global operator new with one that counts
 // the calling thread's allocations, and the steady-state calls — a store
 // batch over keys that are already indexed, a pipeline batch submit into
-// a ring with room — must make none. (conclint checks the same contract
-// statically, on the tagged functions' own bodies only.)
+// a ring with room, a submit rejected for its producer slot — must make
+// none. (conclint checks the same contract statically, on the tagged
+// functions' own bodies only.)
 
 #include <gtest/gtest.h>
 
@@ -27,8 +28,14 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// noinline: inlined into a caller, the std::free below meets a pointer from
+// a new-expression, which gcc 12 reports as -Wmismatched-new-delete.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace countlib {
 namespace {
@@ -88,6 +95,44 @@ TEST(HotpathAllocTest, SubmitBatchIntoARingWithRoomAllocatesNothing) {
   EXPECT_EQ(tl_allocations - before, 0u);
   ASSERT_TRUE(pipe->Drain().ok());
   EXPECT_EQ(pipe->Stats().events_applied, 2 * updates.size() + 1);
+}
+
+// A submit on a slot index out of range, or through a released handle, is
+// refused with a preallocated status: after one warm-up call, 100,000 more
+// make no allocation.
+TEST(HotpathAllocTest, InvalidSlotRejectsAllocateNothing) {
+  auto store = analytics::ShardedCounterStore::Make(
+                   1, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+                   .ValueOrDie();
+  pipeline::PipelineOptions opt;
+  opt.num_producers = 1;
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  pipeline::ProducerSlot released = pipe->AcquireProducerSlot().ValueOrDie();
+  released.Release();
+  const auto allocations = [](auto&& rejects) {
+    EXPECT_TRUE(rejects(0));
+    bool all_rejected = true;
+    const uint64_t before = tl_allocations;
+    for (uint64_t i = 0; i < 100000; ++i) all_rejected &= rejects(i & 63);
+    const uint64_t made = tl_allocations - before;
+    EXPECT_TRUE(all_rejected);
+    return made;
+  };
+  EXPECT_EQ(allocations([&](uint64_t key) {
+              return pipe->TrySubmit(uint64_t{1} << 20, key, 1)
+                  .IsInvalidArgument();
+            }),
+            0u);
+  EXPECT_EQ(allocations([&](uint64_t key) {
+              return released.TrySubmit(key, 1).IsFailedPrecondition();
+            }),
+            0u);
+  EXPECT_EQ(allocations([&](uint64_t key) {
+              return released.Submit(key, 1).IsFailedPrecondition();
+            }),
+            0u);
+  ASSERT_TRUE(pipe->Drain().ok());
+  EXPECT_EQ(pipe->Stats().events_submitted, 0u);
 }
 
 }  // namespace

@@ -224,6 +224,16 @@ TEST(IngestPipelineTest, CvWakeupDeliversPromptlyAfterLongIdle) {
   // Wakeup + drain + flush handshake; the 50ms sleep timeout backstop plus
   // scheduling jitter bounds this, with wide margin for loaded CI.
   EXPECT_LT(wake_ms, 2000.0);
+
+  // A quiet second after the flush is near free: the parked workers apply
+  // no batch, and their timeout rechecks stay far below the ~10k passes/s
+  // per worker of a sleep-poll.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // settle
+  const PipelineStats before = pipeline->Stats();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const PipelineStats after = pipeline->Stats();
+  EXPECT_EQ(after.batches_applied, before.batches_applied);
+  EXPECT_LT(after.idle_passes - before.idle_passes, 1000u);
   ASSERT_TRUE(pipeline->Drain().ok());
 }
 

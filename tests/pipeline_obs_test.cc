@@ -1,13 +1,17 @@
 // End-to-end telemetry tests for the instrumented ingest path: exported
 // counters vs Stats(), deterministic 1-in-64 submit→apply latency
 // sampling on the steady clock, the must-stay-zero invariants after
-// stress, and the zero-heap-allocation guarantee on the recording hot
-// path (this binary owns a counting operator new for that).
+// stress, the zero-heap-allocation guarantee on the recording hot path
+// (this binary owns a counting operator new for that), and the CPU cost
+// of turning the instruments on.
 
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -18,6 +22,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "pipeline/ingest_pipeline.h"
+#include "stream/trace.h"
 
 // Binary-wide allocation counter: the zero-alloc tests diff it around a
 // measured region with no other threads running.
@@ -37,14 +42,34 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// noinline: inlined into a caller, the std::free below meets a pointer from
+// a new-expression, which gcc 12 reports as -Wmismatched-new-delete.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace countlib {
 namespace pipeline {
 namespace {
+
+// The CPU cost bound holds in optimized, unsanitized builds; sanitizers
+// inflate the instrumented and plain paths unevenly.
+#if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kOptimizedBuild = true;
+#else
+constexpr bool kOptimizedBuild = false;
+#endif
 
 std::unique_ptr<analytics::ShardedCounterStore> MakeStore() {
   return analytics::ShardedCounterStore::Make(
@@ -232,8 +257,8 @@ TEST(PipelineObsTest, CounterAndHistogramRecordPathsAreAllocFree) {
 }
 
 TEST(PipelineObsTest, InstrumentedTrySubmitIsAllocFree) {
-  // The regression the bench also asserts: the full TrySubmit path —
-  // stamping included — must never heap-allocate, accepted or rejected.
+  // The full TrySubmit path — stamping included — must never
+  // heap-allocate, accepted or rejected.
   auto store = MakeStore();
   PipelineOptions options;
   options.num_producers = 1;
@@ -255,6 +280,83 @@ TEST(PipelineObsTest, InstrumentedTrySubmitIsAllocFree) {
   EXPECT_EQ(after - before, 0u);
   ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
   ASSERT_TRUE(pipeline->Flush().ok());
+}
+
+double ThreadCpuSeconds() {
+  struct timespec ts;
+  EXPECT_EQ(clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts), 0);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// This thread's CPU time to submit `events` into a paused pipeline in
+// 512-event frames (EventClient's default; the server submits each frame
+// whole) and apply them in Drain's final sweep, into a 1-shard
+// kSampling-16 store. One thread does both halves, so no scheduler step
+// sits inside the measurement.
+double ReplayCpuSeconds(const std::vector<analytics::KeyWeight>& events,
+                        bool enable_metrics) {
+  constexpr size_t kFrame = 512;
+  auto store = analytics::ShardedCounterStore::Make(
+                   1, CounterKind::kSampling, 16, events.size(), /*seed=*/7)
+                   .ValueOrDie();
+  PipelineOptions options;
+  options.num_producers = 1;
+  options.queue_capacity = events.size();  // the ring holds the replay
+  options.max_batch = 2048;
+  options.enable_metrics = enable_metrics;
+  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
+  EXPECT_TRUE(pipeline->SetWorkerCount(0).ok());
+  bool ok = true;
+  const double start = ThreadCpuSeconds();
+  for (size_t i = 0; i < events.size(); i += kFrame) {
+    const size_t n = std::min(kFrame, events.size() - i);
+    ok &= pipeline->SubmitBatch(0, events.data() + i, n).ok();
+  }
+  ok &= pipeline->Drain().ok();
+  const double cpu = ThreadCpuSeconds() - start;
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(pipeline->Stats().events_applied, events.size());
+  return cpu;
+}
+
+TEST(PipelineObsTest, InstrumentationCostsUnderFivePercentCpuPerEvent) {
+  if (!kOptimizedBuild) {
+    GTEST_SKIP() << "the CPU cost bound holds only in optimized, "
+                    "unsanitized builds";
+  }
+  // 2^18 Zipf(1.0) events over 10^4 keys, replayed with metrics off and on
+  // in pairs whose order alternates, so drift hits both sides. Thread CPU
+  // time, not wall time: a descheduled thread is not charged.
+  const auto trace =
+      stream::Trace::GenerateZipf(10000, 1.0, uint64_t{1} << 18, 4242)
+          .ValueOrDie();
+  std::vector<analytics::KeyWeight> events;
+  events.reserve(trace.num_events());
+  for (const stream::KeyEvent& e : trace.events()) {
+    events.push_back(analytics::KeyWeight{e.key, e.weight});
+  }
+  constexpr int kPairs = 21;
+  std::vector<double> ratios;
+  ratios.reserve(kPairs);
+  for (int p = 0; p < kPairs; ++p) {
+    double off = 0;
+    double on = 0;
+    if (p % 2 == 0) {
+      off = ReplayCpuSeconds(events, false);
+      on = ReplayCpuSeconds(events, true);
+    } else {
+      on = ReplayCpuSeconds(events, true);
+      off = ReplayCpuSeconds(events, false);
+    }
+    ratios.push_back(on / off);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[kPairs / 2];
+  std::printf("metrics on/off CPU ratio over %d pairs: median %.4f, min "
+              "%.4f, max %.4f\n",
+              kPairs, median, ratios.front(), ratios.back());
+  EXPECT_LT(median, 1.05);
 }
 
 }  // namespace
