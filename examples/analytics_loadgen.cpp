@@ -9,8 +9,9 @@
 ///
 ///     submitted == delivered + shed + lost_unacked,  pending == 0
 ///
-/// and a fully healthy run (no kill, no shed policy) additionally shows
-/// lost_unacked == 0. Any imbalance exits nonzero.
+/// and a fully healthy run (no kill) additionally shows lost_unacked == 0
+/// and shed == 0 (the server never sheds an accepted event). Any imbalance
+/// exits nonzero.
 ///
 /// With `--metrics_out=FILE` the settled client-side ledgers are exported
 /// as a Prometheus text dump (`countlib_loadgen_*`) so CI's promcheck can
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
   flags.AddUint64("batch", 512, "client batch size per frame");
   flags.AddUint64("window", 0, "requested credit window (0 = server default)");
   flags.AddBool("expect_lossless", true,
-                "fail if any event lands in the lost_unacked ledger");
+                "fail if any event lands in the lost_unacked or shed "
+                "ledger");
   flags.AddString("metrics_out", "",
                   "write the settled countlib_loadgen_* ledgers as a "
                   "Prometheus text dump here (optional)");
@@ -135,11 +137,10 @@ int main(int argc, char** argv) {
     // The settled ledgers as Prometheus counters: registered, snapshotted
     // once, and released — the loadgen has no live series to track, so the
     // dump is a one-shot book report promcheck can gate on.
-    obs::Counter submitted, delivered, shed, lost, frames_tx, bytes_tx,
+    obs::Counter submitted, delivered, lost, frames_tx, bytes_tx,
         credit_stalls, reconnects;
     submitted.Add(sum.events_submitted);
     delivered.Add(sum.events_delivered);
-    shed.Add(sum.events_shed);
     lost.Add(sum.events_lost_unacked);
     frames_tx.Add(sum.frames_tx);
     bytes_tx.Add(sum.bytes_tx);
@@ -152,8 +153,6 @@ int main(int argc, char** argv) {
                                       &submitted));
       r.push_back(reg.RegisterCounter("countlib_loadgen_events_delivered_total",
                                       &delivered));
-      r.push_back(
-          reg.RegisterCounter("countlib_loadgen_events_shed_total", &shed));
       r.push_back(
           reg.RegisterCounter("countlib_loadgen_events_lost_total", &lost));
       r.push_back(reg.RegisterCounter("countlib_loadgen_frames_tx_total",
@@ -179,8 +178,9 @@ int main(int argc, char** argv) {
     std::printf("analytics_loadgen: BOOKS VIOLATION\n");
     return 1;
   }
-  if (flags.GetBool("expect_lossless") && sum.events_lost_unacked != 0) {
-    std::printf("analytics_loadgen: LOST EVENTS on a healthy run\n");
+  if (flags.GetBool("expect_lossless") &&
+      (sum.events_lost_unacked != 0 || sum.events_shed != 0)) {
+    std::printf("analytics_loadgen: LOST OR SHED EVENTS on a healthy run\n");
     return 1;
   }
   std::printf("analytics_loadgen: books balance\n");

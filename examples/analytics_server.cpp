@@ -9,10 +9,11 @@
 /// (`example_analytics_loadgen`) at it for a loopback end-to-end run —
 /// that pair is also CI's smoke test for the net subsystem.
 ///
-/// Overload policy works exactly as in-process (`--overload`, see
-/// pipeline/event.h); the wire adds credit-based flow control on top, so a
-/// saturated pipeline makes remote producers park client-side instead of
-/// flooding the socket (docs/net_protocol.md).
+/// A full ring parks the submitting connection exactly as it parks an
+/// in-process producer (pipeline/ingest_pipeline.h); the wire adds
+/// credit-based flow control on top, so a saturated pipeline makes remote
+/// producers park client-side instead of flooding the socket
+/// (docs/net_protocol.md).
 ///
 /// With `--metrics_out=FILE` the run is instrumented through the obs
 /// layer and the final Prometheus dump includes the `countlib_net_*`
@@ -23,8 +24,7 @@
 ///
 ///   ./build/example_analytics_server [--port=N] [--bind=ADDR]
 ///       [--slots=N] [--queue_capacity=N] [--workers=N] [--shards=N]
-///       [--overload=block|shed] [--run_seconds=N]
-///       [--metrics_out=FILE]
+///       [--run_seconds=N] [--metrics_out=FILE]
 
 #include <algorithm>
 #include <atomic>
@@ -45,13 +45,6 @@
 #include "util/logging.h"
 
 namespace {
-
-countlib::pipeline::OverloadPolicy ParsePolicy(const std::string& name) {
-  using countlib::pipeline::OverloadPolicy;
-  if (name == "shed") return OverloadPolicy::kShed;
-  COUNTLIB_CHECK(name == "block") << "unknown --overload policy: " << name;
-  return OverloadPolicy::kBlock;
-}
 
 void DumpMetrics(const std::string& path) {
   const countlib::obs::Snapshot snap = countlib::obs::GlobalSnapshot();
@@ -74,7 +67,6 @@ int main(int argc, char** argv) {
   flags.AddUint64("shards", 0,
                   "private store shards (0 = one per drain worker); the "
                   "pipeline clamps the worker pool to this many lanes");
-  flags.AddString("overload", "block", "block|shed");
   flags.AddUint64("run_seconds", 30, "serve this long, then drain and exit");
   flags.AddString("metrics_out", "", "final Prometheus dump path (optional)");
   COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
@@ -100,7 +92,6 @@ int main(int argc, char** argv) {
   popt.num_producers = flags.GetUint64("slots");
   popt.queue_capacity = flags.GetUint64("queue_capacity");
   popt.num_workers = workers;
-  popt.overload = ParsePolicy(flags.GetString("overload"));
   popt.enable_metrics = metrics;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
 
@@ -109,10 +100,9 @@ int main(int argc, char** argv) {
   sopt.port = static_cast<uint16_t>(flags.GetUint64("port"));
   sopt.enable_metrics = metrics;
   auto server = net::EventServer::Make(pipe.get(), sopt).ValueOrDie();
-  std::printf("analytics_server: listening on %s:%u (%llu slots, %s)\n",
+  std::printf("analytics_server: listening on %s:%u (%llu slots)\n",
               sopt.bind_address.c_str(), server->port(),
-              static_cast<unsigned long long>(popt.num_producers),
-              pipeline::OverloadPolicyName(popt.overload));
+              static_cast<unsigned long long>(popt.num_producers));
   std::fflush(stdout);
 
   // The dashboard: a merged cross-shard cut once a second while the load
@@ -151,20 +141,18 @@ int main(int argc, char** argv) {
 
   std::printf(
       "analytics_server: %llu conns (%llu refused), %llu frames rx, "
-      "%llu events rx, %llu delivered, %llu shed, %llu decode errors, "
+      "%llu events rx, %llu delivered, %llu decode errors, "
       "%llu partial frames, %llu credit stalls\n",
       static_cast<unsigned long long>(net_stats.connections_accepted),
       static_cast<unsigned long long>(net_stats.connections_refused),
       static_cast<unsigned long long>(net_stats.frames_rx),
       static_cast<unsigned long long>(net_stats.events_rx),
       static_cast<unsigned long long>(net_stats.events_delivered),
-      static_cast<unsigned long long>(net_stats.events_shed),
       static_cast<unsigned long long>(net_stats.decode_errors),
       static_cast<unsigned long long>(net_stats.partial_frames),
       static_cast<unsigned long long>(net_stats.credit_stalls));
-  std::printf("analytics_server: pipeline applied %llu events (%llu shed)\n",
-              static_cast<unsigned long long>(pipe_stats.events_applied),
-              static_cast<unsigned long long>(pipe_stats.events_shed));
+  std::printf("analytics_server: pipeline applied %llu events\n",
+              static_cast<unsigned long long>(pipe_stats.events_applied));
   const analytics::StoreStats store_stats = store->Stats();
   std::printf(
       "analytics_server: store holds %llu keys across %llu private shards; "
@@ -173,11 +161,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(store->num_shards()),
       static_cast<unsigned long long>(store_stats.merge_reads));
 
-  // Server-side books: every event from an acked-or-complete frame is
-  // either delivered or shed — nothing vanishes inside the server.
-  if (net_stats.events_delivered + net_stats.events_shed >
-      net_stats.events_rx) {
-    std::printf("analytics_server: BOOKS VIOLATION (delivered+shed > rx)\n");
+  // Server-side books: an event is delivered only from a received frame,
+  // so delivered can never run ahead of rx.
+  if (net_stats.events_delivered > net_stats.events_rx) {
+    std::printf("analytics_server: BOOKS VIOLATION (delivered > rx)\n");
     return 1;
   }
 

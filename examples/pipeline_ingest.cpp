@@ -21,13 +21,8 @@
 /// waiting in `AcquireProducerSlot` parks until a release — all the same
 /// epoch/waiter-count discipline, so a saturated or idle system costs
 /// milliseconds of CPU per second instead of burning cores on sleep-polls.
-///
-/// What happens under *sustained* overload is a policy you pick per
-/// pipeline (`--overload`, see pipeline/event.h):
-///   block — producers wait for ring space; nothing is lost (default).
-///   shed  — producers never wait: over-capacity events are dropped after
-///           a short spin, with exact per-slot accounting in
-///           `PipelineStats` (delivered + shed == submitted).
+/// Under *sustained* overload producers keep waiting for ring space, so
+/// every submitted visit is counted.
 ///
 /// With `--metrics_out=FILE` the whole run is instrumented through the
 /// obs layer (src/obs/README.md): the pipeline and store register their
@@ -39,8 +34,7 @@
 /// gauges afresh. `FILE.json` gets the JSON twin.
 ///
 ///   ./build/example_pipeline_ingest [--pages=N] [--visits=N] [--threads=N]
-///       [--slots=N] [--overload=block|shed]
-///       [--metrics_out=FILE] [--metrics_period_ms=N]
+///       [--slots=N] [--metrics_out=FILE] [--metrics_period_ms=N]
 
 #include <algorithm>
 #include <atomic>
@@ -87,9 +81,6 @@ int main(int argc, char** argv) {
   flags.AddUint64("visits", 2000000, "total visit events");
   flags.AddUint64("threads", 8, "transient producer threads sharing the slots");
   flags.AddUint64("slots", 4, "producer slots in the registry");
-  flags.AddString("overload", "block",
-                  "what a blocking Submit does under sustained backpressure: "
-                  "block | shed");
   flags.AddString("metrics_out", "",
                   "instrument the run and write the Prometheus text dump "
                   "here (and the JSON twin to <file>.json); empty disables "
@@ -127,12 +118,6 @@ int main(int argc, char** argv) {
   options.max_batch = 2048;
   options.num_workers = std::min<uint64_t>(slots, 256);  // Make's pool cap
   options.enable_metrics = metrics;
-  const std::string overload = flags.GetString("overload");
-  if (overload == "shed") {
-    options.overload = pipeline::OverloadPolicy::kShed;
-  } else {
-    COUNTLIB_CHECK(overload == "block") << "unknown --overload: " << overload;
-  }
   auto ingest =
       pipeline::IngestPipeline::Make(store.get(), options).ValueOrDie();
 
@@ -200,13 +185,6 @@ int main(int argc, char** argv) {
   std::printf("%llu transient threads shared %llu producer slots\n",
               static_cast<unsigned long long>(threads),
               static_cast<unsigned long long>(slots));
-  if (stats.events_shed > 0) {
-    // The overload policy's books: shed events are deliberate, exactly
-    // counted loss.
-    std::printf("overload (%s): %llu events shed\n",
-                pipeline::OverloadPolicyName(ingest->overload_policy()),
-                static_cast<unsigned long long>(stats.events_shed));
-  }
 
   std::printf("\nper-worker activity:\n");
   for (const auto& w : ingest->PerWorkerStats()) {

@@ -391,13 +391,20 @@ Status CounterStore::LoadFromFile(const std::string& path) {
     return Status::CapacityExceeded("store file holds " + std::to_string(slots) +
                                     " slots, more than 2^32-1: " + path);
   }
+  // Every key owns exactly one slot: a second claim on a slot would alias
+  // two counters, and an unclaimed slot is state no key can reach.
+  if (keys != slots) return fail("key count differs from slot count");
   if (keys > remaining() / 16) return fail("truncated index");
   KeyIndex index;
   index.Reserve(keys);
+  std::vector<uint64_t> claimed((slots + 63) / 64, 0);
   for (uint64_t i = 0; i < keys; ++i) {
     uint64_t key = 0, slot = 0;
     if (!read_u64(&key) || !read_u64(&slot)) return fail("truncated index");
     if (slot >= slots) return fail("slot out of range");
+    const uint64_t bit = uint64_t{1} << (slot % 64);
+    if ((claimed[slot / 64] & bit) != 0) return fail("two keys share a slot");
+    claimed[slot / 64] |= bit;
     if (index.Find(key) != KeyIndex::kEmptySlot) return fail("duplicate key");
     index.Insert(key, static_cast<uint32_t>(slot));
   }

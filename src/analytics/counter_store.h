@@ -123,7 +123,9 @@ class CounterStore {
   /// are program constants in the paper's model); a stride checksum guards
   /// against mismatches. Layout, all integers u64 little-endian: the magic
   /// "clstore1", the stride, the slot count, the key count, one (key, slot)
-  /// pair per key (in unspecified order), the pool byte count
+  /// pair per key (in unspecified order; the counts are equal and each
+  /// slot is named by exactly one pair, since a slot is appended only for
+  /// a new key, and a load rejects any other file), the pool byte count
   /// ceil(slots * stride / 8), then the pool bytes (slot i holds bits
   /// [i*stride, (i+1)*stride), LSB-first within bytes).
   Status SaveToFile(const std::string& path) const;

@@ -135,7 +135,10 @@ Status EventClient::ConnectOnce() {
   conn_delivered_ = 0;
   conn_shed_ = 0;
   grant_total_ = ack.credit_grant_total;
-  max_frame_events_ = std::max<uint64_t>(1, ack.max_frame_events);
+  // Frames never exceed the local batch size, so the frame buffer follows
+  // it rather than the server's cap (a u32 off the wire).
+  max_frame_events_ = std::clamp<uint64_t>(ack.max_frame_events, 1,
+                                           options_.max_batch_events);
   tx_.resize(kFrameHeaderSize + EventBatchPayloadSize(max_frame_events_));
   stats_.frames_tx += 1;
   stats_.frames_rx += 1;
@@ -240,7 +243,7 @@ Status EventClient::SendPending() {
     const uint64_t available = grant_total_ - conn_sent_;
     if (available == 0) {
       // Out of credits: this blocking wait for a refill IS the
-      // client-side park — the server's overload policy reaching us.
+      // client-side park — the server's backpressure reaching us.
       stats_.credit_stalls += 1;
       st = ReadServerFrame(/*blocking=*/true);
       if (!st.ok()) OnDisconnect();

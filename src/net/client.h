@@ -31,11 +31,12 @@
 ///
 /// ## Overload, client-side
 ///
-/// Credit exhaustion is how the server's overload policy reaches this
-/// process: under kBlock the window collapses to the liveness floor and
-/// `Submit` blocks here instead of flooding the socket; under kShed acks
-/// keep flowing but report shed counts. The client does not need to know
-/// which policy the server runs — the ledgers express both.
+/// Credit exhaustion is how a backed-up server reaches this process: the
+/// window collapses to the liveness floor and `Submit` blocks here
+/// instead of flooding the socket. The server never drops an accepted
+/// event, so the ack's `shed_total`, which `events_shed` folds in, is
+/// always 0 from `EventServer`; the ledger stays because the v1 ack
+/// carries the field.
 
 #ifndef COUNTLIB_NET_CLIENT_H_
 #define COUNTLIB_NET_CLIENT_H_
@@ -79,7 +80,7 @@ struct ClientStats {
   uint64_t events_submitted = 0;     ///< accepted by Submit/SubmitBatch
   uint64_t events_sent = 0;          ///< put on the wire
   uint64_t events_delivered = 0;     ///< acked as accepted by the pipeline
-  uint64_t events_shed = 0;          ///< acked as shed by policy
+  uint64_t events_shed = 0;          ///< acked as shed (0 from EventServer)
   uint64_t events_lost_unacked = 0;  ///< sent on a connection that died
   uint64_t events_pending = 0;       ///< buffered locally, not yet sent
   uint64_t frames_tx = 0;
@@ -156,7 +157,7 @@ class EventClient {
   uint64_t conn_delivered_ = 0; ///< cumulative, from the last ack
   uint64_t conn_shed_ = 0;      ///< cumulative, from the last ack
   uint64_t grant_total_ = 0;    ///< cumulative credits granted to us
-  uint64_t max_frame_events_ = 0;  ///< server cap from the hello ack
+  uint64_t max_frame_events_ = 0;  ///< min(server cap, max_batch_events)
 
   // Session ledgers (survive reconnects).
   ClientStats stats_;

@@ -1,6 +1,6 @@
 /// \file credit.h
 /// \brief Credit accounting for the socket ingestion protocol — the piece
-/// that extends kBlock/kShed overload semantics across the wire
+/// that extends the pipeline's backpressure across the wire
 /// (docs/net_protocol.md, "Credit state machine").
 ///
 /// The scheme follows netmix-style budget accounting (SNIPPETS.md §2-3):
@@ -14,8 +14,8 @@
 /// sizes the target window from live pipeline headroom — the free space
 /// in the connection's producer ring — so a backed-up pipeline shrinks the
 /// window toward the liveness floor of 1 and a healthy one re-opens it,
-/// which is exactly "the remote producer parks/sheds client-side" without
-/// a per-event round trip.
+/// which is exactly "the remote producer parks client-side" without a
+/// per-event round trip.
 ///
 /// Everything here is plain single-threaded arithmetic: each connection
 /// thread owns its ledger exclusively (server) or the client is
@@ -33,8 +33,9 @@ namespace net {
 /// The credit window the server targets given the slot's ring headroom.
 /// Clamped to [1, max_window]: the floor of 1 is the liveness guarantee —
 /// even a fully backed-up pipeline leaves the client one credit, so every
-/// stall is ended by the next ack and the protocol cannot deadlock; the
-/// submit itself then blocks or sheds under the pipeline's own policy.
+/// stall is ended by the next ack and the protocol cannot deadlock; a
+/// floor-credit event that meets a full ring parks in the pipeline's
+/// blocking submit until a drain frees space.
 inline uint64_t ComputeCreditTarget(uint64_t ring_headroom,
                                     uint64_t max_window) {
   if (ring_headroom > max_window) return max_window;

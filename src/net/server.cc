@@ -91,8 +91,6 @@ void EventServer::RegisterMetrics() {
                                    &events_rx_));
   rs.push_back(reg.RegisterCounter("countlib_net_events_delivered_total",
                                    &events_delivered_));
-  rs.push_back(reg.RegisterCounter("countlib_net_events_shed_total",
-                                   &events_shed_));
   rs.push_back(reg.RegisterCounter("countlib_net_decode_errors_total",
                                    &decode_errors_));
   rs.push_back(reg.RegisterCounter("countlib_net_partial_frames_total",
@@ -156,7 +154,6 @@ ServerStats EventServer::Stats() const {
   s.bytes_tx = bytes_tx_.Value();
   s.events_rx = events_rx_.Value();
   s.events_delivered = events_delivered_.Value();
-  s.events_shed = events_shed_.Value();
   s.decode_errors = decode_errors_.Value();
   s.partial_frames = partial_frames_.Value();
   s.credit_stalls = credit_stalls_.Value();
@@ -352,7 +349,6 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
 
   // Steady state: read a frame, submit it fully, ack it with a refill.
   uint64_t delivered_total = 0;
-  uint64_t shed_total = 0;
   for (;;) {
     st = ReadFrame(fd, rx.data(), &header);
     if (!st.ok()) return;  // stop / disconnect / garbage, all counted above
@@ -374,11 +370,10 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
           decode_errors_.Add(1);
           return;
         }
-        const uint64_t shed_before =
-            pipeline_->ShedCountForSlot(slot->slot());
         // The whole frame in one blocking batch submit (one ring publish
-        // per fit): the pipeline's overload policy (block or shed) decides
-        // what saturation means, exactly as in-process.
+        // per fit), which parks while the ring is full exactly as
+        // in-process; once it returns OK every event of the frame is
+        // enqueued.
         st = slot->SubmitBatch(records.data(), count);
         if (st.IsInvalidArgument()) {
           // A zero-weight record is a protocol error. The pipeline checks
@@ -388,16 +383,11 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
           return;
         }
         if (!st.ok()) return;  // pipeline draining: drop the connection
-        const uint64_t shed_delta =
-            pipeline_->ShedCountForSlot(slot->slot()) - shed_before;
-        delivered_total += count - shed_delta;
-        shed_total += shed_delta;
-        events_delivered_.Add(count - shed_delta);
-        events_shed_.Add(shed_delta);
+        delivered_total += count;
+        events_delivered_.Add(count);
         AckBody ack;
         ack.acked_seq = header.seq;
         ack.delivered_total = delivered_total;
-        ack.shed_total = shed_total;
         ack.credit_grant_total = ledger.Refill(
             CreditTargetForSlot(slot->slot(), effective_window));
         EncodeAckBody(ack, body);
@@ -411,7 +401,6 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
         AckBody ack;
         ack.acked_seq = header.seq;
         ack.delivered_total = delivered_total;
-        ack.shed_total = shed_total;
         ack.credit_grant_total = ledger.grant_total();
         EncodeAckBody(ack, body);
         (void)SendFrame(fd, FrameType::kAck, header.seq, body, kAckBodySize,

@@ -13,8 +13,8 @@
 ///
 /// ## Flow control
 ///
-/// Submission credits (src/net/credit.h) extend the pipeline's overload
-/// policies to remote producers. The handshake grants an initial window
+/// Submission credits (src/net/credit.h) extend the pipeline's
+/// backpressure to remote producers. The handshake grants an initial window
 /// sized from live pipeline headroom (the free space in the connection's
 /// ring, capped by `ServerOptions::max_credit_window`); each ack
 /// piggybacks a refill toward the current target. A backed-up pipeline
@@ -22,20 +22,22 @@
 /// their last credit instead of flooding the server — there is no
 /// unbounded server-side buffering anywhere: each connection holds
 /// exactly one frame buffer and submits it fully before reading the next
-/// frame.
+/// frame. The floor credit's one event is the only one that can meet a
+/// full ring; its `SubmitBatch` parks until a drain frees space.
 ///
 /// ## Books
 ///
-/// Acks carry cumulative `delivered_total`/`shed_total` per connection,
-/// measured around the frame's one `SubmitBatch` call (shed via
-/// `IngestPipeline::ShedCountForSlot` deltas), so
-/// `delivered + shed == events received from acked frames` holds exactly
-/// — the client folds these into its own `submitted == delivered + shed +
-/// lost_unacked` invariant. A connection that dies mid-frame loses only
-/// the partial frame (counted in `partial_frames`); complete frames are
-/// always fully submitted before the next read. A frame with a
-/// zero-weight record is rejected whole (nothing of it is submitted) and
-/// drops the connection as a protocol error.
+/// Acks carry the connection's cumulative `delivered_total`. A frame is
+/// acked only after its one `SubmitBatch` call returns OK, which means
+/// every event of it was enqueued, so `delivered == events received from
+/// acked frames` holds exactly — the client folds it into its own
+/// `submitted == delivered + shed + lost_unacked` books. Acks leave
+/// `shed_total` at 0: the pipeline never drops an accepted event. A
+/// connection that dies mid-frame loses only the partial frame (counted
+/// in `partial_frames`); complete frames are always fully submitted
+/// before the next read. A frame with a zero-weight record is rejected
+/// whole (nothing of it is submitted) and drops the connection as a
+/// protocol error.
 ///
 /// ## Locking
 ///
@@ -102,7 +104,6 @@ struct ServerStats {
   uint64_t bytes_tx = 0;
   uint64_t events_rx = 0;         ///< events in decoded complete frames
   uint64_t events_delivered = 0;  ///< accepted by the pipeline
-  uint64_t events_shed = 0;       ///< shed by the pipeline's kShed policy
   uint64_t decode_errors = 0;     ///< malformed frames and protocol violations
   uint64_t partial_frames = 0;    ///< connections dropped mid-frame
   uint64_t credit_stalls = 0;     ///< acks issued at the liveness-floor window
@@ -203,7 +204,6 @@ class EventServer {
   obs::Counter bytes_tx_;
   obs::Counter events_rx_;
   obs::Counter events_delivered_;
-  obs::Counter events_shed_;
   obs::Counter decode_errors_;
   obs::Counter partial_frames_;
   obs::Counter credit_stalls_;

@@ -101,7 +101,7 @@ inline constexpr uint64_t kHelloAckBodySize = 16;
 struct AckBody {
   uint64_t acked_seq = 0;           ///< highest frame seq processed
   uint64_t delivered_total = 0;     ///< events accepted by the pipeline so far
-  uint64_t shed_total = 0;          ///< events shed by policy so far
+  uint64_t shed_total = 0;          ///< always 0 from EventServer (v1 field)
   uint64_t credit_grant_total = 0;  ///< cumulative credits granted
 };
 inline constexpr uint64_t kAckBodySize = 32;

@@ -1,8 +1,7 @@
 /// \file event.h
 /// \brief Shared vocabulary of the ingestion pipeline: the event type that
-/// flows through the producer queues, the overload policy, the pipeline's
-/// tuning knobs, and the observable counters (`PipelineStats`,
-/// `WorkerStats`).
+/// flows through the producer queues, the pipeline's tuning knobs, and the
+/// observable counters (`PipelineStats`, `WorkerStats`).
 ///
 /// The §1 motivating system ("count visits to every Wikipedia page under
 /// production write traffic") needs an ingest path between the producers
@@ -16,7 +15,6 @@
 #define COUNTLIB_PIPELINE_EVENT_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "analytics/counter_store.h"
 
@@ -39,24 +37,6 @@ struct Event {
   uint64_t ts = 0;
 };
 
-/// \brief What a blocking `SubmitBatch` (and `Submit`) does when a producer
-/// queue stays full past the short spin budget. `TrySubmitBatch` ignores
-/// the policy: it is the allocation-free probe and reports `kPending` on a
-/// full ring regardless.
-enum class OverloadPolicy : uint8_t {
-  /// Park on the ring's not-full eventcount until a drain frees space.
-  /// Lossless; producers absorb the backpressure, and `queue_capacity` is
-  /// the headroom they get before they do.
-  kBlock = 0,
-  /// Drop the event and return OK. Loss is exactly accounted per slot
-  /// (`PipelineStats::events_shed`, `shed_per_slot`), so
-  /// `delivered + shed == submitted` holds to the last event.
-  kShed = 1,
-};
-
-/// Stable human-readable policy name ("block" / "shed").
-const char* OverloadPolicyName(OverloadPolicy policy);
-
 /// \brief Tuning knobs for `IngestPipeline::Make`.
 struct PipelineOptions {
   /// Number of producer slots; each owns a private SPSC queue and MUST be
@@ -65,7 +45,9 @@ struct PipelineOptions {
   /// `AcquireProducerSlot` (the registry enforces single ownership).
   uint64_t num_producers = 4;
   /// Per-producer queue capacity in events; rounded up to a power of two.
-  /// When a queue is full, `TrySubmit` reports `kPending` backpressure.
+  /// When a queue is full, `TrySubmit` reports `kPending` backpressure and
+  /// a blocking `Submit` parks until a drain frees space, so this is the
+  /// headroom a producer gets before it waits.
   uint64_t queue_capacity = 4096;
   /// Initial background drain threads; adjustable at runtime with
   /// `SetWorkerCount`. Producer queues are assigned round-robin to workers,
@@ -73,9 +55,6 @@ struct PipelineOptions {
   uint64_t num_workers = 1;
   /// Max events a worker drains into one pre-aggregated store batch.
   uint64_t max_batch = 1024;
-  /// What a blocking `Submit` does when a producer queue stays full:
-  /// block (lossless, the default) or shed with exact accounting.
-  OverloadPolicy overload = OverloadPolicy::kBlock;
   /// Register this pipeline's counters/gauges/histograms with
   /// `obs::Registry::Default()` and record hot-path latencies, among them
   /// submit→apply latency for 1 event in 64 per submitting thread,
@@ -104,15 +83,6 @@ struct PipelineStats {
   uint64_t queue_depth = 0;        ///< events currently sitting in queues (approximate)
   uint64_t workers = 0;            ///< current drain-thread count (gauge; 0 while paused)
   uint64_t slots_in_use = 0;       ///< producer slots currently leased via the registry (gauge)
-  /// Events deliberately dropped by a `kShed` Submit (total across slots).
-  /// Invariant: events_applied + events_shed accounts for every OK'd
-  /// Submit once the pipeline is drained.
-  uint64_t events_shed = 0;
-  /// Exact per-producer-slot shed counts; events_shed is their sum.
-  /// Size = num_producers under `OverloadPolicy::kShed`, empty under
-  /// `kBlock` (where every count is zero by construction — leaving it
-  /// empty keeps the Stats() path allocation-free).
-  std::vector<uint64_t> shed_per_slot;
 };
 
 /// \brief Per-worker activity counters, taken with

@@ -19,10 +19,9 @@ namespace {
 /// wakes/s.
 constexpr std::chrono::milliseconds kIdleSleep(50);
 
-/// Yield-retries a blocking `Submit` makes before engaging the overload
-/// policy: under transient fullness a drain frees space within
-/// microseconds, and a yield is much cheaper than a park round trip (or a
-/// shed decision taken too eagerly).
+/// Yield-retries a blocking `Submit` makes before it parks: under transient
+/// fullness a drain frees space within microseconds, and a yield is much
+/// cheaper than a park round trip.
 constexpr int kSubmitSpinYields = 64;
 
 /// Consecutive empty drain passes a worker spins (yielding) before it
@@ -117,16 +116,6 @@ const Status& PausedFlushStatus() {
 
 }  // namespace
 
-const char* OverloadPolicyName(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kBlock:
-      return "block";
-    case OverloadPolicy::kShed:
-      return "shed";
-  }
-  return "unknown";
-}
-
 Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
     analytics::CounterWriter* store, const PipelineOptions& options) {
   if (store == nullptr) {
@@ -168,13 +157,6 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
   nonfull_shards_ = std::min<uint64_t>(options_.num_producers,
                                        kMaxNonFullShards);
   nonfull_ecs_ = std::make_unique<EventCount[]>(nonfull_shards_);
-  shed_per_slot_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.num_producers);
-  for (uint64_t i = 0; i < options_.num_producers; ++i) {
-    // mo: relaxed — construction-time zeroing; the thread spawn below
-    // publishes it.
-    shed_per_slot_[i].store(0, std::memory_order_relaxed);
-  }
   slot_leased_.assign(options_.num_producers, 0);
   if (options_.enable_metrics) RegisterMetrics();
   options_.num_workers = std::min(options_.num_workers, max_workers_);
@@ -194,8 +176,6 @@ void IngestPipeline::RegisterMetrics() {
                                    &applied_));
   rs.push_back(reg.RegisterCounter("countlib_pipeline_events_dropped_total",
                                    &dropped_));
-  rs.push_back(reg.RegisterCounter("countlib_pipeline_events_shed_total",
-                                   &shed_total_));
   rs.push_back(reg.RegisterCounter("countlib_pipeline_updates_applied_total",
                                    &updates_));
   rs.push_back(reg.RegisterCounter("countlib_pipeline_batches_applied_total",
@@ -372,8 +352,8 @@ Status IngestPipeline::SubmitBatch(uint64_t producer,
                                    const analytics::KeyWeight* updates,
                                    size_t n) {
   // Stay hot through transient fullness: a drain in progress frees space
-  // within microseconds, so yield-retry before engaging the overload
-  // policy. The budget restarts whenever a retry makes progress.
+  // within microseconds, so yield-retry before parking. The budget
+  // restarts whenever a retry makes progress.
   size_t done = 0;
   int spins = 0;
   while (spins < kSubmitSpinYields) {
@@ -384,22 +364,10 @@ Status IngestPipeline::SubmitBatch(uint64_t producer,
     spins = accepted > 0 ? 0 : spins + 1;
     std::this_thread::yield();
   }
-  // Sustained fullness: the overload policy decides. kPending implies
-  // `producer` is a valid index, so the shard/counter accesses below are
-  // in range.
-  if (options_.overload == OverloadPolicy::kShed) {
-    // Bounded-latency drop: the spin budget above is the whole latency
-    // bound. Accounting is exact and per slot; the OK return means
-    // "accepted or shed" under this policy (see PipelineStats).
-    // mo: relaxed — exact but unordered accounting; Stats folds it later.
-    shed_per_slot_[producer].fetch_add(n - done, std::memory_order_relaxed);
-    shed_total_.Add(n - done);
-    return Status::OK();
-  }
-  // kBlock: park on the ring's not-full eventcount shard until the rest
-  // fits. Same discipline as the worker wakeup — snapshot the shard epoch,
-  // recheck the condition (a TrySubmitBatch of the rest), sleep until the
-  // epoch moves. A drain that pops from a full ring notifies the shard
+  // Sustained fullness: park on the ring's not-full eventcount shard until
+  // the rest fits. Same discipline as the worker wakeup — snapshot the shard
+  // epoch, recheck the condition (a TrySubmitBatch of the rest), sleep until
+  // the epoch moves. A drain that pops from a full ring notifies the shard
   // with the seq_cst epoch bump before reading the waiter count, and
   // ParkOne registers the waiter with seq_cst before the predicate's first
   // epoch read, so either the drain sees the waiter and notifies or the
@@ -786,19 +754,6 @@ PipelineStats IngestPipeline::Stats() const {
   stats.slots_in_use = slots_in_use_.load(std::memory_order_relaxed);
   stats.producer_parks = producer_parks_.Value();
   stats.producer_wakeups = producer_wakeups_.Value();
-  stats.events_shed = shed_total_.Value();
-  // Only a kShed pipeline materializes the per-slot vector: under kBlock
-  // the counts are all zero by construction, so that path stays
-  // allocation-free.
-  if (options_.overload == OverloadPolicy::kShed) {
-    stats.shed_per_slot.reserve(rings_.size());
-    for (uint64_t i = 0; i < rings_.size(); ++i) {
-      // mo: relaxed — per-slot stats cells; exactness comes from the RMWs,
-      // not from ordering.
-      stats.shed_per_slot.push_back(
-          shed_per_slot_[i].load(std::memory_order_relaxed));
-    }
-  }
   {
     MutexLock lock(&cells_mu_);
     for (const auto& cells : worker_cells_) {

@@ -85,16 +85,13 @@
 ///  - **Slot registry** (`slots_ec_`): blocked `AcquireProducerSlot`
 ///    callers park until a release or pop progress re-opens a slot.
 ///
-/// ## Overload control: block or shed
+/// ## Overload: a full ring parks the producer
 ///
-/// What a blocking `Submit` does when a ring *stays* full is a per-pipeline
-/// policy (`PipelineOptions::overload`, see event.h): `kBlock` parks on
-/// the not-full eventcount (lossless, the default — the ring's
-/// `queue_capacity` is the headroom a producer gets before it waits);
-/// `kShed` drops the event after the spin budget with exact per-slot
-/// accounting (`PipelineStats::events_shed` / `shed_per_slot[]`) so
-/// `delivered + shed == submitted` holds to the last event. `TrySubmit`
-/// is policy-independent: it stays the allocation-free `kPending` probe.
+/// A blocking `Submit` whose ring *stays* full past a short spin budget
+/// parks on the ring's not-full eventcount until a drain frees space, so
+/// every event it accepts is applied and `queue_capacity` is the headroom a
+/// producer gets before it waits. `TrySubmit` never waits: it stays the
+/// allocation-free `kPending` probe.
 ///
 /// ## Elasticity
 ///
@@ -165,21 +162,18 @@ class IngestPipeline {
   /// slot or any zero weight — every weight is checked before anything is
   /// enqueued, so an invalid batch enqueues nothing. Each call makes one
   /// `Drain` handshake and wakes a worker at most once. Every rejection
-  /// result is preallocated — no reject path ever heap-allocates. The
-  /// overload policy does not apply here: this is always the pure ring
-  /// probe. Under `enable_metrics` the call stamps the events of it that
-  /// fall in the calling thread's 1-in-64 latency sample, with one
-  /// steady-clock read per call (none when no stamp falls in the batch).
+  /// result is preallocated — no reject path ever heap-allocates. It never
+  /// waits: this is always the pure ring probe. Under `enable_metrics` the
+  /// call stamps the events of it that fall in the calling thread's 1-in-64
+  /// latency sample, with one steady-clock read per call (none when no
+  /// stamp falls in the batch).
   Status TrySubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
                         size_t n, size_t* accepted = nullptr);
 
   /// Blocking batch submit: like `TrySubmitBatch`, but while the rest does
-  /// not fit it spins briefly and then follows the pipeline's overload
-  /// policy — park on the ring's not-full eventcount until the rest fits
-  /// (`kBlock`), or, after one spin budget without progress, drop the rest
-  /// with exact per-slot accounting (`kShed`; the OK return then means
-  /// "accepted or shed", see `PipelineStats::events_shed`). Never returns
-  /// `kPending`.
+  /// not fit it spins briefly and then parks on the ring's not-full
+  /// eventcount until the rest fits, so an OK return means all `n` were
+  /// enqueued. Never returns `kPending`.
   Status SubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
                      size_t n);
 
@@ -253,9 +247,6 @@ class IngestPipeline {
     return worker_count_.load(std::memory_order_acquire);
   }
 
-  /// The pipeline's overload policy (fixed at `Make`).
-  OverloadPolicy overload_policy() const { return options_.overload; }
-
   /// Per-slot ring capacity (the power-of-two rounding of
   /// `PipelineOptions::queue_capacity`; fixed at `Make`). The net server
   /// sizes its credit windows from a slot's free share of it.
@@ -267,18 +258,6 @@ class IngestPipeline {
   /// Safe from any thread; same relaxed snapshot as `SpscRing::SizeApprox`.
   uint64_t QueueDepth(uint64_t producer) const {
     return producer < rings_.size() ? rings_[producer]->SizeApprox() : 0;
-  }
-
-  /// Cumulative events shed from `producer`'s slot — the same cells as
-  /// `PipelineStats::shed_per_slot`, readable without snapshotting every
-  /// slot. Always 0 under `kBlock` and for out-of-range slots. The net server diffs this around each submitted
-  /// batch to report exact per-connection shed counts in its acks.
-  uint64_t ShedCountForSlot(uint64_t producer) const {
-    if (shed_per_slot_ == nullptr || producer >= rings_.size()) return 0;
-    // mo: relaxed — monotone counter snapshot; a per-batch delta needs no
-    // ordering beyond the counter's own monotonicity (the reader already
-    // synchronized with the shedding thread via Submit's return).
-    return shed_per_slot_[producer].load(std::memory_order_relaxed);
   }
 
  private:
@@ -388,10 +367,6 @@ class IngestPipeline {
   std::vector<uint8_t> slot_leased_ GUARDED_BY(slots_mu_);
   EventCount slots_ec_;
   std::atomic<uint64_t> slots_in_use_{0};
-
-  /// Overload-control state: shed accounting is exact and per slot.
-  std::unique_ptr<std::atomic<uint64_t>[]> shed_per_slot_;
-  obs::Counter shed_total_;
 
   std::atomic<bool> closed_{false};   ///< no new submissions accepted
   std::atomic<bool> stop_{false};     ///< workers may exit once their rings are empty

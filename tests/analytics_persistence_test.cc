@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analytics/counter_store.h"
 
@@ -146,6 +148,66 @@ TEST_F(PersistenceTest, ExactKindRoundTripsExactly) {
                       .ValueOrDie();
   ASSERT_TRUE(restored.LoadFromFile(path_).ok());
   EXPECT_DOUBLE_EQ(restored.Estimate(11).ValueOrDie(), 54321.0);
+}
+
+// Every key owns exactly one slot. A file that puts two keys on one slot
+// would load them as one aliased counter, and a slot that no key names is
+// state nothing can reach; both are rejected, and the store keeps what it
+// held.
+TEST_F(PersistenceTest, SharedOrOrphanSlotsRejectedAndStateUnharmed) {
+  auto make = [] {
+    return analytics::CounterStore::MakeWithBitBudget(
+               CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+        .ValueOrDie();
+  };
+  const uint64_t bits = static_cast<uint64_t>(make().bits_per_key());
+  auto write_file = [&](uint64_t slots,
+                        const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite("clstore1", 1, 8, f);
+    const uint64_t header[3] = {bits, slots, pairs.size()};
+    std::fwrite(header, sizeof(uint64_t), 3, f);
+    for (const auto& [key, slot] : pairs) {
+      const uint64_t pair[2] = {key, slot};
+      std::fwrite(pair, sizeof(uint64_t), 2, f);
+    }
+    const uint64_t pool_bytes = (slots * bits + 7) / 8;
+    std::fwrite(&pool_bytes, sizeof(pool_bytes), 1, f);
+    std::vector<uint8_t> pool(pool_bytes, 0);
+    pool[0] = 5;  // slot 0 counts 5, every other slot 0
+    std::fwrite(pool.data(), 1, pool.size(), f);
+    std::fclose(f);
+  };
+  auto estimate = [](const analytics::CounterStore& store, uint64_t key) {
+    auto est = store.Estimate(key);
+    return est.ok() ? est.ValueOrDie() : -1.0;
+  };
+  auto expect_rejected = [&](const char* what) {
+    SCOPED_TRACE(what);
+    auto store = make();
+    ASSERT_TRUE(store.Increment(3, 30).ok());
+    ASSERT_TRUE(store.Increment(4, 40).ok());
+    EXPECT_TRUE(store.LoadFromFile(path_).IsIOError());
+    EXPECT_EQ(store.num_keys(), 2u);
+    EXPECT_EQ(estimate(store, 3), 30.0);
+    EXPECT_EQ(estimate(store, 4), 40.0);
+    EXPECT_EQ(estimate(store, 7), -1.0);  // not found
+  };
+  write_file(2, {{7, 0}, {9, 0}});
+  expect_rejected("two keys on slot 0, keys = slots = 2");
+  write_file(1, {{7, 0}, {9, 0}});
+  expect_rejected("two keys on slot 0, keys 2, slots 1");
+  write_file(2, {{7, 0}});
+  expect_rejected("slot 1 named by no key, keys 1, slots 2");
+
+  // The same writer with one slot per key loads.
+  write_file(2, {{7, 0}, {9, 1}});
+  auto store = make();
+  ASSERT_TRUE(store.LoadFromFile(path_).ok());
+  ASSERT_TRUE(store.Increment(7, 100).ok());
+  EXPECT_EQ(estimate(store, 7), 105.0);
+  EXPECT_EQ(estimate(store, 9), 0.0);
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ TEST(ShardedConcurrentTest, PipelineCutUnderWorkerChurnIsExact) {
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   // Ground truth: producer p submits weight (e % 7 + 1) to key (e % kKeys);
-  // kBlock (default) overload policy means nothing is ever shed.
+  // a blocking Submit parks on a full ring, so every event is applied.
   std::vector<std::thread> producers;
   for (uint64_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&pipe, p] {

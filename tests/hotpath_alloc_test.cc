@@ -4,7 +4,8 @@
 // batch over keys that are already indexed, a pipeline batch submit into
 // a ring with room, a submit rejected for its producer slot — must make
 // none. (conclint checks the same contract statically, on the tagged
-// functions' own bodies only.)
+// functions' own bodies only.) The replacement also records the thread's
+// largest request, which bounds what a client's handshake allocates.
 
 #include <gtest/gtest.h>
 
@@ -16,14 +17,18 @@
 
 #include "analytics/counter_store.h"
 #include "analytics/sharded_counter_store.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "pipeline/ingest_pipeline.h"
 
 namespace {
 thread_local uint64_t tl_allocations = 0;
+thread_local std::size_t tl_largest_allocation = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++tl_allocations;
+  if (size > tl_largest_allocation) tl_largest_allocation = size;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -133,6 +138,36 @@ TEST(HotpathAllocTest, InvalidSlotRejectsAllocateNothing) {
             0u);
   ASSERT_TRUE(pipe->Drain().ok());
   EXPECT_EQ(pipe->Stats().events_submitted, 0u);
+}
+
+// A client's frames never exceed its own batch size, so its frame buffer
+// follows that, not the server's cap: connecting to a server that accepts
+// 2^20-event frames (16 MiB each) makes no allocation above 64 KiB on the
+// connecting thread. The server's own frame buffer lives on its
+// connection thread.
+TEST(HotpathAllocTest, ClientFrameBufferFollowsItsBatchSize) {
+  auto store = analytics::ShardedCounterStore::Make(
+                   1, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+                   .ValueOrDie();
+  pipeline::PipelineOptions opt;
+  opt.num_producers = 1;
+  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  net::ServerOptions sopt;
+  sopt.max_frame_events = uint64_t{1} << 20;
+  auto server = net::EventServer::Make(pipe.get(), sopt).ValueOrDie();
+  net::ClientOptions copt;
+  copt.port = server->port();
+  tl_largest_allocation = 0;
+  auto client = net::EventClient::Connect(copt).ValueOrDie();
+  EXPECT_LE(tl_largest_allocation, std::size_t{64} << 10);
+  for (uint64_t i = 0; i < 2 * copt.max_batch_events + 1; ++i) {
+    ASSERT_TRUE(client->Submit(i % 5, 1).ok());
+  }
+  ASSERT_TRUE(client->Close().ok());
+  EXPECT_EQ(client->Stats().events_delivered, 2 * copt.max_batch_events + 1);
+  ASSERT_TRUE(server->Stop().ok());
+  ASSERT_TRUE(pipe->Drain().ok());
+  EXPECT_EQ(pipe->Stats().events_applied, 2 * copt.max_batch_events + 1);
 }
 
 }  // namespace

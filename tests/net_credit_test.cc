@@ -23,8 +23,8 @@ TEST(NetCreditTest, TargetIsHeadroomCappedByWindow) {
 
 TEST(NetCreditTest, TargetNeverDropsBelowTheLivenessFloor) {
   // Zero headroom must still leave one credit: the client's stall is then
-  // always ended by an ack, and the pipeline's own overload policy — not
-  // the transport — decides what happens to that one event.
+  // always ended by an ack, and that one event waits in the pipeline's
+  // blocking submit, not in the transport, until a drain frees space.
   EXPECT_EQ(ComputeCreditTarget(0, 1000), 1u);
   EXPECT_EQ(ComputeCreditTarget(0, 1), 1u);
 }

@@ -2,9 +2,9 @@
 // EventClient over real loopback sockets into a real pipeline and store.
 // The store uses exact counters so "no lost updates over TCP" is
 // checkable to the last unit of weight, and every suite asserts the books
-// — client-side submitted == delivered + shed + lost_unacked, server-side
-// delivered + shed <= rx — because exact accounting is the subsystem's
-// acceptance criterion, not a nice-to-have.
+// — client-side submitted == delivered + shed + lost_unacked with shed
+// always 0, server-side delivered <= rx — because exact accounting is the
+// subsystem's acceptance criterion, not a nice-to-have.
 
 #include "net/client.h"
 #include "net/server.h"
@@ -181,44 +181,10 @@ TEST(NetServerTest, RefusesWhenEverySlotIsLeased) {
   EXPECT_GE(server->Stats().connections_refused, 1u);
 }
 
-TEST(NetServerTest, ShedPolicyIsReportedOverTheWire) {
-  // Paused kShed pipeline: everything past the ring capacity is shed with
-  // exact accounting, and the acks must carry those sheds back to the
-  // client's ledgers.
-  auto store = MakeExactStore();
-  pipeline::PipelineOptions opt = BaseOptions();
-  opt.num_producers = 1;
-  opt.queue_capacity = 64;
-  opt.overload = pipeline::OverloadPolicy::kShed;
-  auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  ASSERT_TRUE(pipe->SetWorkerCount(0).ok());  // pause: nothing drains
-
-  auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
-  auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(client->Submit(i, 1).ok());
-  }
-  ASSERT_TRUE(client->Close().ok());
-
-  const ClientStats cs = client->Stats();
-  EXPECT_EQ(cs.events_submitted, 1000u);
-  EXPECT_EQ(cs.events_delivered + cs.events_shed, 1000u);
-  EXPECT_GT(cs.events_shed, 0u);
-  EXPECT_EQ(cs.events_lost_unacked, 0u);
-
-  ASSERT_TRUE(server->Stop().ok());
-  ASSERT_TRUE(pipe->SetWorkerCount(1).ok());
-  ASSERT_TRUE(pipe->Drain().ok());
-  // The pipeline's own exact shed accounting must agree with the wire's.
-  const pipeline::PipelineStats ps = pipe->Stats();
-  EXPECT_EQ(ps.events_applied, cs.events_delivered);
-  EXPECT_EQ(ps.events_shed, cs.events_shed);
-}
-
 TEST(NetServerTest, LoopbackMillionEventsExactBooks) {
   // The acceptance-criterion run: >= 1M events over loopback through
-  // multiple connections, with delivered + shed == submitted exactly and
-  // every weight landing in the store.
+  // multiple connections, with delivered == submitted exactly and every
+  // weight landing in the store.
   constexpr uint64_t kEvents = 1 << 20;  // 1,048,576
   constexpr uint64_t kConnections = 4;
 
@@ -259,7 +225,7 @@ TEST(NetServerTest, LoopbackMillionEventsExactBooks) {
   }
   EXPECT_EQ(submitted, kEvents);
   EXPECT_EQ(delivered + shed + lost, submitted);  // the books, exactly
-  EXPECT_EQ(shed, 0u);   // kBlock policy: lossless
+  EXPECT_EQ(shed, 0u);   // the server never sheds
   EXPECT_EQ(lost, 0u);   // clean closes: nothing unacked
   EXPECT_EQ(pending, 0u);
 

@@ -216,32 +216,6 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
   EXPECT_FALSE(obs::ToJson(snap).empty());
 }
 
-TEST(PipelineObsTest, ShedAccountingBalances) {
-  auto store = MakeStore();
-  PipelineOptions options;
-  options.num_producers = 1;
-  options.queue_capacity = 16;
-  options.enable_metrics = true;
-  options.overload = OverloadPolicy::kShed;
-  auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // force sustained fullness
-  for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(pipeline->Submit(0, i, 1).ok());
-  }
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
-  ASSERT_TRUE(pipeline->Flush().ok());
-  const PipelineStats stats = pipeline->Stats();
-  const obs::Snapshot snap = obs::GlobalSnapshot();
-  EXPECT_GT(stats.events_shed, 0u);
-  EXPECT_EQ(snap.counters.at("countlib_pipeline_events_shed_total"),
-            stats.events_shed);
-  // delivered + shed == 200, and submitted excludes shed events — so the
-  // unaccounted gauge must still balance to zero.
-  EXPECT_EQ(stats.events_applied + stats.events_shed, 200u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("countlib_pipeline_unaccounted_events"),
-                   0.0);
-}
-
 TEST(PipelineObsTest, CounterAndHistogramRecordPathsAreAllocFree) {
   obs::Counter counter;
   obs::Histogram histogram;

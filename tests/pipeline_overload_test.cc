@@ -1,7 +1,7 @@
-// Tests for overload control: kShed's exact per-slot accounting
-// (delivered + shed == submitted, to the last event) and kBlock's
-// zero-loss guarantee when saturated producers park across worker-pool
-// resizes.
+// Tests for overload: a blocking submit into a full ring parks until a
+// drain frees space, so no accepted event is lost, even when saturated
+// producers park across worker-pool resizes; `TrySubmitBatch` enqueues
+// the prefix that fits and never waits.
 
 #include <gtest/gtest.h>
 
@@ -28,63 +28,11 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
       .ValueOrDie();
 }
 
-TEST(OverloadPolicyTest, NamesAreStable) {
-  EXPECT_STREQ(OverloadPolicyName(OverloadPolicy::kBlock), "block");
-  EXPECT_STREQ(OverloadPolicyName(OverloadPolicy::kShed), "shed");
-}
-
-// The shed contract: a paused pipeline (no drain progress at all) forces
-// every over-capacity Submit through the shed path, and the accounting
-// must balance exactly — delivered + shed == submitted attempts, with the
-// per-slot split matching what each slot actually shed.
-TEST(OverloadPolicyTest, ShedAccountsExactlyPerSlot) {
-  auto store = MakeExactStore();
-  PipelineOptions opt;
-  opt.num_producers = 2;
-  opt.num_workers = 1;
-  opt.queue_capacity = 64;
-  opt.overload = OverloadPolicy::kShed;
-  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  EXPECT_EQ(pipeline->overload_policy(), OverloadPolicy::kShed);
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // freeze: no drains
-
-  constexpr uint64_t kAttemptsPerSlot = 500;  // >> ring capacity of 64
-  uint64_t attempts = 0;
-  for (uint64_t slot = 0; slot < 2; ++slot) {
-    for (uint64_t i = 0; i < kAttemptsPerSlot; ++i) {
-      // Shed mode: Submit never blocks and never reports kPending, even
-      // with zero workers — this loop finishing at all is the
-      // bounded-latency assertion.
-      ASSERT_TRUE(pipeline->Submit(slot, /*key=*/slot, 1).ok());
-      ++attempts;
-    }
-  }
-  const PipelineStats paused = pipeline->Stats();
-  EXPECT_EQ(paused.events_submitted + paused.events_shed, attempts);
-  EXPECT_GT(paused.events_shed, 0u);
-  ASSERT_EQ(paused.shed_per_slot.size(), 2u);
-  EXPECT_EQ(paused.shed_per_slot[0] + paused.shed_per_slot[1],
-            paused.events_shed);
-  // Both slots filled their private rings and shed the rest.
-  EXPECT_EQ(paused.shed_per_slot[0], kAttemptsPerSlot - opt.queue_capacity);
-  EXPECT_EQ(paused.shed_per_slot[1], kAttemptsPerSlot - opt.queue_capacity);
-
-  ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
-  ASSERT_TRUE(pipeline->Drain().ok());
-  const PipelineStats stats = pipeline->Stats();
-  // The balance sheet closes: every attempt was either applied or shed.
-  EXPECT_EQ(stats.events_applied + stats.events_shed, attempts);
-  EXPECT_EQ(stats.events_applied, stats.events_submitted);
-  const double delivered = store->Estimate(0).ValueOrDie() +
-                           store->Estimate(1).ValueOrDie();
-  EXPECT_EQ(delivered, static_cast<double>(stats.events_applied));
-}
-
-// Saturated kBlock stress with worker churn: producers start against a
+// Saturated stress with worker churn: producers start against a
 // paused pool, so every one of them fills its tiny ring and parks, and
 // SetWorkerCount then repartitions ring ownership while they keep
 // parking and waking. Each join barrier must hand the parked producers to
-// the new generation's drains. Zero loss, zero sheds, exact store totals.
+// the new generation's drains. Zero loss, exact store totals.
 TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
   auto store = MakeExactStore();
   PipelineOptions opt;
@@ -93,7 +41,6 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
   opt.queue_capacity = 32;   // tiny rings: producers park under load
   opt.max_batch = 64;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  ASSERT_EQ(pipeline->overload_policy(), OverloadPolicy::kBlock);
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
 
   constexpr uint64_t kKeys = 61;
@@ -124,7 +71,6 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
   EXPECT_GT(stats.producer_parks, 0u);  // the paused start forces parks
   EXPECT_EQ(stats.events_submitted, opt.num_producers * kEventsPerProducer);
   EXPECT_EQ(stats.events_applied, stats.events_submitted);
-  EXPECT_EQ(stats.events_shed, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
   for (uint64_t k = 0; k < kKeys; ++k) {
     uint64_t expected = 0;
@@ -136,8 +82,8 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
 }
 
 // Batch submits: the prefix that fits is enqueued with one publish, an
-// invalid record rejects the whole batch, and each policy handles the
-// rest of a batch the way it handles a single event.
+// invalid record rejects the whole batch, and a blocking submit parks on
+// the rest of a batch the way it parks on a single event.
 TEST(OverloadPolicyTest, TrySubmitBatchAcceptsThePrefixThatFits) {
   auto store = MakeExactStore();
   PipelineOptions opt;
@@ -188,27 +134,6 @@ TEST(OverloadPolicyTest, ZeroWeightRejectsTheWholeBatch) {
   EXPECT_EQ(store->TotalStateBits(), 0u);
 }
 
-TEST(OverloadPolicyTest, ShedDropsTheRestOfABatchExactly) {
-  auto store = MakeExactStore();
-  PipelineOptions opt;
-  opt.num_producers = 1;
-  opt.num_workers = 1;
-  opt.queue_capacity = 8;
-  opt.overload = OverloadPolicy::kShed;
-  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
-  std::vector<analytics::KeyWeight> batch(20, analytics::KeyWeight{5, 1});
-  ASSERT_TRUE(pipeline->SubmitBatch(0, batch.data(), batch.size()).ok());
-  const PipelineStats paused = pipeline->Stats();
-  EXPECT_EQ(paused.events_submitted, 8u);
-  EXPECT_EQ(paused.events_shed, 12u);
-  ASSERT_EQ(paused.shed_per_slot.size(), 1u);
-  EXPECT_EQ(paused.shed_per_slot[0], 12u);
-  EXPECT_EQ(pipeline->ShedCountForSlot(0), 12u);
-  ASSERT_TRUE(pipeline->Drain().ok());
-  EXPECT_EQ(store->Estimate(5).ValueOrDie(), 8.0);
-}
-
 TEST(OverloadPolicyTest, BlockParksUntilTheRestOfABatchFits) {
   auto store = MakeExactStore();
   PipelineOptions opt;
@@ -234,7 +159,6 @@ TEST(OverloadPolicyTest, BlockParksUntilTheRestOfABatchFits) {
   const PipelineStats stats = pipeline->Stats();
   EXPECT_EQ(stats.events_submitted, 50u);
   EXPECT_EQ(stats.events_applied, 50u);
-  EXPECT_EQ(stats.events_shed, 0u);
   for (uint64_t k = 0; k < 7; ++k) {
     EXPECT_EQ(store->Estimate(k).ValueOrDie(), k < 1 ? 8.0 : 7.0) << k;
   }

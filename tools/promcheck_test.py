@@ -83,6 +83,22 @@ class CheckTest(unittest.TestCase):
         errors = promcheck.check(bad)
         self.assertTrue(any("must stay zero" in e for e in errors))
 
+    def test_net_decode_errors_must_stay_zero(self):
+        dump = ("# TYPE countlib_net_decode_errors_total counter\n"
+                "countlib_net_decode_errors_total {}\n")
+        self.assertEqual(promcheck.check(dump.format(0)), [])
+        errors = promcheck.check(dump.format(3))
+        self.assertTrue(any("countlib_net_decode_errors_total: must stay zero"
+                            in e for e in errors))
+
+    def test_loadgen_lost_events_must_stay_zero(self):
+        dump = ("# TYPE countlib_loadgen_events_lost_total counter\n"
+                "countlib_loadgen_events_lost_total {}\n")
+        self.assertEqual(promcheck.check(dump.format(0)), [])
+        errors = promcheck.check(dump.format(5))
+        self.assertTrue(any("countlib_loadgen_events_lost_total: must stay "
+                            "zero" in e for e in errors))
+
     def test_required_metric_missing_is_flagged(self):
         errors = promcheck.check(GOOD, require=["countlib_store_keys"])
         self.assertTrue(any("missing" in e for e in errors))
