@@ -8,7 +8,7 @@
 /// dashboard then reads the results with one merged `TopK` snapshot call —
 /// an exact cross-shard cut per Remark 2.4.
 ///
-/// The registry replaces the old static slot-per-thread contract: there
+/// A lease is the pipeline's only way in, and it suits a pool: there
 /// are more worker-pool threads than producer slots, so each thread
 /// repeatedly acquires a slot (RAII `ProducerSlot` handle), submits a
 /// chunk, and releases — the registry guarantees one holder per slot and
@@ -31,7 +31,7 @@
 /// histogram), and a dump thread rewrites FILE with the Prometheus text
 /// exposition every `--metrics_period_ms` (plus a final dump after drain —
 /// the one CI validates with tools/promcheck.py). Each dump samples the
-/// gauges afresh. `FILE.json` gets the JSON twin.
+/// gauges afresh.
 ///
 ///   ./build/example_pipeline_ingest [--pages=N] [--visits=N] [--threads=N]
 ///       [--slots=N] [--metrics_out=FILE] [--metrics_period_ms=N]
@@ -56,18 +56,10 @@
 
 namespace {
 
-/// One snapshot -> two files: Prometheus text at `path`, JSON at
-/// `path`.json.
+/// One snapshot, written as Prometheus text to `path`.
 void DumpMetrics(const std::string& path) {
-  const countlib::obs::Snapshot snap = countlib::obs::GlobalSnapshot();
-  {
-    std::ofstream f(path);
-    f << countlib::obs::ToPrometheusText(snap);
-  }
-  {
-    std::ofstream f(path + ".json");
-    f << countlib::obs::ToJson(snap) << "\n";
-  }
+  std::ofstream f(path);
+  f << countlib::obs::ToPrometheusText(countlib::obs::GlobalSnapshot());
 }
 
 }  // namespace
@@ -83,8 +75,7 @@ int main(int argc, char** argv) {
   flags.AddUint64("slots", 4, "producer slots in the registry");
   flags.AddString("metrics_out", "",
                   "instrument the run and write the Prometheus text dump "
-                  "here (and the JSON twin to <file>.json); empty disables "
-                  "telemetry entirely");
+                  "here; empty disables telemetry entirely");
   flags.AddUint64("metrics_period_ms", 500,
                   "rewrite --metrics_out every this many milliseconds "
                   "while the run is live (0 = only the final dump)");
@@ -186,15 +177,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(threads),
               static_cast<unsigned long long>(slots));
 
-  std::printf("\nper-worker activity:\n");
-  for (const auto& w : ingest->PerWorkerStats()) {
-    std::printf("  worker %llu: %10llu events in %6llu batches, %llu wakeups\n",
-                static_cast<unsigned long long>(w.worker_id),
-                static_cast<unsigned long long>(w.events_applied),
-                static_cast<unsigned long long>(w.batches_applied),
-                static_cast<unsigned long long>(w.wakeups));
-  }
-
   const analytics::StoreStats store_stats = store->Stats();
   std::printf(
       "store: %llu pages at 16 bits/page packed state across %llu private "
@@ -215,8 +197,7 @@ int main(int argc, char** argv) {
 
   if (metrics) {
     DumpMetrics(metrics_out);
-    std::printf("metrics: Prometheus text at %s, JSON at %s.json\n",
-                metrics_out.c_str(), metrics_out.c_str());
+    std::printf("metrics: Prometheus text at %s\n", metrics_out.c_str());
   }
   return 0;
 }

@@ -36,9 +36,11 @@ constexpr uint64_t kMaxInboundPayload = 64;
 
 Result<std::unique_ptr<EventClient>> EventClient::Connect(
     const ClientOptions& options) {
-  if (options.max_batch_events < 1) {
+  // Bounded before the constructor reserves twice this many events.
+  if (options.max_batch_events < 1 ||
+      options.max_batch_events > kMaxFrameEvents) {
     return Status::InvalidArgument(
-        "EventClient: max_batch_events must be at least 1");
+        "EventClient: max_batch_events must be in [1, 2^20]");
   }
   if (options.poll_slice_ms < 1 || options.ack_timeout_ms < 1) {
     return Status::InvalidArgument(
@@ -182,7 +184,7 @@ Status EventClient::ReadServerFrame(bool blocking) {
   uint64_t got = 0;
   COUNTLIB_RETURN_NOT_OK(ReadFull(fd_, rx_.data(), kFrameHeaderSize,
                                   options_.poll_slice_ms,
-                                  /*idle_timeout_ms=*/0, {}, &got));
+                                  /*first_byte_timeout_ms=*/0, {}, &got));
   FrameHeader header;
   Status st =
       DecodeFrameHeader(rx_.data(), kFrameHeaderSize, kMaxInboundPayload,
@@ -194,7 +196,7 @@ Status EventClient::ReadServerFrame(bool blocking) {
   if (header.payload_len > 0) {
     COUNTLIB_RETURN_NOT_OK(ReadFull(fd_, rx_.data() + kFrameHeaderSize,
                                     header.payload_len, options_.poll_slice_ms,
-                                    /*idle_timeout_ms=*/0, {}, &got));
+                                    /*first_byte_timeout_ms=*/0, {}, &got));
   }
   stats_.frames_rx += 1;
   stats_.bytes_rx += kFrameHeaderSize + header.payload_len;

@@ -55,9 +55,9 @@ namespace net {
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Local batch size: `Submit` buffers until this many events are
-  /// pending, then sends a frame. Clamped down to the server's
-  /// `max_frame_events` at handshake.
+  /// Local batch size, in [1, kMaxFrameEvents]: `Submit` buffers until
+  /// this many events are pending, then sends a frame. Clamped down to the
+  /// server's `max_frame_events` at handshake.
   uint64_t max_batch_events = 512;
   /// Credit window to request in the hello (0 = take the server default).
   uint32_t requested_window = 0;

@@ -23,6 +23,12 @@ namespace {
 // connection waits for the next reap pass.
 constexpr int kAcceptPollMs = 250;
 
+// Read-poll slice of a connection thread: bounds how long a Stop request
+// waits for a blocked read to notice it.
+constexpr int kReadPollMs = 50;
+
+constexpr int kListenBacklog = 64;
+
 }  // namespace
 
 Result<std::unique_ptr<EventServer>> EventServer::Make(
@@ -31,7 +37,7 @@ Result<std::unique_ptr<EventServer>> EventServer::Make(
     return Status::InvalidArgument("EventServer: pipeline must be non-null");
   }
   if (options.max_frame_events < 1 ||
-      options.max_frame_events > (uint64_t{1} << 20)) {
+      options.max_frame_events > kMaxFrameEvents) {
     return Status::InvalidArgument(
         "EventServer: max_frame_events must be in [1, 2^20]");
   }
@@ -39,20 +45,13 @@ Result<std::unique_ptr<EventServer>> EventServer::Make(
     return Status::InvalidArgument(
         "EventServer: max_credit_window must be at least 1");
   }
-  if (options.poll_slice_ms < 1) {
-    return Status::InvalidArgument(
-        "EventServer: poll_slice_ms must be at least 1");
-  }
   std::unique_ptr<EventServer> server(new EventServer(pipeline, options));
   COUNTLIB_ASSIGN_OR_RETURN(
       server->listen_fd_,
-      ListenTcp(options.bind_address, options.port, options.listen_backlog));
+      ListenTcp(options.bind_address, options.port, kListenBacklog));
   COUNTLIB_ASSIGN_OR_RETURN(server->port_, LocalPort(server->listen_fd_));
   if (::pipe2(server->wake_pipe_, O_CLOEXEC) != 0) {
     return Status::IOError("EventServer: pipe2 failed");
-  }
-  if (server->options_.max_connections == 0) {
-    server->options_.max_connections = pipeline->num_producers();
   }
   if (server->options_.enable_metrics) server->RegisterMetrics();
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
@@ -198,14 +197,8 @@ void EventServer::AcceptLoop() {
     if (rc == 0 || (pfds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
-    // mo: relaxed — gauge read; the slot registry is the real admission
-    // gate, this cap only bounds thread count.
-    if (active_conns_.load(std::memory_order_relaxed) >=
-        options_.max_connections) {
-      connections_refused_.Add(1);
-      CloseFd(fd);
-      continue;
-    }
+    // The slot registry is the admission gate: it bounds the connection
+    // threads at the pipeline's producer slots.
     auto slot_result = pipeline_->TryAcquireProducerSlot();
     if (!slot_result.ok()) {
       // No free drained slot (or the pipeline is draining): refuse at the
@@ -253,8 +246,8 @@ Status EventServer::ReadFrame(int fd, uint8_t* buf, FrameHeader* header) {
     return stop_.load(std::memory_order_relaxed);
   };
   uint64_t got = 0;
-  Status st = ReadFull(fd, buf, kFrameHeaderSize, options_.poll_slice_ms,
-                       options_.idle_timeout_ms, abort, &got);
+  Status st = ReadFull(fd, buf, kFrameHeaderSize, kReadPollMs,
+                       /*first_byte_timeout_ms=*/0, abort, &got);
   if (!st.ok()) {
     if (st.IsIOError() && got > 0) partial_frames_.Add(1);
     return st;
@@ -265,8 +258,8 @@ Status EventServer::ReadFrame(int fd, uint8_t* buf, FrameHeader* header) {
     return st;
   }
   if (header->payload_len > 0) {
-    st = ReadFull(fd, buf + kFrameHeaderSize, header->payload_len,
-                  options_.poll_slice_ms, /*idle_timeout_ms=*/0, abort, &got);
+    st = ReadFull(fd, buf + kFrameHeaderSize, header->payload_len, kReadPollMs,
+                  /*first_byte_timeout_ms=*/0, abort, &got);
     if (!st.ok()) {
       // The header promised a payload that never arrived: mid-frame death.
       if (st.IsIOError()) partial_frames_.Add(1);
@@ -295,10 +288,10 @@ Status EventServer::SendFrame(int fd, FrameType type, uint64_t seq,
   return Status::OK();
 }
 
-uint64_t EventServer::CreditTargetForSlot(uint64_t slot,
+uint64_t EventServer::CreditTargetForSlot(const pipeline::ProducerSlot& slot,
                                           uint64_t effective_window) {
   const uint64_t capacity = pipeline_->queue_capacity();
-  const uint64_t depth = pipeline_->QueueDepth(slot);
+  const uint64_t depth = slot.QueueDepth();
   const uint64_t ring_headroom = depth >= capacity ? 0 : capacity - depth;
   if (ring_headroom == 0) {
     // The refill is about to clamp to the liveness floor: the client will
@@ -336,7 +329,7 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
     effective_window = std::min(effective_window,
                                 static_cast<uint64_t>(hello.requested_window));
   }
-  CreditLedger ledger(CreditTargetForSlot(slot->slot(), effective_window));
+  CreditLedger ledger(CreditTargetForSlot(*slot, effective_window));
   HelloAckBody hello_ack;
   hello_ack.credit_grant_total = ledger.grant_total();
   hello_ack.max_frame_events =
@@ -389,7 +382,7 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
         ack.acked_seq = header.seq;
         ack.delivered_total = delivered_total;
         ack.credit_grant_total = ledger.Refill(
-            CreditTargetForSlot(slot->slot(), effective_window));
+            CreditTargetForSlot(*slot, effective_window));
         EncodeAckBody(ack, body);
         st = SendFrame(fd, FrameType::kAck, header.seq, body, kAckBodySize,
                        tx.data());

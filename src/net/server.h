@@ -9,7 +9,9 @@
 /// the slot's single producer for the lease's lifetime. When every slot
 /// is leased the server refuses the connection at accept time (counted,
 /// closed immediately); remote producers retry with backoff, which is the
-/// registry's `kPending` semantics extended over the wire.
+/// registry's `kPending` semantics extended over the wire. The registry is
+/// the only connection cap, and the server never disconnects a quiet
+/// client.
 ///
 /// ## Flow control
 ///
@@ -72,21 +74,13 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with `EventServer::port()`.
   uint16_t port = 0;
-  /// Connection cap; 0 means one per pipeline producer slot (the natural
-  /// limit — a connection without a slot could not submit anyway).
-  uint64_t max_connections = 0;
-  /// Most events the server accepts in one kEventBatch frame; advertised
-  /// to the client in the hello ack and enforced on decode.
+  /// Most events the server accepts in one kEventBatch frame, in
+  /// [1, kMaxFrameEvents]; advertised to the client in the hello ack and
+  /// enforced on decode.
   uint64_t max_frame_events = 4096;
   /// Hard cap on any connection's credit window, whatever the pipeline
   /// headroom says.
   uint64_t max_credit_window = uint64_t{1} << 16;
-  /// Disconnect a connection that sends nothing for this long (0 = never;
-  /// chaos tests park clients far longer than any sane default).
-  int idle_timeout_ms = 0;
-  /// Poll slice for stop-responsiveness of blocked reads.
-  int poll_slice_ms = 50;
-  int listen_backlog = 64;
   /// Register the countlib_net_* instruments with
   /// `obs::Registry::Default()` (the counters are maintained either way
   /// and surfaced through `Stats()`).
@@ -96,7 +90,7 @@ struct ServerOptions {
 /// Snapshot of the server's activity counters (cumulative since Make).
 struct ServerStats {
   uint64_t connections_accepted = 0;
-  uint64_t connections_refused = 0;  ///< no free slot / over the cap
+  uint64_t connections_refused = 0;  ///< no free drained slot, or draining
   uint64_t connections_active = 0;
   uint64_t frames_rx = 0;
   uint64_t frames_tx = 0;
@@ -114,10 +108,9 @@ struct ServerStats {
 class EventServer {
  public:
   /// Binds, listens, and starts the accept thread. The pipeline must
-  /// outlive the server; it is not owned. The pipeline should use the
-  /// registry-lease style exclusively — the server leases slots through
-  /// `TryAcquireProducerSlot` (see ingest_pipeline.h on not mixing
-  /// styles).
+  /// outlive the server; it is not owned. Each connection leases its slot
+  /// through `TryAcquireProducerSlot`, so the server can share a pipeline
+  /// with in-process producers that lease too.
   static Result<std::unique_ptr<EventServer>> Make(
       pipeline::IngestPipeline* pipeline, const ServerOptions& options);
 
@@ -170,9 +163,10 @@ class EventServer {
   /// Encodes and sends a header+body frame, counting tx traffic.
   Status SendFrame(int fd, FrameType type, uint64_t seq, const uint8_t* body,
                    uint64_t body_len, uint8_t* scratch);
-  /// Current credit target for `slot` from live pipeline headroom; counts
-  /// a credit stall when headroom is exhausted.
-  uint64_t CreditTargetForSlot(uint64_t slot, uint64_t effective_window);
+  /// Current credit target for `slot` from its ring's live headroom;
+  /// counts a credit stall when headroom is exhausted.
+  uint64_t CreditTargetForSlot(const pipeline::ProducerSlot& slot,
+                               uint64_t effective_window);
 
   pipeline::IngestPipeline* pipeline_;
   ServerOptions options_;

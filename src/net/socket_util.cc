@@ -139,7 +139,7 @@ Result<int> WaitReadable(int fd, int timeout_ms) {
 }
 
 Status ReadFull(int fd, uint8_t* buf, uint64_t len, int poll_slice_ms,
-                int idle_timeout_ms,
+                int first_byte_timeout_ms,
                 const std::function<bool()>& should_abort, uint64_t* got) {
   *got = 0;
   int idle_ms = 0;
@@ -150,9 +150,9 @@ Status ReadFull(int fd, uint8_t* buf, uint64_t len, int poll_slice_ms,
     COUNTLIB_ASSIGN_OR_RETURN(const int ready,
                               WaitReadable(fd, poll_slice_ms));
     if (ready == 0) {
-      if (idle_timeout_ms > 0 && *got == 0) {
+      if (first_byte_timeout_ms > 0 && *got == 0) {
         idle_ms += poll_slice_ms;
-        if (idle_ms >= idle_timeout_ms) {
+        if (idle_ms >= first_byte_timeout_ms) {
           return Status::Pending("net: no frame within the idle timeout");
         }
       }

@@ -54,10 +54,10 @@ Result<int> WaitReadable(int fd, int timeout_ms);
 ///  - `kIOError` with `*got < len`: the peer closed or errored mid-read;
 ///    `*got == 0` means a clean frame boundary, anything else is a
 ///    partial frame (the server's books distinguish the two).
-///  - `kPending`: `idle_timeout_ms` (when > 0) elapsed with no bytes at
-///    all — the caller decides whether idleness is an error.
+///  - `kPending`: `first_byte_timeout_ms` (when > 0) elapsed with no bytes
+///    at all — the caller decides whether idleness is an error.
 Status ReadFull(int fd, uint8_t* buf, uint64_t len, int poll_slice_ms,
-                int idle_timeout_ms,
+                int first_byte_timeout_ms,
                 const std::function<bool()>& should_abort, uint64_t* got);
 
 /// Closes `fd`, ignoring EINTR (Linux semantics: the fd is gone either

@@ -34,35 +34,6 @@ void AppendDouble(std::string* out, double v) {
   out->append(buf);
 }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 int HighestNonEmptyBucket(const HistogramSnapshot& h) {
   for (int b = HistogramSnapshot::kBuckets - 1; b >= 0; --b) {
     if (h.buckets[b] != 0) return b;
@@ -112,67 +83,6 @@ std::string ToPrometheusText(const Snapshot& snap) {
     AppendU64(&out, h.count);
     out.push_back('\n');
   }
-  return out;
-}
-
-std::string ToJson(const Snapshot& snap) {
-  std::string out;
-  out.reserve(4096);
-  out.append("{\n  \"counters\": {");
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    out.append(first ? "\n    " : ",\n    ");
-    first = false;
-    AppendJsonString(&out, name);
-    out.append(": ");
-    AppendU64(&out, value);
-  }
-  out.append(first ? "},\n" : "\n  },\n");
-
-  out.append("  \"gauges\": {");
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    out.append(first ? "\n    " : ",\n    ");
-    first = false;
-    AppendJsonString(&out, name);
-    out.append(": ");
-    AppendDouble(&out, value);
-  }
-  out.append(first ? "},\n" : "\n  },\n");
-
-  out.append("  \"histograms\": {");
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    out.append(first ? "\n    " : ",\n    ");
-    first = false;
-    AppendJsonString(&out, name);
-    out.append(": {\"count\": ");
-    AppendU64(&out, h.count);
-    out.append(", \"sum\": ");
-    AppendU64(&out, h.sum);
-    out.append(", \"max\": ");
-    AppendU64(&out, h.max);
-    out.append(", \"p50\": ");
-    AppendU64(&out, h.Percentile(0.50));
-    out.append(", \"p90\": ");
-    AppendU64(&out, h.Percentile(0.90));
-    out.append(", \"p99\": ");
-    AppendU64(&out, h.Percentile(0.99));
-    out.append(", \"buckets\": {");
-    bool first_bucket = true;
-    for (int b = 0; b < HistogramSnapshot::kBuckets; ++b) {
-      if (h.buckets[b] == 0) continue;
-      if (!first_bucket) out.append(", ");
-      first_bucket = false;
-      out.push_back('"');
-      AppendU64(&out, HistogramSnapshot::BucketUpperBound(b));
-      out.append("\": ");
-      AppendU64(&out, h.buckets[b]);
-    }
-    out.append("}}");
-  }
-  out.append(first ? "}\n" : "\n  }\n");
-  out.append("}\n");
   return out;
 }
 

@@ -1,9 +1,8 @@
 /// \file export.h
 /// \brief The unified export surface: serialize one `obs::Snapshot` as
-/// Prometheus text exposition or JSON. Everything the process measures —
-/// pipeline counters, store gauges, hot-path latency histograms — leaves
-/// through these two functions; examples dump the Prometheus form to a
-/// scrape file, and example_pipeline_ingest writes the JSON form beside it.
+/// Prometheus text exposition. Everything the process measures — pipeline
+/// counters, store gauges, hot-path latency histograms — leaves through
+/// this one function; examples dump it to a scrape file.
 ///
 /// Export contract (see obs/README.md for the name inventory):
 ///
@@ -13,10 +12,10 @@
 ///                `<name>_bucket{le="<2^i - 1>"}` lines ending in
 ///                `le="+Inf"`, plus `<name>_sum` and `<name>_count`
 ///
-/// Both forms carry one point in time; history is the scraper's job.
+/// A dump carries one point in time; history is the scraper's job.
 ///
-/// Both serializers are deterministic (instruments sort by name) so goldens
-/// and `tools/promcheck.py` can diff them.
+/// The serializer is deterministic (instruments sort by name) so goldens
+/// and `tools/promcheck.py` can diff its output.
 
 #ifndef COUNTLIB_OBS_EXPORT_H_
 #define COUNTLIB_OBS_EXPORT_H_
@@ -30,10 +29,6 @@ namespace obs {
 
 /// Prometheus text exposition format (version 0.0.4) of `snap`.
 std::string ToPrometheusText(const Snapshot& snap);
-
-/// JSON object with "counters", "gauges" and "histograms" (count/sum/max/
-/// p50/p90/p99 and the non-empty buckets).
-std::string ToJson(const Snapshot& snap);
 
 }  // namespace obs
 }  // namespace countlib

@@ -1,7 +1,7 @@
 /// \file event.h
 /// \brief Shared vocabulary of the ingestion pipeline: the event type that
 /// flows through the producer queues, the pipeline's tuning knobs, and the
-/// observable counters (`PipelineStats`, `WorkerStats`).
+/// observable counters (`PipelineStats`).
 ///
 /// The §1 motivating system ("count visits to every Wikipedia page under
 /// production write traffic") needs an ingest path between the producers
@@ -39,10 +39,9 @@ struct Event {
 
 /// \brief Tuning knobs for `IngestPipeline::Make`.
 struct PipelineOptions {
-  /// Number of producer slots; each owns a private SPSC queue and MUST be
-  /// used by at most one thread at a time (the SPSC contract). Slots can be
-  /// addressed statically by index, or leased dynamically through
-  /// `AcquireProducerSlot` (the registry enforces single ownership).
+  /// Number of producer slots; each owns a private SPSC queue and is used
+  /// by at most one thread at a time (the SPSC contract), which the lease
+  /// registry (`AcquireProducerSlot`) enforces.
   uint64_t num_producers = 4;
   /// Per-producer queue capacity in events; rounded up to a power of two.
   /// When a queue is full, `TrySubmit` reports `kPending` backpressure and
@@ -83,20 +82,6 @@ struct PipelineStats {
   uint64_t queue_depth = 0;        ///< events currently sitting in queues (approximate)
   uint64_t workers = 0;            ///< current drain-thread count (gauge; 0 while paused)
   uint64_t slots_in_use = 0;       ///< producer slots currently leased via the registry (gauge)
-};
-
-/// \brief Per-worker activity counters, taken with
-/// `IngestPipeline::PerWorkerStats`. Counters are cumulative per worker id
-/// across `SetWorkerCount` generations (worker `i` of the new pool inherits
-/// the cells of worker `i` of the old pool). The shutdown sweep in `Drain`
-/// is not attributed to any worker, so per-worker sums can undercount the
-/// aggregate `PipelineStats` by the final sweep's share.
-struct WorkerStats {
-  uint64_t worker_id = 0;
-  uint64_t events_applied = 0;   ///< raw events this worker folded into the store
-  uint64_t batches_applied = 0;  ///< store IncrementBatch calls this worker issued
-  uint64_t idle_passes = 0;      ///< drain passes that found no events
-  uint64_t wakeups = 0;          ///< CV sleeps ended by a signal (not timeout)
 };
 
 }  // namespace pipeline

@@ -95,12 +95,6 @@ const Status& NoFreeSlotStatus() {
   return st;
 }
 
-const Status& InvalidSlotStatus() {
-  static const Status st =
-      Status::InvalidArgument("TrySubmit: producer slot out of range");
-  return st;
-}
-
 const Status& InvalidHandleStatus() {
   static const Status st =
       Status::FailedPrecondition("ProducerSlot: handle is invalid");
@@ -246,12 +240,6 @@ IngestPipeline::~IngestPipeline() {
 }
 
 void IngestPipeline::SpawnWorkersLocked(uint64_t n) {
-  {
-    MutexLock lock(&cells_mu_);
-    while (worker_cells_.size() < n) {
-      worker_cells_.push_back(std::make_unique<WorkerStatCells>());
-    }
-  }
   // mo: acquire — reads the generation the retiring resize (if any)
   // published; the spawned workers compare against this snapshot.
   const uint64_t gen = worker_gen_.load(std::memory_order_acquire);
@@ -271,7 +259,6 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
                                       const analytics::KeyWeight* updates,
                                       size_t n, size_t* accepted) {
   if (accepted != nullptr) *accepted = 0;
-  if (producer >= rings_.size()) return InvalidSlotStatus();
   // Validate the whole batch before enqueuing any of it, so a bad record
   // rejects its batch (the net server's frame) as a unit.
   for (size_t i = 0; i < n; ++i) {
@@ -477,8 +464,7 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
                                    uint64_t start_ring, uint64_t lane,
                                    std::vector<Event>* raw,
                                    std::unordered_map<uint64_t, uint64_t>* agg,
-                                   std::vector<analytics::KeyWeight>* batch,
-                                   WorkerStatCells* cells) {
+                                   std::vector<analytics::KeyWeight>* batch) {
   busy_workers_.fetch_add(1);
   // One clock read per pass when instrumented; the matching end read
   // happens only for passes that consumed events (idle passes are
@@ -526,13 +512,6 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
       applied_.Add(count);
       updates_.Add(batch->size());
       batches_.Add(1);
-      if (cells != nullptr) {
-        // mo: relaxed — per-worker stats cells, folded under cells_mu_ by
-        // the snapshot readers; no ordering carried.
-        cells->events.fetch_add(count, std::memory_order_relaxed);
-        // mo: relaxed — same stats-cell convention.
-        cells->batches.fetch_add(1, std::memory_order_relaxed);
-      }
       if (obs_ != nullptr) {
         // Submit→apply latency for the stamped subset of this batch. Both
         // ends are steady-clock reads, so now >= ts.
@@ -568,15 +547,6 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
   for (uint64_t i = w; i < rings_.size(); i += num_workers) {
     owned.push_back(i);
   }
-  WorkerStatCells* cells = nullptr;
-  {
-    // The spawn (under workers_mu_) grew the vector before this thread
-    // existed, but the lock keeps the read honest against the guarded-by
-    // contract (and any future growth path) instead of relying on the
-    // spawn edge implicitly.
-    MutexLock lock(&cells_mu_);
-    cells = worker_cells_[w].get();
-  }
   std::vector<Event> raw(options_.max_batch);
   std::unordered_map<uint64_t, uint64_t> agg;
   std::vector<analytics::KeyWeight> batch;
@@ -600,14 +570,13 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     // the queues are closed and an empty pass is proof of full drain.
     const bool saw_stop = stop_.load(std::memory_order_acquire);
     // Worker w's single-writer store lane is w (see the file comment).
-    const uint64_t n = DrainOnce(owned, pass++, w, &raw, &agg, &batch, cells);
+    const uint64_t n = DrainOnce(owned, pass++, w, &raw, &agg, &batch);
     if (n > 0) {
       idle_streak = 0;
       continue;
     }
     if (saw_stop) return;
-    // mo: relaxed — stats cell (see DrainOnce).
-    cells->idle.fetch_add(1, std::memory_order_relaxed);
+    idle_passes_.Add(1);
     if (++idle_streak < kIdleSpinPasses) {
       std::this_thread::yield();
       continue;
@@ -629,8 +598,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
         },
         kIdleSleep);
     if (signaled) {
-      // mo: relaxed — stats cell (see DrainOnce).
-      cells->wakeups.fetch_add(1, std::memory_order_relaxed);
+      worker_wakeups_.Add(1);
       if (obs_ != nullptr) {
         // Wakeup→drain latency: producer's notify stamp → now, with the
         // drain starting on the next loop iteration. Concurrent notifies
@@ -722,8 +690,7 @@ Status IngestPipeline::Drain() {
     // nothing a submitter racing the shutdown slipped in is stranded.
     // The sweep reuses the workers' aggregate-then-batch path so stats and
     // slot-rewrite costs stay consistent; DrainOnce's busy_workers_ raise
-    // makes it visible to a concurrent Flush. The sweep is not attributed
-    // to any worker id (cells == nullptr).
+    // makes it visible to a concurrent Flush.
     std::vector<uint64_t> all_rings(rings_.size());
     for (uint64_t i = 0; i < all_rings.size(); ++i) all_rings[i] = i;
     std::vector<Event> raw(options_.max_batch);
@@ -733,7 +700,7 @@ Status IngestPipeline::Drain() {
     // Lane 0 is safe here: every worker has been joined above, so the
     // sweep is the only store writer (the join is the happens-before edge
     // that migrates lane ownership to this thread).
-    while (DrainOnce(all_rings, pass++, 0, &raw, &agg, &batch, nullptr) > 0) {
+    while (DrainOnce(all_rings, pass++, 0, &raw, &agg, &batch) > 0) {
     }
     drain_result_ = LastError();
   });
@@ -754,35 +721,10 @@ PipelineStats IngestPipeline::Stats() const {
   stats.slots_in_use = slots_in_use_.load(std::memory_order_relaxed);
   stats.producer_parks = producer_parks_.Value();
   stats.producer_wakeups = producer_wakeups_.Value();
-  {
-    MutexLock lock(&cells_mu_);
-    for (const auto& cells : worker_cells_) {
-      // mo: relaxed ×2 — stats cells; the fold needs no ordering.
-      stats.idle_passes += cells->idle.load(std::memory_order_relaxed);
-      stats.worker_wakeups += cells->wakeups.load(std::memory_order_relaxed);
-    }
-  }
+  stats.idle_passes = idle_passes_.Value();
+  stats.worker_wakeups = worker_wakeups_.Value();
   for (const auto& ring : rings_) stats.queue_depth += ring->SizeApprox();
   return stats;
-}
-
-std::vector<WorkerStats> IngestPipeline::PerWorkerStats() const {
-  std::vector<WorkerStats> out;
-  MutexLock lock(&cells_mu_);
-  out.reserve(worker_cells_.size());
-  for (uint64_t w = 0; w < worker_cells_.size(); ++w) {
-    const WorkerStatCells& cells = *worker_cells_[w];
-    WorkerStats stats;
-    stats.worker_id = w;
-    // mo: relaxed ×4 — stats cells snapshotted under cells_mu_; the lock
-    // serializes the fold, the loads need no ordering of their own.
-    stats.events_applied = cells.events.load(std::memory_order_relaxed);
-    stats.batches_applied = cells.batches.load(std::memory_order_relaxed);
-    stats.idle_passes = cells.idle.load(std::memory_order_relaxed);
-    stats.wakeups = cells.wakeups.load(std::memory_order_relaxed);
-    out.push_back(stats);
-  }
-  return out;
 }
 
 Status IngestPipeline::LastError() const {
@@ -818,6 +760,10 @@ Status ProducerSlot::TrySubmit(uint64_t key, uint64_t weight) {
 Status ProducerSlot::Submit(uint64_t key, uint64_t weight) {
   const analytics::KeyWeight update{key, weight};
   return SubmitBatch(&update, 1);
+}
+
+uint64_t ProducerSlot::QueueDepth() const {
+  return pipeline_ == nullptr ? 0 : pipeline_->rings_[slot_]->SizeApprox();
 }
 
 void ProducerSlot::Release() {

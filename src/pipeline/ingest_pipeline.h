@@ -3,13 +3,14 @@
 /// `CounterWriter` store — the serving path of the paper's §1 analytics
 /// system.
 ///
-/// Producers get private bounded SPSC queues and a non-blocking
-/// `TrySubmitBatch` that reports `kPending` backpressure (the FASTER-style
-/// OK/Pending status model) instead of ever blocking the write path on a
-/// store lock. A batch — the net server hands over each wire frame whole —
-/// costs one `Drain` handshake, one ring publish and at most one worker
-/// wake, however many events it carries; `TrySubmit`/`Submit` are the
-/// one-update case of the same path. Background workers drain the queues, **pre-aggregate
+/// Producers lease private bounded SPSC queues (`ProducerSlot`) and submit
+/// through a non-blocking `TrySubmitBatch` that reports `kPending`
+/// backpressure (the FASTER-style OK/Pending status model) instead of ever
+/// blocking the write path on a store lock. A batch — the net server hands
+/// over each wire frame whole — costs one `Drain` handshake, one ring
+/// publish and at most one worker wake, however many events it carries;
+/// `TrySubmit`/`Submit` are the one-update case of the same path.
+/// Background workers drain the queues, **pre-aggregate
 /// duplicate keys within each batch** — one packed-slot
 /// deserialize/serialize per *distinct* key instead of per event, which is
 /// exactly where the store's cycles go under a Zipfian workload — and apply
@@ -33,26 +34,18 @@
 /// accepted so far is applied); `Drain` closes submission, flushes, and
 /// stops the workers — it is idempotent, and the destructor calls it.
 ///
-/// ## Producer slots: static indices or registry leases
+/// ## Producer slots: registry leases
 ///
 /// A producer slot is single-threaded at any instant (SPSC); different
-/// slots are fully concurrent. Two ways to honor that contract:
-///
-///  1. **Static assignment** — thread `i` calls `TrySubmit(i, ...)` for its
-///     whole life. Simple, zero coordination, right for fixed thread sets.
-///  2. **Registry leases** — transient threads call `AcquireProducerSlot()`
-///     (blocking) or `TryAcquireProducerSlot()` (non-blocking) and submit
-///     through the returned RAII `ProducerSlot` handle. The registry hands
-///     a slot to at most one holder at a time, and re-issues a released
-///     slot only after its queue has been fully drained, so every lease
-///     starts with the slot's whole capacity. This is the API for thread
-///     pools whose membership changes (the FASTER-style "sessions come and
-///     go" reality).
-///
-/// The two styles must not be mixed on the same slot: statically indexed
-/// slots should never be leased. (The registry cannot see static users, so
-/// mixing would put two producers on one queue.) In practice pick one style
-/// per pipeline.
+/// slots are fully concurrent. A producer honors that contract by leasing:
+/// `AcquireProducerSlot()` (blocking) or `TryAcquireProducerSlot()`
+/// (non-blocking) returns an RAII `ProducerSlot` handle, and every submit
+/// goes through it — the pipeline has no other way in. The registry hands
+/// a slot to at most one holder at a time, and re-issues a released slot
+/// only after its queue has been fully drained, so every lease starts with
+/// the slot's whole capacity. A fixed thread set leases once per thread;
+/// thread pools whose membership changes lease per task (the FASTER-style
+/// "sessions come and go" reality).
 ///
 /// ## Parking: one `EventCount`, four waiters
 ///
@@ -100,7 +93,6 @@
 /// join, no ring has a live consumer), then `n` fresh workers are spawned
 /// owning rings round-robin by the new count. Queued events are never
 /// dropped by a resize; they are simply picked up by the new owners.
-/// Per-worker activity is observable via `PerWorkerStats`.
 /// `SetWorkerCount(0)` is an explicit **pause**: accepted events stay
 /// queued, `TrySubmit` keeps accepting until the queues fill, and blocking
 /// submitters park until a resume (or `Drain`, which applies everything in
@@ -153,42 +145,6 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Non-blocking submit of `n` updates on `producer`'s queue, in order,
-  /// with one ring publish: the longest prefix that fits is enqueued (and
-  /// will be applied) and `*accepted`, when non-null, receives its length.
-  /// Returns OK when all `n` were enqueued, `kPending` when the queue
-  /// filled first (retry the rest after backoff), `kFailedPrecondition`
-  /// once draining has begun, and `kInvalidArgument` for a bad producer
-  /// slot or any zero weight — every weight is checked before anything is
-  /// enqueued, so an invalid batch enqueues nothing. Each call makes one
-  /// `Drain` handshake and wakes a worker at most once. Every rejection
-  /// result is preallocated — no reject path ever heap-allocates. It never
-  /// waits: this is always the pure ring probe. Under `enable_metrics` the
-  /// call stamps the events of it that fall in the calling thread's 1-in-64
-  /// latency sample, with one steady-clock read per call (none when no
-  /// stamp falls in the batch).
-  Status TrySubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
-                        size_t n, size_t* accepted = nullptr);
-
-  /// Blocking batch submit: like `TrySubmitBatch`, but while the rest does
-  /// not fit it spins briefly and then parks on the ring's not-full
-  /// eventcount until the rest fits, so an OK return means all `n` were
-  /// enqueued. Never returns `kPending`.
-  Status SubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
-                     size_t n);
-
-  /// `TrySubmitBatch` of the single update {key, weight}.
-  Status TrySubmit(uint64_t producer, uint64_t key, uint64_t weight = 1) {
-    const analytics::KeyWeight update{key, weight};
-    return TrySubmitBatch(producer, &update, 1);
-  }
-
-  /// `SubmitBatch` of the single update {key, weight}.
-  Status Submit(uint64_t producer, uint64_t key, uint64_t weight = 1) {
-    const analytics::KeyWeight update{key, weight};
-    return SubmitBatch(producer, &update, 1);
-  }
-
   /// Leases a free, fully drained producer slot, blocking until one is
   /// available. Returns `kFailedPrecondition` once draining has begun
   /// (including while blocked). The handle releases the lease on
@@ -230,10 +186,6 @@ class IngestPipeline {
   /// Snapshot of the activity counters and current gauges.
   PipelineStats Stats() const;
 
-  /// Per-worker activity snapshot, one entry per worker id ever used
-  /// (cumulative across `SetWorkerCount` generations).
-  std::vector<WorkerStats> PerWorkerStats() const;
-
   /// First store error hit by a worker (OK if none). Sticky.
   Status LastError() const;
 
@@ -249,31 +201,29 @@ class IngestPipeline {
 
   /// Per-slot ring capacity (the power-of-two rounding of
   /// `PipelineOptions::queue_capacity`; fixed at `Make`). The net server
-  /// sizes its credit windows from a slot's free share of it.
+  /// sizes its credit windows from its lease's free share of it
+  /// (`ProducerSlot::QueueDepth`).
   uint64_t queue_capacity() const {
     return rings_.empty() ? 0 : rings_[0]->capacity();
-  }
-
-  /// Approximate depth of `producer`'s ring (0 for out-of-range slots).
-  /// Safe from any thread; same relaxed snapshot as `SpscRing::SizeApprox`.
-  uint64_t QueueDepth(uint64_t producer) const {
-    return producer < rings_.size() ? rings_[producer]->SizeApprox() : 0;
   }
 
  private:
   friend class ProducerSlot;
 
-  /// Per-worker atomic stat cells; cells outlive worker generations so ids
-  /// accumulate across resizes.
-  struct WorkerStatCells {
-    std::atomic<uint64_t> events{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> idle{0};
-    std::atomic<uint64_t> wakeups{0};
-  };
-
   IngestPipeline(analytics::CounterWriter* store,
                  const PipelineOptions& options);
+
+  /// The submit path behind `ProducerSlot::TrySubmitBatch` (see there for
+  /// the status contract). `producer` is always a slot the caller leased,
+  /// so it is in range by construction.
+  Status TrySubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
+                        size_t n, size_t* accepted);
+
+  /// The blocking submit behind `ProducerSlot::SubmitBatch`: retries
+  /// `TrySubmitBatch` on the rest of the batch, spinning briefly and then
+  /// parking on the ring's not-full eventcount until it fits.
+  Status SubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
+                     size_t n);
 
   /// Drain loop for worker `w` of generation `gen`, owning rings where
   /// i % num_workers == w. Exits when its generation is retired
@@ -289,14 +239,13 @@ class IngestPipeline {
   /// advance it each pass for fairness. Pops that transition a ring
   /// full→nonfull notify the ring's not-full eventcount shard (waking
   /// producers parked in `Submit`). Returns the number of raw events
-  /// consumed, attributing the work to `cells` when non-null. The
-  /// worker-owned scratch keeps the drain loop itself allocation-light.
+  /// consumed. The worker-owned scratch keeps the drain loop itself
+  /// allocation-light.
   uint64_t DrainOnce(const std::vector<uint64_t>& ring_ids,
                      uint64_t start_ring, uint64_t lane,
                      std::vector<Event>* raw,
                      std::unordered_map<uint64_t, uint64_t>* agg,
-                     std::vector<analytics::KeyWeight>* batch,
-                     WorkerStatCells* cells);
+                     std::vector<analytics::KeyWeight>* batch);
 
   /// The not-full eventcount shard covering `ring` (round-robin mapping).
   EventCount& NonFullShard(uint64_t ring) {
@@ -326,17 +275,11 @@ class IngestPipeline {
 
   /// Worker pool; guarded by workers_mu_ (resize/join), as are
   /// options_.num_workers updates. workers_mu_ is held across joins, so
-  /// nothing on a read path may take it.
+  /// nothing on a read path may take it. Each of the pipeline's three
+  /// mutexes (workers_mu_, slots_mu_, error_mu_) is a leaf: no path holds
+  /// two of them at once.
   Mutex workers_mu_ LOCK_LEVEL(10);
   std::vector<std::thread> workers_ GUARDED_BY(workers_mu_);
-  /// Stat cells are guarded by their own (briefly held) mutex so
-  /// Stats/PerWorkerStats snapshots never block behind a resize or drain
-  /// join. The vector only grows, and only while no workers are live;
-  /// workers hold raw pointers to their own cells, which growth never
-  /// invalidates.
-  mutable Mutex cells_mu_ LOCK_LEVEL(20);
-  std::vector<std::unique_ptr<WorkerStatCells>> worker_cells_
-      GUARDED_BY(cells_mu_);
   std::atomic<uint64_t> worker_gen_{0};    ///< bumped to retire a generation
   std::atomic<uint64_t> worker_count_{0};  ///< gauge mirror of workers_.size()
 
@@ -377,13 +320,15 @@ class IngestPipeline {
   /// paths never contend on one cache line. These same cells back both
   /// `Stats()` (folded at read) and, under `enable_metrics`, the exported
   /// `countlib_pipeline_*_total` metrics — one source of truth, two
-  /// surfaces.
+  /// surfaces. The worker idle-pass and wakeup counts feed `Stats()` only.
   obs::Counter submitted_;
   obs::Counter rejected_;
   obs::Counter applied_;
   obs::Counter dropped_;
   obs::Counter updates_;
   obs::Counter batches_;
+  obs::Counter idle_passes_;
+  obs::Counter worker_wakeups_;
 
   /// obs::NowNanos of the most recent empty→nonempty wake notify; the
   /// signaled worker diffs against it for the wakeup→drain histogram.

@@ -97,7 +97,7 @@
 /// tools/locktree.py can check every acquisition site against it.
 /// Every `countlib::Mutex` declaration in src/ must carry one:
 ///
-///   Mutex cells_mu_ LOCK_LEVEL(20);
+///   Mutex slots_mu_ LOCK_LEVEL(30);
 ///
 /// Under Clang this also plants an `annotate("countlib::lock_level=N")`
 /// attribute in the AST so locktree's libclang cross-validation pass can

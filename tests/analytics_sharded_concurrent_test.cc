@@ -111,9 +111,10 @@ TEST(ShardedConcurrentTest, PipelineCutUnderWorkerChurnIsExact) {
   // a blocking Submit parks on a full ring, so every event is applied.
   std::vector<std::thread> producers;
   for (uint64_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pipe, p] {
+    producers.emplace_back([&pipe] {
+      auto slot = pipe->AcquireProducerSlot().ValueOrDie();
       for (uint64_t e = 0; e < kEventsPerProducer; ++e) {
-        ASSERT_TRUE(pipe->Submit(p, e % kKeys, e % 7 + 1).ok());
+        ASSERT_TRUE(slot.Submit(e % kKeys, e % 7 + 1).ok());
       }
     });
   }

@@ -8,8 +8,9 @@
 //   Registry::mu_ (60) -> nothing in the store: the sharded store's gauge
 //     std::function callbacks run under the registry lock and must only
 //     read relaxed mirrors, never freeze or park;
-//   IngestPipeline::workers_mu_ (10) -> cells_mu_ (20)
-//     via SetWorkerCount's resize barrier.
+//   IngestPipeline::workers_mu_ (10) -> nothing: SetWorkerCount joins
+//     retiring workers under it, and no worker, Stats() reader or lease
+//     submitter takes it.
 
 #include <gtest/gtest.h>
 
@@ -80,9 +81,9 @@ TEST(LockHierarchyTest, RegistrySnapshotVsShardWriters) {
   EXPECT_GT(store->NumKeys(), 0u);
 }
 
-// workers_mu_ (10) -> cells_mu_ (20): elastic resizes take both in order
-// while stats readers take cells_mu_ alone and submitters run the lock-free
-// fast path.
+// workers_mu_ (10) alone: elastic resizes hold it across their worker
+// joins while Stats() readers fold the striped counters without any
+// pipeline mutex and a lease submitter runs the lock-free fast path.
 TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
   auto store = MakeStore();
   pipeline::PipelineOptions opt;
@@ -100,17 +101,16 @@ TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      std::vector<pipeline::WorkerStats> per = pipe->PerWorkerStats();
-      (void)per;
       pipeline::PipelineStats s = pipe->Stats();
       (void)s;
       std::this_thread::yield();
     }
   });
   std::thread submitter([&] {
+    pipeline::ProducerSlot slot = pipe->AcquireProducerSlot().ValueOrDie();
     uint64_t key = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      Status st = pipe->TrySubmit(0, key++ % 16, 1);
+      Status st = slot.TrySubmit(key++ % 16, 1);
       ASSERT_TRUE(st.ok() || st.IsPending());
     }
   });

@@ -58,11 +58,10 @@ TEST(NetServerTest, MakeValidatesOptions) {
   ServerOptions bad;
   bad.max_frame_events = 0;
   EXPECT_FALSE(EventServer::Make(pipe.get(), bad).ok());
-  bad = ServerOptions();
-  bad.max_credit_window = 0;
+  bad.max_frame_events = kMaxFrameEvents + 1;
   EXPECT_FALSE(EventServer::Make(pipe.get(), bad).ok());
   bad = ServerOptions();
-  bad.poll_slice_ms = 0;
+  bad.max_credit_window = 0;
   EXPECT_FALSE(EventServer::Make(pipe.get(), bad).ok());
   bad = ServerOptions();
   bad.bind_address = "not-an-address";
@@ -121,6 +120,13 @@ TEST(NetServerTest, ClientValidatesArguments) {
   auto pipe = pipeline::IngestPipeline::Make(store.get(), BaseOptions())
                   .ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
+  // A batch size outside [1, 2^20] is refused before anything is
+  // allocated for it.
+  ClientOptions bad = ClientFor(*server);
+  bad.max_batch_events = 0;
+  EXPECT_TRUE(EventClient::Connect(bad).status().IsInvalidArgument());
+  bad.max_batch_events = uint64_t{1} << 40;
+  EXPECT_TRUE(EventClient::Connect(bad).status().IsInvalidArgument());
   auto client = EventClient::Connect(ClientFor(*server)).ValueOrDie();
   EXPECT_TRUE(client->Submit(1, 0).IsInvalidArgument());
   ASSERT_TRUE(client->Close().ok());

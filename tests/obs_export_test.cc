@@ -1,4 +1,4 @@
-// Tests for the export surface: Prometheus text exposition and JSON.
+// Tests for the export surface: Prometheus text exposition.
 
 #include <gtest/gtest.h>
 
@@ -65,37 +65,10 @@ TEST(ObsExportTest, PrometheusIsDeterministic) {
             ToPrometheusText(SampleSnapshot()));
 }
 
-TEST(ObsExportTest, JsonShape) {
-  const std::string json = ToJson(SampleSnapshot());
-  EXPECT_TRUE(
-      Contains(json, "\"countlib_pipeline_events_submitted_total\": 1000"));
-  EXPECT_TRUE(Contains(json, "\"countlib_pipeline_queue_depth\": 12"));
-  EXPECT_TRUE(Contains(json, "\"count\": 3"));
-  EXPECT_TRUE(Contains(json, "\"sum\": 903"));
-  EXPECT_TRUE(Contains(json, "\"max\": 900"));
-  EXPECT_TRUE(Contains(json, "\"p50\""));
-  EXPECT_TRUE(Contains(json, "\"p99\""));
-}
-
-TEST(ObsExportTest, JsonPercentilesAreSane) {
-  Snapshot snap;
-  Histogram h;
-  for (uint64_t v = 1; v <= 100; ++v) h.Record(v * 10);
-  snap.histograms["lat"] = h.Snapshot();
-  const HistogramSnapshot hs = snap.histograms["lat"];
-  EXPECT_LE(hs.Percentile(0.50), hs.Percentile(0.90));
-  EXPECT_LE(hs.Percentile(0.90), hs.Percentile(0.99));
-  EXPECT_LE(hs.Percentile(0.99), hs.max);
-  const std::string json = ToJson(snap);
-  EXPECT_TRUE(Contains(json, "\"lat\""));
-}
-
 TEST(ObsExportTest, EmptySnapshotSerializes) {
   const Snapshot empty;
   const std::string text = ToPrometheusText(empty);
   EXPECT_TRUE(text.empty());
-  const std::string json = ToJson(empty);
-  EXPECT_TRUE(Contains(json, "\"counters\": {}"));
 }
 
 }  // namespace

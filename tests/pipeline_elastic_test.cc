@@ -1,5 +1,5 @@
 // Elasticity tests for the ingestion pipeline: runtime worker-pool
-// resizing (SetWorkerCount), per-worker stats attribution, and the
+// resizing (SetWorkerCount), pause and resume, parked producers, and the
 // acceptance stress test — transient producer threads leasing slots from
 // the registry while the worker count changes mid-stream, with a
 // zero-lost-events postcondition checked against exact counters.
@@ -27,6 +27,15 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
              /*num_shards=*/8, CounterKind::kExact, 32,
              (uint64_t{1} << 32) - 1, /*seed=*/1)
       .ValueOrDie();
+}
+
+// Leases every producer slot of a fresh pipeline, in slot order.
+std::vector<ProducerSlot> LeaseAll(IngestPipeline* pipeline) {
+  std::vector<ProducerSlot> slots;
+  for (uint64_t i = 0; i < pipeline->num_producers(); ++i) {
+    slots.push_back(pipeline->AcquireProducerSlot().ValueOrDie());
+  }
+  return slots;
 }
 
 // Timing bounds on the park path hold in optimized, unsanitized builds;
@@ -92,14 +101,15 @@ TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
   opt.num_workers = 1;
   opt.queue_capacity = 4096;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  std::vector<ProducerSlot> slots = LeaseAll(pipeline.get());
 
   // Interleave submissions with grow and shrink resizes; every accepted
   // event must survive the ownership re-deal.
   uint64_t total_weight = 0;
   for (int round = 0; round < 4; ++round) {
-    for (uint64_t p = 0; p < opt.num_producers; ++p) {
+    for (ProducerSlot& slot : slots) {
       for (int i = 0; i < 500; ++i) {
-        ASSERT_TRUE(pipeline->Submit(p, /*key=*/1, /*weight=*/2).ok());
+        ASSERT_TRUE(slot.Submit(/*key=*/1, /*weight=*/2).ok());
         total_weight += 2;
       }
     }
@@ -111,39 +121,6 @@ TEST(ElasticPipelineTest, ResizePreservesQueuedEvents) {
   const PipelineStats stats = pipeline->Stats();
   EXPECT_EQ(stats.events_applied, stats.events_submitted);
   EXPECT_EQ(stats.events_dropped, 0u);
-}
-
-TEST(ElasticPipelineTest, PerWorkerStatsAttributeActivity) {
-  auto store = MakeExactStore();
-  PipelineOptions opt;
-  opt.num_producers = 4;
-  opt.num_workers = 2;
-  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-
-  for (uint64_t p = 0; p < 4; ++p) {
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_TRUE(pipeline->Submit(p, p * 1000 + i, 1).ok());
-    }
-  }
-  ASSERT_TRUE(pipeline->Flush().ok());
-  ASSERT_TRUE(pipeline->SetWorkerCount(4).ok());
-  ASSERT_TRUE(pipeline->Drain().ok());
-
-  const auto workers = pipeline->PerWorkerStats();
-  ASSERT_EQ(workers.size(), 4u);  // cells grow to the max count ever used
-  uint64_t per_worker_events = 0;
-  uint64_t per_worker_batches = 0;
-  for (const auto& w : workers) {
-    per_worker_events += w.events_applied;
-    per_worker_batches += w.batches_applied;
-  }
-  const PipelineStats total = pipeline->Stats();
-  // The Flush before the resize guarantees the pre-resize events were
-  // applied by workers (not Drain's unattributed sweep), so the per-worker
-  // sums must cover everything.
-  EXPECT_EQ(per_worker_events, total.events_applied);
-  EXPECT_EQ(per_worker_batches, total.batches_applied);
-  EXPECT_EQ(total.events_applied, 4000u);
 }
 
 // Regression for the SetWorkerCount(0) hang: pausing used to strand
@@ -160,9 +137,10 @@ TEST(ElasticPipelineTest, PauseFailsFlushFastAndResumeAppliesBacklog) {
 
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
   EXPECT_EQ(pipeline->num_workers(), 0u);
-  for (uint64_t p = 0; p < 2; ++p) {
+  std::vector<ProducerSlot> slots = LeaseAll(pipeline.get());
+  for (ProducerSlot& slot : slots) {
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(pipeline->TrySubmit(p, /*key=*/5, /*weight=*/1).ok());
+      ASSERT_TRUE(slot.TrySubmit(/*key=*/5, /*weight=*/1).ok());
     }
   }
   // Nobody is draining: the backlog sits in the queues and Flush must
@@ -192,8 +170,9 @@ TEST(ElasticPipelineTest, DrainSweepsPausedBacklog) {
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  std::vector<ProducerSlot> slots = LeaseAll(pipeline.get());
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(pipeline->TrySubmit(i % 2, /*key=*/9, /*weight=*/2).ok());
+    ASSERT_TRUE(slots[i % 2].TrySubmit(/*key=*/9, /*weight=*/2).ok());
   }
   ASSERT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(store->Estimate(9).ValueOrDie(), 600.0);
@@ -216,8 +195,9 @@ TEST(ElasticPipelineTest, BlockingSubmitParksOnBackpressureAndWakesOnDrain) {
 
   // Pause, then fill the ring to the brim.
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   uint64_t accepted = 0;
-  while (pipeline->TrySubmit(0, /*key=*/1, /*weight=*/1).ok()) ++accepted;
+  while (slot.TrySubmit(/*key=*/1, /*weight=*/1).ok()) ++accepted;
   ASSERT_EQ(accepted, 64u);
 
   const uint64_t rejected_before = pipeline->Stats().events_rejected;
@@ -226,8 +206,9 @@ TEST(ElasticPipelineTest, BlockingSubmitParksOnBackpressureAndWakesOnDrain) {
   std::chrono::steady_clock::time_point returned;
   std::thread producer([&] {
     const double cpu_before = ThreadCpuMillis();
-    // Blocks: the ring is full and no worker is running.
-    ASSERT_TRUE(pipeline->Submit(0, /*key=*/1, /*weight=*/1).ok());
+    // Blocks: the ring is full and no worker is running. The lease passes
+    // to this thread; the main thread submits nothing more through it.
+    ASSERT_TRUE(slot.Submit(/*key=*/1, /*weight=*/1).ok());
     returned = std::chrono::steady_clock::now();
     producer_cpu_ms = ThreadCpuMillis() - cpu_before;
     submitted.store(true, std::memory_order_release);
@@ -286,12 +267,13 @@ TEST(ElasticPipelineTest, SustainedBackpressureSubmitLosesNothing) {
   std::vector<std::thread> producers;
   for (uint64_t p = 0; p < 2; ++p) {
     producers.emplace_back([&, p] {
+      auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
       uint64_t x = p + 1;
       for (uint64_t i = 0; i < kEvents; ++i) {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
         const uint64_t key = (x >> 33) % kKeys;
         const uint64_t weight = ((x >> 13) % 3) + 1;
-        ASSERT_TRUE(pipeline->Submit(p, key, weight).ok());
+        ASSERT_TRUE(slot.Submit(key, weight).ok());
         sent[p][key] += weight;
       }
     });

@@ -31,6 +31,15 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
       .ValueOrDie();
 }
 
+// Leases every producer slot of a fresh pipeline, in slot order.
+std::vector<ProducerSlot> LeaseAll(IngestPipeline* pipeline) {
+  std::vector<ProducerSlot> slots;
+  for (uint64_t i = 0; i < pipeline->num_producers(); ++i) {
+    slots.push_back(pipeline->AcquireProducerSlot().ValueOrDie());
+  }
+  return slots;
+}
+
 TEST(IngestPipelineTest, MakeValidatesOptions) {
   auto store = MakeExactStore();
   PipelineOptions opt;
@@ -55,9 +64,9 @@ TEST(IngestPipelineTest, SubmitValidatesArguments) {
   PipelineOptions opt;
   opt.num_producers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  EXPECT_TRUE(pipeline->TrySubmit(2, 1, 1).IsInvalidArgument());  // bad slot
-  EXPECT_TRUE(pipeline->TrySubmit(0, 1, 0).IsInvalidArgument());  // zero weight
-  EXPECT_TRUE(pipeline->TrySubmit(1, 42, 3).ok());
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
+  EXPECT_TRUE(slot.TrySubmit(1, 0).IsInvalidArgument());  // zero weight
+  EXPECT_TRUE(slot.TrySubmit(42, 3).ok());
   EXPECT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(store->Estimate(42).ValueOrDie(), 3.0);
 }
@@ -81,13 +90,14 @@ TEST(IngestPipelineTest, MultiProducerStressLosesNothing) {
   std::vector<std::thread> producers;
   for (uint64_t p = 0; p < opt.num_producers; ++p) {
     producers.emplace_back([&, p] {
+      auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
       // Cheap deterministic per-producer stream of (key, weight).
       uint64_t x = p * 1000003 + 12345;
       for (uint64_t i = 0; i < kEventsPerProducer; ++i) {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
         const uint64_t key = (x >> 33) % kKeys;
         const uint64_t weight = ((x >> 20) % 5) + 1;
-        ASSERT_TRUE(pipeline->Submit(p, key, weight).ok());
+        ASSERT_TRUE(slot.Submit(key, weight).ok());
         submitted[p][key] += weight;
       }
     });
@@ -128,12 +138,13 @@ TEST(IngestPipelineTest, BackpressureSurfacesPendingAndLosesNothing) {
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   constexpr uint64_t kEvents = 20000;
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   uint64_t pendings = 0;
   uint64_t total_weight = 0;
   for (uint64_t i = 0; i < kEvents; ++i) {
     const uint64_t weight = (i % 3) + 1;
     while (true) {
-      Status st = pipeline->TrySubmit(0, /*key=*/7, weight);
+      Status st = slot.TrySubmit(/*key=*/7, weight);
       if (st.ok()) break;
       ASSERT_TRUE(st.IsPending()) << st.ToString();
       ++pendings;
@@ -157,15 +168,16 @@ TEST(IngestPipelineTest, FlushIsAQuiescePoint) {
   PipelineOptions opt;
   opt.num_producers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  std::vector<ProducerSlot> slots = LeaseAll(pipeline.get());
 
-  ASSERT_TRUE(pipeline->Submit(0, 1, 10).ok());
-  ASSERT_TRUE(pipeline->Submit(1, 2, 20).ok());
+  ASSERT_TRUE(slots[0].Submit(1, 10).ok());
+  ASSERT_TRUE(slots[1].Submit(2, 20).ok());
   ASSERT_TRUE(pipeline->Flush().ok());
   EXPECT_EQ(store->Estimate(1).ValueOrDie(), 10.0);
   EXPECT_EQ(store->Estimate(2).ValueOrDie(), 20.0);
 
   // The pipeline stays open after Flush.
-  ASSERT_TRUE(pipeline->Submit(0, 1, 5).ok());
+  ASSERT_TRUE(slots[0].Submit(1, 5).ok());
   ASSERT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(store->Estimate(1).ValueOrDie(), 15.0);
 }
@@ -175,8 +187,9 @@ TEST(IngestPipelineTest, DoubleDrainIsIdempotent) {
   PipelineOptions opt;
   opt.num_producers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  ASSERT_TRUE(pipeline->Submit(0, 5, 2).ok());
-  ASSERT_TRUE(pipeline->Submit(1, 5, 3).ok());
+  std::vector<ProducerSlot> slots = LeaseAll(pipeline.get());
+  ASSERT_TRUE(slots[0].Submit(5, 2).ok());
+  ASSERT_TRUE(slots[1].Submit(5, 3).ok());
 
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats after_first = pipeline->Stats();
@@ -190,9 +203,9 @@ TEST(IngestPipelineTest, DoubleDrainIsIdempotent) {
   EXPECT_EQ(after_third.events_applied, after_first.events_applied);
   EXPECT_EQ(after_third.batches_applied, after_first.batches_applied);
 
-  // Submission is closed once draining.
-  EXPECT_TRUE(pipeline->TrySubmit(0, 5, 1).IsFailedPrecondition());
-  EXPECT_TRUE(pipeline->Submit(0, 5, 1).IsFailedPrecondition());
+  // Submission is closed once draining, even through a live lease.
+  EXPECT_TRUE(slots[0].TrySubmit(5, 1).IsFailedPrecondition());
+  EXPECT_TRUE(slots[0].Submit(5, 1).IsFailedPrecondition());
 }
 
 // After a long idle stretch the workers must be parked on the CV (near-zero
@@ -204,6 +217,7 @@ TEST(IngestPipelineTest, CvWakeupDeliversPromptlyAfterLongIdle) {
   opt.num_producers = 2;
   opt.num_workers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
 
   // Let the workers run through their spin budget and park.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -214,7 +228,7 @@ TEST(IngestPipelineTest, CvWakeupDeliversPromptlyAfterLongIdle) {
       << "workers appear to be poll-spinning instead of parking";
 
   const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(pipeline->TrySubmit(0, 77, 9).ok());
+  ASSERT_TRUE(slot.TrySubmit(77, 9).ok());
   ASSERT_TRUE(pipeline->Flush().ok());
   const double wake_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -271,17 +285,33 @@ TEST(IngestPipelineTest, SlotRegistryLeasesAndReleases) {
   EXPECT_TRUE(moved.valid());
   ASSERT_TRUE(moved.Submit(3, 1).ok());
 
+  // Move-assigning onto a live handle releases the overwritten lease: the
+  // registry gets that slot back and, once it is drained, leases it again.
+  const uint64_t overwritten = a.slot();
+  const uint64_t kept = moved.slot();
+  a = std::move(moved);
+  EXPECT_TRUE(a.valid());
+  EXPECT_EQ(a.slot(), kept);
+  EXPECT_EQ(pipeline->Stats().slots_in_use, 1u);
+  ASSERT_TRUE(pipeline->Flush().ok());
+  auto d = pipeline->TryAcquireProducerSlot().ValueOrDie();
+  EXPECT_EQ(d.slot(), overwritten);
+  EXPECT_EQ(pipeline->Stats().slots_in_use, 2u);
+  ASSERT_TRUE(d.Submit(4, 6).ok());
+  ASSERT_TRUE(a.Submit(3, 1).ok());
+
   ASSERT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(store->Estimate(1).ValueOrDie(), 5.0);
   EXPECT_EQ(store->Estimate(2).ValueOrDie(), 7.0);
-  EXPECT_EQ(store->Estimate(3).ValueOrDie(), 3.0);
+  EXPECT_EQ(store->Estimate(3).ValueOrDie(), 4.0);
+  EXPECT_EQ(store->Estimate(4).ValueOrDie(), 6.0);
 
   // Acquisition after drain fails; releasing outstanding handles is safe.
   EXPECT_TRUE(pipeline->AcquireProducerSlot().status().IsFailedPrecondition());
   EXPECT_TRUE(
       pipeline->TryAcquireProducerSlot().status().IsFailedPrecondition());
   a.Release();
-  moved.Release();
+  d.Release();
   EXPECT_EQ(pipeline->Stats().slots_in_use, 0u);
 }
 
@@ -313,8 +343,9 @@ TEST(IngestPipelineTest, StatsReportQueueDepthWhileIdleWorkerSleeps) {
   opt.num_producers = 1;
   opt.queue_capacity = 1024;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pipeline->Submit(0, i, 1).ok());
+    ASSERT_TRUE(slot.Submit(i, 1).ok());
   }
   ASSERT_TRUE(pipeline->Flush().ok());
   const PipelineStats stats = pipeline->Stats();
@@ -343,9 +374,11 @@ TEST(IngestPipelineTest, DestructorDrainsAndSurfacesStatus) {
     PipelineOptions opt;
     opt.num_producers = 2;
     auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
-    ASSERT_TRUE(pipeline->Submit(0, 7, 3).ok());
-    ASSERT_TRUE(pipeline->Submit(1, 7, 4).ok());
-    // No Drain() here: the destructor owns the final drain.
+    std::vector<ProducerSlot> slots = LeaseAll(pipeline.get());
+    ASSERT_TRUE(slots[0].Submit(7, 3).ok());
+    ASSERT_TRUE(slots[1].Submit(7, 4).ok());
+    // No Drain() here: the destructor owns the final drain (the leases are
+    // released first, as they must be).
   }
   SetLogSink(nullptr);
 

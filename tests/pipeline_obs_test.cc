@@ -95,8 +95,10 @@ TEST(PipelineObsTest, ExportedCountersMatchStats) {
   options.enable_metrics = true;
   {
     auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
+    ProducerSlot slots[2] = {pipeline->AcquireProducerSlot().ValueOrDie(),
+                             pipeline->AcquireProducerSlot().ValueOrDie()};
     for (uint64_t i = 0; i < 500; ++i) {
-      ASSERT_TRUE(pipeline->Submit(i % 2, i % 37, 1).ok());
+      ASSERT_TRUE(slots[i % 2].Submit(i % 37, 1).ok());
     }
     ASSERT_TRUE(pipeline->Flush().ok());
     const PipelineStats stats = pipeline->Stats();
@@ -138,8 +140,9 @@ TEST(PipelineObsTest, SubmitApplyLatencyRecordsDeterministically) {
   options.enable_metrics = true;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   for (uint64_t i = 0; i < 512; ++i) {
-    ASSERT_TRUE(pipeline->TrySubmit(0, i, 1).ok());
+    ASSERT_TRUE(slot.TrySubmit(i, 1).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
@@ -179,9 +182,10 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
   constexpr uint64_t kPerThread = 20000;
   std::vector<std::thread> producers;
   for (uint64_t p = 0; p < kThreads; ++p) {
-    producers.emplace_back([&pipeline, p] {
+    producers.emplace_back([&pipeline] {
+      auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        ASSERT_TRUE(pipeline->Submit(p, i % 101, 1).ok());
+        ASSERT_TRUE(slot.Submit(i % 101, 1).ok());
       }
     });
   }
@@ -211,9 +215,8 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
             kThreads * kPerThread);
   EXPECT_EQ(snap.counters.at("countlib_pipeline_events_applied_total"),
             kThreads * kPerThread);
-  // And the whole snapshot serializes through both exporters.
+  // And the whole snapshot serializes.
   EXPECT_FALSE(obs::ToPrometheusText(snap).empty());
-  EXPECT_FALSE(obs::ToJson(snap).empty());
 }
 
 TEST(PipelineObsTest, CounterAndHistogramRecordPathsAreAllocFree) {
@@ -240,15 +243,16 @@ TEST(PipelineObsTest, InstrumentedTrySubmitIsAllocFree) {
   options.enable_metrics = true;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());  // no worker threads
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   // Warm thread-locals AND both outcomes: fill the ring so the first
   // rejection happens here (the preallocated pending Status is a lazily
   // constructed function-local static).
-  for (uint64_t i = 0; i < 1025; ++i) (void)pipeline->TrySubmit(0, 0, 1);
+  for (uint64_t i = 0; i < 1025; ++i) (void)slot.TrySubmit(0, 1);
   const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (uint64_t i = 0; i < 2000; ++i) {
     // Beyond capacity the ring rejects: both the accept path (push +
     // stamp) and the preallocated kPending reject path are measured.
-    (void)pipeline->TrySubmit(0, i % 53, 1);
+    (void)slot.TrySubmit(i % 53, 1);
   }
   const uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
@@ -281,11 +285,12 @@ double ReplayCpuSeconds(const std::vector<analytics::KeyWeight>& events,
   options.enable_metrics = enable_metrics;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
   EXPECT_TRUE(pipeline->SetWorkerCount(0).ok());
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   bool ok = true;
   const double start = ThreadCpuSeconds();
   for (size_t i = 0; i < events.size(); i += kFrame) {
     const size_t n = std::min(kFrame, events.size() - i);
-    ok &= pipeline->SubmitBatch(0, events.data() + i, n).ok();
+    ok &= slot.SubmitBatch(events.data() + i, n).ok();
   }
   ok &= pipeline->Drain().ok();
   const double cpu = ThreadCpuSeconds() - start;

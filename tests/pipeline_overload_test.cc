@@ -50,12 +50,13 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
   std::vector<std::thread> producers;
   for (uint64_t p = 0; p < opt.num_producers; ++p) {
     producers.emplace_back([&, p] {
+      auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
       uint64_t x = p * 7919 + 1;
       for (uint64_t i = 0; i < kEventsPerProducer; ++i) {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
         const uint64_t key = (x >> 33) % kKeys;
         const uint64_t weight = ((x >> 20) % 4) + 1;
-        ASSERT_TRUE(pipeline->Submit(p, key, weight).ok());
+        ASSERT_TRUE(slot.Submit(key, weight).ok());
         submitted[p][key] += weight;
       }
     });
@@ -92,11 +93,12 @@ TEST(OverloadPolicyTest, TrySubmitBatchAcceptsThePrefixThatFits) {
   opt.queue_capacity = 8;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
 
   std::vector<analytics::KeyWeight> batch;
   for (uint64_t i = 0; i < 12; ++i) batch.push_back({i, i + 1});
   size_t accepted = 99;
-  Status st = pipeline->TrySubmitBatch(0, batch.data(), batch.size(), &accepted);
+  Status st = slot.TrySubmitBatch(batch.data(), batch.size(), &accepted);
   EXPECT_TRUE(st.IsPending()) << st.ToString();
   EXPECT_EQ(accepted, 8u);
   EXPECT_EQ(pipeline->Stats().events_submitted, 8u);
@@ -104,9 +106,8 @@ TEST(OverloadPolicyTest, TrySubmitBatchAcceptsThePrefixThatFits) {
 
   ASSERT_TRUE(pipeline->SetWorkerCount(1).ok());
   ASSERT_TRUE(pipeline->Flush().ok());
-  ASSERT_TRUE(pipeline
-                  ->TrySubmitBatch(0, batch.data() + accepted,
-                                   batch.size() - accepted, &accepted)
+  ASSERT_TRUE(slot.TrySubmitBatch(batch.data() + accepted,
+                                  batch.size() - accepted, &accepted)
                   .ok());
   EXPECT_EQ(accepted, 4u);
   ASSERT_TRUE(pipeline->Drain().ok());
@@ -120,13 +121,12 @@ TEST(OverloadPolicyTest, ZeroWeightRejectsTheWholeBatch) {
   PipelineOptions opt;
   opt.num_producers = 1;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   const analytics::KeyWeight batch[3] = {{1, 1}, {2, 0}, {3, 1}};
   size_t accepted = 99;
-  EXPECT_TRUE(
-      pipeline->TrySubmitBatch(0, batch, 3, &accepted).IsInvalidArgument());
+  EXPECT_TRUE(slot.TrySubmitBatch(batch, 3, &accepted).IsInvalidArgument());
   EXPECT_EQ(accepted, 0u);
-  EXPECT_TRUE(pipeline->SubmitBatch(0, batch, 3).IsInvalidArgument());
-  EXPECT_TRUE(pipeline->TrySubmitBatch(1, batch, 1).IsInvalidArgument());
+  EXPECT_TRUE(slot.SubmitBatch(batch, 3).IsInvalidArgument());
   ASSERT_TRUE(pipeline->Drain().ok());
   const PipelineStats stats = pipeline->Stats();
   EXPECT_EQ(stats.events_submitted, 0u);
@@ -142,11 +142,12 @@ TEST(OverloadPolicyTest, BlockParksUntilTheRestOfABatchFits) {
   opt.queue_capacity = 8;
   auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
   ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+  auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
   std::vector<analytics::KeyWeight> batch;
   for (uint64_t i = 0; i < 50; ++i) batch.push_back({i % 7, 1});
   std::atomic<bool> done{false};
   std::thread producer([&] {
-    EXPECT_TRUE(pipeline->SubmitBatch(0, batch.data(), batch.size()).ok());
+    EXPECT_TRUE(slot.SubmitBatch(batch.data(), batch.size()).ok());
     done.store(true);
   });
   std::this_thread::sleep_for(milliseconds(100));
