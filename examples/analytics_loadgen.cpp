@@ -10,8 +10,8 @@
 ///     submitted == delivered + shed + lost_unacked,  pending == 0
 ///
 /// and a fully healthy run (no kill) additionally shows lost_unacked == 0
-/// and shed == 0 (the server never sheds an accepted event). Any imbalance
-/// exits nonzero.
+/// and shed == 0 (the server never sheds an accepted event). Any imbalance,
+/// or any connection that fails, exits 1.
 ///
 /// With `--metrics_out=FILE` the settled client-side ledgers are exported
 /// as a Prometheus text dump (`countlib_loadgen_*`) so CI's promcheck can
@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.h"
@@ -80,21 +81,39 @@ int main(int argc, char** argv) {
   copt.requested_window = static_cast<uint32_t>(flags.GetUint64("window"));
 
   // Each connection replays a round-robin partition of the trace, so every
-  // client sees the same key skew.
+  // client sees the same key skew. A connection that fails (bad options,
+  // no server, reconnect budget spent) stops and reports its error.
   std::vector<net::ClientStats> per_conn(connections);
+  std::vector<Status> errors(connections);
   std::vector<std::thread> threads;
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t c = 0; c < connections; ++c) {
     threads.emplace_back([&, c] {
-      auto client = net::EventClient::Connect(copt).ValueOrDie();
-      for (uint64_t i = c; i < events.size(); i += connections) {
-        COUNTLIB_CHECK_OK(client->Submit(events[i].key, events[i].weight));
+      auto connected = net::EventClient::Connect(copt);
+      if (!connected.ok()) {
+        errors[c] = connected.status();
+        return;
       }
-      COUNTLIB_CHECK_OK(client->Close());
+      auto client = std::move(connected).ValueOrDie();
+      Status st;
+      for (uint64_t i = c; i < events.size() && st.ok(); i += connections) {
+        st = client->Submit(events[i].key, events[i].weight);
+      }
+      const Status closed = client->Close();
+      errors[c] = st.ok() ? closed : st;
       per_conn[c] = client->Stats();
     });
   }
   for (auto& t : threads) t.join();
+  bool failed = false;
+  for (uint64_t c = 0; c < connections; ++c) {
+    if (errors[c].ok()) continue;
+    std::fprintf(stderr, "analytics_loadgen: connection %llu failed: %s\n",
+                 static_cast<unsigned long long>(c),
+                 errors[c].ToString().c_str());
+    failed = true;
+  }
+  if (failed) return 1;
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -15,9 +15,10 @@
 /// producers park client-side instead of flooding the socket
 /// (docs/net_protocol.md).
 ///
-/// With `--metrics_out=FILE` the run is instrumented through the obs
-/// layer and the final Prometheus dump includes the `countlib_net_*`
-/// inventory plus the `countlib_store_*` shard metrics — in particular
+/// With `--metrics_out=FILE` the pipeline's instruments are turned on too
+/// (the server and store always register theirs) and the final
+/// Prometheus dump includes the `countlib_net_*` inventory plus the
+/// `countlib_store_*` shard metrics — in particular
 /// `countlib_store_shard_merge_latency_ns`, fed by the dashboard's
 /// merge-on-read snapshots (src/obs/README.md) — CI validates it with
 /// tools/promcheck.py.
@@ -83,10 +84,6 @@ int main(int argc, char** argv) {
                    shards, CounterKind::kExact, /*state_bits=*/32,
                    (uint64_t{1} << 32) - 1, /*seed=*/1)
                    .ValueOrDie();
-  // Registered only once the store sits at its final address (the gauges
-  // capture `this`); the handles release before the store dies.
-  std::vector<obs::Registration> store_metrics;
-  if (metrics) store_metrics = store->RegisterMetrics();
 
   pipeline::PipelineOptions popt;
   popt.num_producers = flags.GetUint64("slots");
@@ -98,7 +95,6 @@ int main(int argc, char** argv) {
   net::ServerOptions sopt;
   sopt.bind_address = flags.GetString("bind");
   sopt.port = static_cast<uint16_t>(flags.GetUint64("port"));
-  sopt.enable_metrics = metrics;
   auto server = net::EventServer::Make(pipe.get(), sopt).ValueOrDie();
   std::printf("analytics_server: listening on %s:%u (%llu slots)\n",
               sopt.bind_address.c_str(), server->port(),

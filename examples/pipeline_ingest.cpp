@@ -25,10 +25,11 @@
 /// every submitted visit is counted.
 ///
 /// With `--metrics_out=FILE` the whole run is instrumented through the
-/// obs layer (src/obs/README.md): the pipeline and store register their
-/// counters/gauges/histograms in the process-wide registry (the pipeline
-/// stamps 1 event in 64 on the steady clock for its submit→apply
-/// histogram), and a dump thread rewrites FILE with the Prometheus text
+/// obs layer (src/obs/README.md): the pipeline registers its
+/// counters/gauges/histograms in the process-wide registry beside the
+/// store's, which every store registers (the pipeline stamps 1 event in
+/// 64 on the steady clock for its submit→apply histogram), and a dump
+/// thread rewrites FILE with the Prometheus text
 /// exposition every `--metrics_period_ms` (plus a final dump after drain —
 /// the one CI validates with tools/promcheck.py). Each dump samples the
 /// gauges afresh.
@@ -98,10 +99,6 @@ int main(int argc, char** argv) {
   auto store = analytics::ShardedCounterStore::Make(
                    slots, CounterKind::kSampling, 16, visits, 1)
                    .ValueOrDie();
-  // Registered only now that the store sits at its final address (the
-  // gauges capture `this`); the handles release before the store dies.
-  std::vector<obs::Registration> store_metrics;
-  if (metrics) store_metrics = store->RegisterMetrics();
 
   pipeline::PipelineOptions options;
   options.num_producers = slots;

@@ -149,6 +149,7 @@ Result<std::unique_ptr<ShardedCounterStore>> ShardedCounterStore::Make(
   probe_b->Reset();
   out->acc_ = std::move(probe_a);
   out->tmp_ = std::move(probe_b);
+  out->RegisterMetrics();
   return out;
 }
 
@@ -329,9 +330,9 @@ uint64_t ShardedCounterStore::TotalStateBits() const {
   return total;
 }
 
-std::vector<obs::Registration> ShardedCounterStore::RegisterMetrics() {
+void ShardedCounterStore::RegisterMetrics() {
   obs::Registry& reg = obs::Registry::Default();
-  std::vector<obs::Registration> rs;
+  std::vector<obs::Registration>& rs = registrations_;
   rs.reserve(8);
   rs.push_back(reg.RegisterCounter("countlib_store_batch_calls_total",
                                    &stat_cells_->batch_calls));
@@ -360,7 +361,6 @@ std::vector<obs::Registration> ShardedCounterStore::RegisterMetrics() {
   rs.push_back(reg.RegisterGauge("countlib_store_state_bits", [this] {
     return static_cast<double>(TotalStateBits());
   }));
-  return rs;
 }
 
 }  // namespace analytics

@@ -88,7 +88,9 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   /// `n_max`. `kind` must be mergeable (`Counter::MergeFrom`): kExact,
   /// kMorris, kSampling qualify; kCsuros is bit-budget-constructible but
   /// not mergeable and is rejected with InvalidArgument — count it with the
-  /// single-threaded `CounterStore` instead.
+  /// single-threaded `CounterStore` instead. The store's instruments
+  /// (`countlib_store_*`, see obs/README.md) are registered with
+  /// `obs::Registry::Default()` for its lifetime.
   static Result<std::unique_ptr<ShardedCounterStore>> Make(
       uint64_t num_shards, CounterKind kind, int state_bits, uint64_t n_max,
       uint64_t seed);
@@ -147,14 +149,6 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   /// `SaveToFile` of a consistent snapshot).
   Result<CounterStore> Snapshot() const;
 
-  /// Registers this store's instruments (`countlib_store_*`, see
-  /// obs/README.md) with `obs::Registry::Default()`. Gauges read only
-  /// relaxed per-shard mirror cells — they never freeze, park, or take a
-  /// shard, so they are safe under the registry mutex. Call once: the
-  /// gauge callbacks capture `this`, so the handles must be released
-  /// before the store is destroyed, and a second call double-counts.
-  [[nodiscard]] std::vector<obs::Registration> RegisterMetrics();
-
   uint64_t num_shards() const { return shards_.size(); }
 
  private:
@@ -208,6 +202,12 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   /// stabilized the shards (FreezeGuard does both).
   Result<CounterStore> MergeShardsLocked() const;
 
+  /// Fills `registrations_` (Make's helper, once the store sits at its
+  /// final address). Gauges read only relaxed per-shard mirror cells —
+  /// they never freeze, park, or take a shard, so they are safe under the
+  /// registry mutex.
+  void RegisterMetrics();
+
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Construction recipe, retained so reads can build identically
@@ -237,6 +237,10 @@ class ShardedCounterStore final : public CounterReader, public CounterWriter {
   mutable std::unique_ptr<Counter> tmp_;
 
   std::unique_ptr<StatCells> stat_cells_;
+
+  /// Registry handles. Declared LAST: the gauges capture `this`, so every
+  /// Registration is released before the members they read start dying.
+  std::vector<obs::Registration> registrations_;
 };
 
 }  // namespace analytics

@@ -32,6 +32,11 @@ const Status& ZeroWeightStatus() {
 // protocol error, so the receive buffer (and the decoder's cap) stay tiny.
 constexpr uint64_t kMaxInboundPayload = 64;
 
+// Bounds the TCP connect and each wait for hello-ack bytes.
+constexpr int kConnectTimeoutMs = 2000;
+// First reconnect backoff; it doubles up to ClientOptions::backoff_max_ms.
+constexpr int kBackoffInitialMs = 1;
+
 }  // namespace
 
 Result<std::unique_ptr<EventClient>> EventClient::Connect(
@@ -42,9 +47,9 @@ Result<std::unique_ptr<EventClient>> EventClient::Connect(
     return Status::InvalidArgument(
         "EventClient: max_batch_events must be in [1, 2^20]");
   }
-  if (options.poll_slice_ms < 1 || options.ack_timeout_ms < 1) {
+  if (options.ack_timeout_ms < 1) {
     return Status::InvalidArgument(
-        "EventClient: poll_slice_ms and ack_timeout_ms must be positive");
+        "EventClient: ack_timeout_ms must be positive");
   }
   std::unique_ptr<EventClient> client(new EventClient(options));
   COUNTLIB_RETURN_NOT_OK(client->EnsureConnected());
@@ -63,7 +68,7 @@ EventClient::~EventClient() {
 
 Status EventClient::EnsureConnected() {
   if (fd_ >= 0) return Status::OK();
-  int backoff_ms = options_.backoff_initial_ms;
+  int backoff_ms = kBackoffInitialMs;
   Status last = Status::IOError("net client: no connect attempted");
   for (uint64_t attempt = 0; attempt <= options_.max_reconnect_attempts;
        ++attempt) {
@@ -87,7 +92,7 @@ Status EventClient::EnsureConnected() {
 Status EventClient::ConnectOnce() {
   COUNTLIB_ASSIGN_OR_RETURN(
       const int fd,
-      ConnectTcp(options_.host, options_.port, options_.connect_timeout_ms));
+      ConnectTcp(options_.host, options_.port, kConnectTimeoutMs));
   // Hello (seq 1 on every connection) ...
   uint8_t frame[kFrameHeaderSize + kHelloBodySize];
   HelloBody hello;
@@ -108,8 +113,7 @@ Status EventClient::ConnectOnce() {
   // loop — the wire form of the registry's kPending.
   uint8_t in[kFrameHeaderSize + kHelloAckBodySize];
   uint64_t got = 0;
-  st = ReadFull(fd, in, kFrameHeaderSize, options_.poll_slice_ms,
-                options_.connect_timeout_ms, {}, &got);
+  st = ReadFull(fd, in, kFrameHeaderSize, kConnectTimeoutMs, &got);
   if (st.ok()) {
     st = DecodeFrameHeader(in, kFrameHeaderSize, kHelloAckBodySize, &header);
   }
@@ -119,8 +123,7 @@ Status EventClient::ConnectOnce() {
   HelloAckBody ack;
   if (st.ok()) {
     st = ReadFull(fd, in + kFrameHeaderSize, header.payload_len,
-                  options_.poll_slice_ms, options_.connect_timeout_ms, {},
-                  &got);
+                  kConnectTimeoutMs, &got);
   }
   if (st.ok()) {
     st = DecodeHelloAckBody(in + kFrameHeaderSize, header.payload_len, &ack);
@@ -166,25 +169,16 @@ void EventClient::OnDisconnect() {
 
 Status EventClient::ReadServerFrame(bool blocking) {
   if (fd_ < 0) return Status::IOError("net client: not connected");
-  if (blocking) {
-    int waited_ms = 0;
-    for (;;) {
-      COUNTLIB_ASSIGN_OR_RETURN(const int ready,
-                                WaitReadable(fd_, options_.poll_slice_ms));
-      if (ready != 0) break;
-      waited_ms += options_.poll_slice_ms;
-      if (waited_ms >= options_.ack_timeout_ms) {
-        return Status::IOError("net client: timed out waiting for an ack");
-      }
-    }
-  } else {
-    COUNTLIB_ASSIGN_OR_RETURN(const int ready, WaitReadable(fd_, 0));
-    if (ready == 0) return NoDataStatus();
+  COUNTLIB_ASSIGN_OR_RETURN(
+      const int ready,
+      WaitReadable(fd_, blocking ? options_.ack_timeout_ms : 0));
+  if (ready == 0) {
+    if (!blocking) return NoDataStatus();
+    return Status::IOError("net client: timed out waiting for an ack");
   }
   uint64_t got = 0;
   COUNTLIB_RETURN_NOT_OK(ReadFull(fd_, rx_.data(), kFrameHeaderSize,
-                                  options_.poll_slice_ms,
-                                  /*first_byte_timeout_ms=*/0, {}, &got));
+                                  options_.ack_timeout_ms, &got));
   FrameHeader header;
   Status st =
       DecodeFrameHeader(rx_.data(), kFrameHeaderSize, kMaxInboundPayload,
@@ -195,8 +189,8 @@ Status EventClient::ReadServerFrame(bool blocking) {
   }
   if (header.payload_len > 0) {
     COUNTLIB_RETURN_NOT_OK(ReadFull(fd_, rx_.data() + kFrameHeaderSize,
-                                    header.payload_len, options_.poll_slice_ms,
-                                    /*first_byte_timeout_ms=*/0, {}, &got));
+                                    header.payload_len, options_.ack_timeout_ms,
+                                    &got));
   }
   stats_.frames_rx += 1;
   stats_.bytes_rx += kFrameHeaderSize + header.payload_len;

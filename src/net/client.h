@@ -11,9 +11,16 @@
 /// producers? Open N clients — each gets its own slot, its own credit
 /// window, and its own books. Consequently there are no locks and no
 /// atomics here; there is also no background reader thread — acks are
-/// drained opportunistically after sends and blockingly when out of
-/// credits (that blocking poll *is* the client-side park, counted in
+/// drained opportunistically before sends and blockingly when out of
+/// credits (that blocking wait *is* the client-side park, counted in
 /// `ClientStats::credit_stalls`).
+///
+/// ## Waiting
+///
+/// Every read is bounded: a handshake read waits at most the 2 s connect
+/// timeout for more bytes, and an ack read at most `ack_timeout_ms`, so a
+/// server that stalls mid-frame costs one timeout and a disconnect, never
+/// a hang.
 ///
 /// ## Books
 ///
@@ -59,19 +66,15 @@ struct ClientOptions {
   /// this many events are pending, then sends a frame. Clamped down to the
   /// server's `max_frame_events` at handshake.
   uint64_t max_batch_events = 512;
-  /// Credit window to request in the hello (0 = take the server default).
+  /// Credit window to request in the hello (0 = take the server's, the
+  /// ring capacity).
   uint32_t requested_window = 0;
-  int connect_timeout_ms = 2000;
-  /// How long to wait for an ack when blocked on credits or flushing
-  /// before declaring the connection dead.
+  /// How long to wait for an ack, and for each further byte of one, when
+  /// blocked on credits or flushing before declaring the connection dead.
   int ack_timeout_ms = 30000;
-  /// Poll slice for ack waits (responsiveness of timeout accounting).
-  int poll_slice_ms = 50;
   /// Reconnect budget per operation; each attempt sleeps the current
-  /// backoff, which doubles from `backoff_initial_ms` up to
-  /// `backoff_max_ms`.
+  /// backoff, which doubles from 1 ms up to `backoff_max_ms`.
   uint64_t max_reconnect_attempts = 8;
-  int backoff_initial_ms = 1;
   int backoff_max_ms = 1000;
 };
 
@@ -140,9 +143,10 @@ class EventClient {
   void OnDisconnect();
   /// Sends buffered events, waiting for credit refills as needed.
   Status SendPending();
-  /// Reads one server frame; `blocking` waits up to ack_timeout_ms,
-  /// otherwise returns `kPending` immediately when nothing is readable.
-  /// Folds any ack's cumulative totals into the ledgers.
+  /// Reads one server frame; `blocking` waits up to ack_timeout_ms for it
+  /// to start, otherwise returns `kPending` immediately when nothing is
+  /// readable. The rest of the frame is read with the same bound. Folds
+  /// any ack's cumulative totals into the ledgers.
   Status ReadServerFrame(bool blocking);
 
   ClientOptions options_;

@@ -23,10 +23,6 @@ namespace {
 // connection waits for the next reap pass.
 constexpr int kAcceptPollMs = 250;
 
-// Read-poll slice of a connection thread: bounds how long a Stop request
-// waits for a blocked read to notice it.
-constexpr int kReadPollMs = 50;
-
 constexpr int kListenBacklog = 64;
 
 }  // namespace
@@ -41,10 +37,6 @@ Result<std::unique_ptr<EventServer>> EventServer::Make(
     return Status::InvalidArgument(
         "EventServer: max_frame_events must be in [1, 2^20]");
   }
-  if (options.max_credit_window < 1) {
-    return Status::InvalidArgument(
-        "EventServer: max_credit_window must be at least 1");
-  }
   std::unique_ptr<EventServer> server(new EventServer(pipeline, options));
   COUNTLIB_ASSIGN_OR_RETURN(
       server->listen_fd_,
@@ -53,7 +45,7 @@ Result<std::unique_ptr<EventServer>> EventServer::Make(
   if (::pipe2(server->wake_pipe_, O_CLOEXEC) != 0) {
     return Status::IOError("EventServer: pipe2 failed");
   }
-  if (server->options_.enable_metrics) server->RegisterMetrics();
+  server->RegisterMetrics();
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
@@ -73,9 +65,8 @@ EventServer::~EventServer() {
 }
 
 void EventServer::RegisterMetrics() {
-  obs_ = std::make_unique<ObsState>();
   obs::Registry& reg = obs::Registry::Default();
-  std::vector<obs::Registration>& rs = obs_->registrations;
+  std::vector<obs::Registration>& rs = registrations_;
   rs.push_back(reg.RegisterCounter("countlib_net_connections_total",
                                    &connections_total_));
   rs.push_back(reg.RegisterCounter("countlib_net_connections_refused_total",
@@ -97,8 +88,8 @@ void EventServer::RegisterMetrics() {
   rs.push_back(reg.RegisterCounter("countlib_net_credit_stalls_total",
                                    &credit_stalls_));
   // Gauge callback runs under the registry mutex at sample time; it
-  // captures `this`, which is safe because obs_ (and with it the
-  // Registration) dies before any other member.
+  // captures `this`, which is safe because registrations_ dies before any
+  // other member.
   rs.push_back(reg.RegisterGauge("countlib_net_connections", [this] {
     // mo: relaxed — freestanding gauge cell; nothing is ordered against it.
     return static_cast<double>(
@@ -108,7 +99,8 @@ void EventServer::RegisterMetrics() {
 
 Status EventServer::Stop() {
   // mo: seq_cst exchange — the single stop latch; pairs with the relaxed
-  // loads in the poll loops, whose slices bound how stale they can be.
+  // loads in the accept loop, whose poll slice bounds how stale they can
+  // be.
   if (stop_.exchange(true)) return Status::OK();  // already stopped
   // Wake the accept poll, then join it so no new connections spawn while
   // the registry is being torn down.
@@ -116,8 +108,9 @@ Status EventServer::Stop() {
   (void)!::write(wake_pipe_[1], &one, 1);
   if (accept_thread_.joinable()) accept_thread_.join();
   // Shut every live connection's socket down and extract the registry
-  // under the lock; join outside it (a shutdown() unblocks the owning
-  // thread's poll/recv promptly).
+  // under the lock; join outside it. The shutdown() is what ends each
+  // connection: its thread's blocked recv returns 0 (a frame it had begun
+  // counts as partial) and a blocked send fails.
   std::vector<std::unique_ptr<Conn>> extracted;
   {
     MutexLock lock(&conns_mu_);
@@ -241,13 +234,8 @@ void EventServer::ConnectionLoop(Conn* conn, pipeline::ProducerSlot slot) {
 }
 
 Status EventServer::ReadFrame(int fd, uint8_t* buf, FrameHeader* header) {
-  auto abort = [this] {
-    // mo: relaxed — poll-slice-bounded stop latch, as in AcceptLoop.
-    return stop_.load(std::memory_order_relaxed);
-  };
   uint64_t got = 0;
-  Status st = ReadFull(fd, buf, kFrameHeaderSize, kReadPollMs,
-                       /*first_byte_timeout_ms=*/0, abort, &got);
+  Status st = ReadFull(fd, buf, kFrameHeaderSize, /*timeout_ms=*/-1, &got);
   if (!st.ok()) {
     if (st.IsIOError() && got > 0) partial_frames_.Add(1);
     return st;
@@ -258,8 +246,8 @@ Status EventServer::ReadFrame(int fd, uint8_t* buf, FrameHeader* header) {
     return st;
   }
   if (header->payload_len > 0) {
-    st = ReadFull(fd, buf + kFrameHeaderSize, header->payload_len, kReadPollMs,
-                  /*first_byte_timeout_ms=*/0, abort, &got);
+    st = ReadFull(fd, buf + kFrameHeaderSize, header->payload_len,
+                  /*timeout_ms=*/-1, &got);
     if (!st.ok()) {
       // The header promised a payload that never arrived: mid-frame death.
       if (st.IsIOError()) partial_frames_.Add(1);
@@ -324,7 +312,7 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
     decode_errors_.Add(1);
     return;
   }
-  uint64_t effective_window = options_.max_credit_window;
+  uint64_t effective_window = pipeline_->queue_capacity();
   if (hello.requested_window > 0) {
     effective_window = std::min(effective_window,
                                 static_cast<uint64_t>(hello.requested_window));
@@ -344,7 +332,7 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
   uint64_t delivered_total = 0;
   for (;;) {
     st = ReadFrame(fd, rx.data(), &header);
-    if (!st.ok()) return;  // stop / disconnect / garbage, all counted above
+    if (!st.ok()) return;  // disconnect / stop / garbage, all counted above
     switch (header.type) {
       case FrameType::kEventBatch: {
         uint32_t count = 0;

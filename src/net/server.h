@@ -11,20 +11,20 @@
 /// closed immediately); remote producers retry with backoff, which is the
 /// registry's `kPending` semantics extended over the wire. The registry is
 /// the only connection cap, and the server never disconnects a quiet
-/// client.
+/// client: a connection thread blocks in `recv` until its next frame
+/// arrives, and `Stop` ends those reads by shutting the sockets down.
 ///
 /// ## Flow control
 ///
 /// Submission credits (src/net/credit.h) extend the pipeline's
 /// backpressure to remote producers. The handshake grants an initial window
 /// sized from live pipeline headroom (the free space in the connection's
-/// ring, capped by `ServerOptions::max_credit_window`); each ack
-/// piggybacks a refill toward the current target. A backed-up pipeline
-/// shrinks the window to the liveness floor of 1, so clients park on
-/// their last credit instead of flooding the server — there is no
-/// unbounded server-side buffering anywhere: each connection holds
-/// exactly one frame buffer and submits it fully before reading the next
-/// frame. The floor credit's one event is the only one that can meet a
+/// ring, so at most the ring's capacity); each ack piggybacks a refill
+/// toward the current target. A backed-up pipeline shrinks the window to
+/// the liveness floor of 1, so clients park on their last credit instead
+/// of flooding the server — there is no unbounded server-side buffering
+/// anywhere: each connection holds exactly one frame buffer and submits
+/// it fully before reading the next frame. The floor credit's one event is the only one that can meet a
 /// full ring; its `SubmitBatch` parks until a drain frees space.
 ///
 /// ## Books
@@ -37,9 +37,10 @@
 /// `shed_total` at 0: the pipeline never drops an accepted event. A
 /// connection that dies mid-frame loses only the partial frame (counted
 /// in `partial_frames`); complete frames are always fully submitted
-/// before the next read. A frame with a zero-weight record is rejected
-/// whole (nothing of it is submitted) and drops the connection as a
-/// protocol error.
+/// before the next read. A connection that `Stop` ends after the server
+/// began reading a frame counts that frame in `partial_frames` too. A
+/// frame with a zero-weight record is rejected whole (nothing of it is
+/// submitted) and drops the connection as a protocol error.
 ///
 /// ## Locking
 ///
@@ -78,13 +79,6 @@ struct ServerOptions {
   /// [1, kMaxFrameEvents]; advertised to the client in the hello ack and
   /// enforced on decode.
   uint64_t max_frame_events = 4096;
-  /// Hard cap on any connection's credit window, whatever the pipeline
-  /// headroom says.
-  uint64_t max_credit_window = uint64_t{1} << 16;
-  /// Register the countlib_net_* instruments with
-  /// `obs::Registry::Default()` (the counters are maintained either way
-  /// and surfaced through `Stats()`).
-  bool enable_metrics = false;
 };
 
 /// Snapshot of the server's activity counters (cumulative since Make).
@@ -99,12 +93,14 @@ struct ServerStats {
   uint64_t events_rx = 0;         ///< events in decoded complete frames
   uint64_t events_delivered = 0;  ///< accepted by the pipeline
   uint64_t decode_errors = 0;     ///< malformed frames and protocol violations
-  uint64_t partial_frames = 0;    ///< connections dropped mid-frame
+  uint64_t partial_frames = 0;    ///< connections dropped or stopped mid-frame
   uint64_t credit_stalls = 0;     ///< acks issued at the liveness-floor window
 };
 
 /// \brief TCP front-end feeding an `IngestPipeline`. Thread-safe;
-/// `Stop()` (and the destructor) joins every thread it started.
+/// `Stop()` (and the destructor) joins every thread it started. `Make`
+/// registers the `countlib_net_*` instruments (src/obs/README.md) with
+/// `obs::Registry::Default()`; destruction releases them.
 class EventServer {
  public:
   /// Binds, listens, and starts the accept thread. The pipeline must
@@ -120,11 +116,12 @@ class EventServer {
   EventServer(const EventServer&) = delete;
   EventServer& operator=(const EventServer&) = delete;
 
-  /// Shuts every connection down and joins the accept and connection
-  /// threads. Idempotent. In-flight batches finish their pipeline
-  /// submits; stop the server before draining the pipeline, and do not
-  /// stop it while the pipeline is paused with full queues (a blocked
-  /// `SubmitBatch` only unblocks on pipeline progress).
+  /// Shuts every connection's socket down, which ends its thread's
+  /// blocked read, and joins the accept and connection threads.
+  /// Idempotent. In-flight batches finish their pipeline submits; stop
+  /// the server before draining the pipeline, and do not stop it while the
+  /// pipeline is paused with full queues (a blocked `SubmitBatch` only
+  /// unblocks on pipeline progress).
   Status Stop();
 
   /// The bound port (resolves an ephemeral bind).
@@ -154,11 +151,12 @@ class EventServer {
   /// registry entry done.
   void ConnectionLoop(Conn* conn, pipeline::ProducerSlot slot);
   /// The framed protocol on one socket; returns when the peer says
-  /// goodbye, disconnects, misbehaves, or the server stops.
+  /// goodbye, disconnects, misbehaves, or `Stop` shuts the socket down.
   void RunConnection(int fd, pipeline::ProducerSlot* slot);
   /// Reads one frame (header + payload) into `buf` (sized for the
-  /// largest frame). See socket_util.h ReadFull for the status contract;
-  /// partial reads and decode failures are counted here.
+  /// largest frame), blocking until it arrives. See socket_util.h ReadFull
+  /// for the status contract; partial reads and decode failures are
+  /// counted here.
   Status ReadFrame(int fd, uint8_t* buf, FrameHeader* header);
   /// Encodes and sends a header+body frame, counting tx traffic.
   Status SendFrame(int fd, FrameType type, uint64_t seq, const uint8_t* body,
@@ -187,9 +185,9 @@ class EventServer {
 
   std::atomic<uint64_t> active_conns_{0};  ///< gauge mirror of live entries
 
-  /// Activity counters (striped, wait-free) backing both `Stats()` and,
-  /// under `enable_metrics`, the exported `countlib_net_*` series — one
-  /// source of truth, two surfaces (the obs README's inventory).
+  /// Activity counters (striped, wait-free) backing both `Stats()` and the
+  /// exported `countlib_net_*` series — one source of truth, two surfaces
+  /// (the obs README's inventory).
   obs::Counter connections_total_;
   obs::Counter connections_refused_;
   obs::Counter frames_rx_;
@@ -202,13 +200,9 @@ class EventServer {
   obs::Counter partial_frames_;
   obs::Counter credit_stalls_;
 
-  /// Registry handles; non-null only under `enable_metrics`. Declared
-  /// LAST so every Registration is released before the gauge-captured
-  /// members above start dying (the pipeline's ObsState pattern).
-  struct ObsState {
-    std::vector<obs::Registration> registrations;
-  };
-  std::unique_ptr<ObsState> obs_;
+  /// Registry handles. Declared LAST so every Registration is released
+  /// before the gauge-captured members above start dying.
+  std::vector<obs::Registration> registrations_;
 };
 
 }  // namespace net

@@ -79,8 +79,8 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port,
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return ErrnoStatus("socket", errno);
   // Non-blocking connect + poll gives the timeout; the fd is switched
-  // back to blocking afterwards (the client's reads are poll-sliced
-  // anyway, and blocking sends are exactly what we want).
+  // back to blocking afterwards (the client bounds its reads with
+  // ReadFull's timeout, and blocking sends are exactly what we want).
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
@@ -138,25 +138,13 @@ Result<int> WaitReadable(int fd, int timeout_ms) {
   return rc > 0 ? 1 : 0;
 }
 
-Status ReadFull(int fd, uint8_t* buf, uint64_t len, int poll_slice_ms,
-                int first_byte_timeout_ms,
-                const std::function<bool()>& should_abort, uint64_t* got) {
+Status ReadFull(int fd, uint8_t* buf, uint64_t len, int timeout_ms,
+                uint64_t* got) {
   *got = 0;
-  int idle_ms = 0;
   while (*got < len) {
-    if (should_abort && should_abort()) {
-      return Status::FailedPrecondition("net: read aborted by stop request");
-    }
-    COUNTLIB_ASSIGN_OR_RETURN(const int ready,
-                              WaitReadable(fd, poll_slice_ms));
-    if (ready == 0) {
-      if (first_byte_timeout_ms > 0 && *got == 0) {
-        idle_ms += poll_slice_ms;
-        if (idle_ms >= first_byte_timeout_ms) {
-          return Status::Pending("net: no frame within the idle timeout");
-        }
-      }
-      continue;
+    if (timeout_ms >= 0) {
+      COUNTLIB_ASSIGN_OR_RETURN(const int ready, WaitReadable(fd, timeout_ms));
+      if (ready == 0) return Status::IOError("net: timed out waiting for data");
     }
     const ssize_t n = ::recv(fd, buf + *got, len - *got, 0);
     if (n < 0) {
@@ -166,7 +154,6 @@ Status ReadFull(int fd, uint8_t* buf, uint64_t len, int poll_slice_ms,
     if (n == 0) {
       return Status::IOError("net: peer closed the connection");
     }
-    idle_ms = 0;
     *got += static_cast<uint64_t>(n);
   }
   return Status::OK();

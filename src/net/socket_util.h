@@ -1,7 +1,7 @@
 /// \file socket_util.h
 /// \brief Thin `Status`-returning wrappers over the POSIX socket calls the
 /// net subsystem uses — listen/connect setup, full-length sends, and a
-/// poll-sliced full-length read that stays responsive to a stop flag.
+/// full-length read that blocks or times out.
 ///
 /// These are deliberately boring: all protocol knowledge lives in wire.h,
 /// all policy in server/client. Everything here loops on EINTR, sends
@@ -13,7 +13,6 @@
 #define COUNTLIB_NET_SOCKET_UTIL_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "util/status.h"
@@ -45,20 +44,18 @@ Status SendAll(int fd, const uint8_t* buf, uint64_t len);
 /// timeout.
 Result<int> WaitReadable(int fd, int timeout_ms);
 
-/// Reads exactly `len` bytes into `buf`, polling in `poll_slice_ms`
-/// slices and consulting `should_abort` between slices so a stop request
-/// interrupts a blocked read promptly.
+/// Reads exactly `len` bytes into `buf`. Each wait for more bytes is
+/// bounded by `timeout_ms`; -1 blocks in `recv` until bytes arrive, the
+/// peer closes, or another thread shuts the socket down (which is how
+/// `EventServer::Stop` ends its connections' reads).
 ///
 ///  - OK: `len` bytes read (`*got == len`).
-///  - `kFailedPrecondition`: `should_abort` returned true.
-///  - `kIOError` with `*got < len`: the peer closed or errored mid-read;
-///    `*got == 0` means a clean frame boundary, anything else is a
-///    partial frame (the server's books distinguish the two).
-///  - `kPending`: `first_byte_timeout_ms` (when > 0) elapsed with no bytes
-///    at all — the caller decides whether idleness is an error.
-Status ReadFull(int fd, uint8_t* buf, uint64_t len, int poll_slice_ms,
-                int first_byte_timeout_ms,
-                const std::function<bool()>& should_abort, uint64_t* got);
+///  - `kIOError` with `*got < len`: the peer closed or errored, the socket
+///    was shut down, or a wait timed out. `*got == 0` means a clean frame
+///    boundary, anything else is a partial frame (the server's books
+///    distinguish the two).
+Status ReadFull(int fd, uint8_t* buf, uint64_t len, int timeout_ms,
+                uint64_t* got);
 
 /// Closes `fd`, ignoring EINTR (Linux semantics: the fd is gone either
 /// way).

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "core/counter_factory.h"
+#include "net/server.h"
+#include "pipeline/ingest_pipeline.h"
 #include "stats/error_metrics.h"
 
 namespace countlib {
@@ -285,7 +287,6 @@ TEST(ShardedStoreTest, MetricsRegisterAndExportShardGauges) {
   auto store = ShardedCounterStore::Make(3, CounterKind::kExact, 24,
                                          (1u << 24) - 1, 1)
                    .ValueOrDie();
-  auto regs = store->RegisterMetrics();
   const auto batch = MakeBatch({{1, 1}, {2, 2}});
   ASSERT_TRUE(store->IncrementBatch(0, batch.data(), batch.size()).ok());
   ASSERT_TRUE(store->IncrementBatch(1, batch.data(), batch.size()).ok());
@@ -303,6 +304,26 @@ TEST(ShardedStoreTest, MetricsRegisterAndExportShardGauges) {
   EXPECT_EQ(
       snap.histograms.at("countlib_store_shard_merge_latency_ns").count, 3u);
   EXPECT_EQ(snap.histograms.at("countlib_store_freeze_wait_ns").count, 1u);
+
+  // Default options serve with every layer's instruments exported: the
+  // store's from its Make, the server's from EventServer::Make.
+  {
+    auto pipe =
+        pipeline::IngestPipeline::Make(store.get(), pipeline::PipelineOptions())
+            .ValueOrDie();
+    auto server =
+        net::EventServer::Make(pipe.get(), net::ServerOptions()).ValueOrDie();
+    const obs::Snapshot serving = obs::GlobalSnapshot();
+    EXPECT_EQ(serving.counters.count("countlib_net_connections_total"), 1u);
+    EXPECT_EQ(serving.gauges.count("countlib_store_shards"), 1u);
+  }
+  // Destroying the store releases its names.
+  store.reset();
+  const obs::Snapshot after = obs::GlobalSnapshot();
+  EXPECT_EQ(after.gauges.count("countlib_store_shards"), 0u);
+  EXPECT_EQ(after.counters.count("countlib_store_batch_calls_total"), 0u);
+  EXPECT_EQ(after.histograms.count("countlib_store_freeze_wait_ns"), 0u);
+  EXPECT_EQ(after.counters.count("countlib_net_connections_total"), 0u);
 }
 
 // --- Concurrent writers, one lane per thread --------------------------

@@ -43,7 +43,6 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeStore() {
 // TSAN checks the mirror reads against the writers.
 TEST(LockHierarchyTest, RegistrySnapshotVsShardWriters) {
   auto store = MakeStore();
-  std::vector<obs::Registration> regs = store->RegisterMetrics();
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
@@ -76,8 +75,6 @@ TEST(LockHierarchyTest, RegistrySnapshotVsShardWriters) {
   reader.join();
   snapshotter.join();
 
-  // Handles must release before the store (and this test) go away.
-  regs.clear();
   EXPECT_GT(store->NumKeys(), 0u);
 }
 

@@ -79,8 +79,9 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeStore() {
 }
 
 TEST(PipelineObsTest, DisabledByDefaultRegistersNothing) {
-  const uint64_t before = obs::Registry::Default().NumRegistered();
+  // The store registers its own instruments; the pipeline adds none.
   auto store = MakeStore();
+  const uint64_t before = obs::Registry::Default().NumRegistered();
   PipelineOptions options;
   options.num_producers = 2;
   auto pipeline = IngestPipeline::Make(store.get(), options).ValueOrDie();
@@ -89,7 +90,6 @@ TEST(PipelineObsTest, DisabledByDefaultRegistersNothing) {
 
 TEST(PipelineObsTest, ExportedCountersMatchStats) {
   auto store = MakeStore();
-  const auto store_regs = store->RegisterMetrics();
   PipelineOptions options;
   options.num_producers = 2;
   options.enable_metrics = true;
@@ -170,7 +170,6 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
   // every must-stay-zero metric must read zero and the accounting must
   // balance to the last event.
   auto store = MakeStore();
-  const auto store_regs = store->RegisterMetrics();
   PipelineOptions options;
   options.num_producers = 4;
   options.num_workers = 2;
