@@ -64,14 +64,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Bad flags are reported errors (exit 1), like a failed connection;
+  // --keys=0 is refused by the trace generator.
   const uint64_t connections = flags.GetUint64("connections");
   const uint64_t total_events = flags.GetUint64("events");
-  COUNTLIB_CHECK_GE(connections, 1u);
+  if (flags.GetUint64("port") > 65535) {
+    std::fprintf(stderr, "analytics_loadgen: --port must be in [0, 65535]\n");
+    return 1;
+  }
+  if (connections == 0) {
+    std::fprintf(stderr, "analytics_loadgen: --connections must be >= 1\n");
+    return 1;
+  }
 
-  auto trace = stream::Trace::GenerateZipf(flags.GetUint64("keys"),
-                                           flags.GetDouble("skew"),
-                                           total_events, /*seed=*/77)
-                   .ValueOrDie();
+  auto generated = stream::Trace::GenerateZipf(flags.GetUint64("keys"),
+                                               flags.GetDouble("skew"),
+                                               total_events, /*seed=*/77);
+  if (!generated.ok()) {
+    std::fprintf(stderr, "analytics_loadgen: bad trace flags: %s\n",
+                 generated.status().ToString().c_str());
+    return 1;
+  }
+  const stream::Trace trace = std::move(generated).ValueOrDie();
   const auto& events = trace.events();
 
   net::ClientOptions copt;

@@ -76,6 +76,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (flags.GetUint64("port") > 65535) {
+    std::fprintf(stderr, "analytics_server: --port must be in [0, 65535]\n");
+    return 1;
+  }
+
   const bool metrics = !flags.GetString("metrics_out").empty();
   const uint64_t workers = std::max<uint64_t>(flags.GetUint64("workers"), 1);
   uint64_t shards = flags.GetUint64("shards");

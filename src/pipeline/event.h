@@ -52,7 +52,10 @@ struct PipelineOptions {
   /// `SetWorkerCount`. Producer queues are assigned round-robin to workers,
   /// so more workers than producers is never useful (clamped).
   uint64_t num_workers = 1;
-  /// Max events a worker drains into one pre-aggregated store batch.
+  /// Max events a worker drains into one pre-aggregated store batch, in
+  /// [1, 2^16]. Each worker sizes its drain scratch from it (the popped
+  /// events and the fold's table, output and bucket list: about 52 bytes
+  /// per event).
   uint64_t max_batch = 1024;
   /// Register this pipeline's counters/gauges/histograms with
   /// `obs::Registry::Default()` and record hot-path latencies, among them

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <unordered_map>
 
 #include "obs/timer.h"
 #include "util/logging.h"
@@ -132,8 +131,8 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
     return Status::InvalidArgument(
         "IngestPipeline: queue_capacity in [2, 2^30]");
   }
-  if (options.max_batch > (uint64_t{1} << 30)) {
-    return Status::InvalidArgument("IngestPipeline: max_batch <= 2^30");
+  if (options.max_batch > BatchAggregator::kMaxBatch) {
+    return Status::InvalidArgument("IngestPipeline: max_batch <= 2^16");
   }
   return std::unique_ptr<IngestPipeline>(new IngestPipeline(store, options));
 }
@@ -463,8 +462,7 @@ Status IngestPipeline::SetWorkerCount(uint64_t n) {
 uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
                                    uint64_t start_ring, uint64_t lane,
                                    std::vector<Event>* raw,
-                                   std::unordered_map<uint64_t, uint64_t>* agg,
-                                   std::vector<analytics::KeyWeight>* batch) {
+                                   BatchAggregator* agg) {
   busy_workers_.fetch_add(1);
   // One clock read per pass when instrumented; the matching end read
   // happens only for passes that consumed events (idle passes are
@@ -494,23 +492,14 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
     // Pre-aggregate duplicate keys: under a Zipfian event stream most of a
     // batch lands on few hot keys, so this collapses the per-event
     // deserialize/serialize work into one store update per distinct key.
-    agg->clear();
-    for (uint64_t i = 0; i < count; ++i) {
-      (*agg)[(*raw)[i].key] += (*raw)[i].weight;
-    }
-    batch->clear();
-    batch->reserve(agg->size());
-    for (const auto& [key, weight] : *agg) {
-      batch->push_back(analytics::KeyWeight{key, weight});
-    }
-
-    Status st = store_->IncrementBatch(lane, batch->data(), batch->size());
+    const size_t updates = agg->Fold(raw->data(), count);
+    Status st = store_->IncrementBatch(lane, agg->batch(), updates);
     // One clock read dates both the apply that made the batch visible and
     // the end of this pass.
     const uint64_t now = obs_ == nullptr ? 0 : obs::NowNanos();
     if (st.ok()) {
       applied_.Add(count);
-      updates_.Add(batch->size());
+      updates_.Add(updates);
       batches_.Add(1);
       if (obs_ != nullptr) {
         // Submit→apply latency for the stamped subset of this batch. Both
@@ -548,9 +537,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     owned.push_back(i);
   }
   std::vector<Event> raw(options_.max_batch);
-  std::unordered_map<uint64_t, uint64_t> agg;
-  std::vector<analytics::KeyWeight> batch;
-  agg.reserve(options_.max_batch);
+  BatchAggregator agg(options_.max_batch);
   const auto nothing_pending = [this, &owned] {
     for (uint64_t id : owned) {
       if (rings_[id]->SizeApprox() != 0) return false;
@@ -570,7 +557,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
     // the queues are closed and an empty pass is proof of full drain.
     const bool saw_stop = stop_.load(std::memory_order_acquire);
     // Worker w's single-writer store lane is w (see the file comment).
-    const uint64_t n = DrainOnce(owned, pass++, w, &raw, &agg, &batch);
+    const uint64_t n = DrainOnce(owned, pass++, w, &raw, &agg);
     if (n > 0) {
       idle_streak = 0;
       continue;
@@ -690,17 +677,18 @@ Status IngestPipeline::Drain() {
     // nothing a submitter racing the shutdown slipped in is stranded.
     // The sweep reuses the workers' aggregate-then-batch path so stats and
     // slot-rewrite costs stay consistent; DrainOnce's busy_workers_ raise
-    // makes it visible to a concurrent Flush.
+    // makes it visible to a concurrent Flush. Its scratch is allocated
+    // once, so a sweep of many batches allocates no more than one of a
+    // single batch.
     std::vector<uint64_t> all_rings(rings_.size());
     for (uint64_t i = 0; i < all_rings.size(); ++i) all_rings[i] = i;
     std::vector<Event> raw(options_.max_batch);
-    std::unordered_map<uint64_t, uint64_t> agg;
-    std::vector<analytics::KeyWeight> batch;
+    BatchAggregator agg(options_.max_batch);
     uint64_t pass = 0;
     // Lane 0 is safe here: every worker has been joined above, so the
     // sweep is the only store writer (the join is the happens-before edge
     // that migrates lane ownership to this thread).
-    while (DrainOnce(all_rings, pass++, 0, &raw, &agg, &batch) > 0) {
+    while (DrainOnce(all_rings, pass++, 0, &raw, &agg) > 0) {
     }
     drain_result_ = LastError();
   });

@@ -14,7 +14,10 @@
 /// duplicate keys within each batch** — one packed-slot
 /// deserialize/serialize per *distinct* key instead of per event, which is
 /// exactly where the store's cycles go under a Zipfian workload — and apply
-/// the result through `CounterWriter::IncrementBatch(lane, ...)`.
+/// the result through `CounterWriter::IncrementBatch(lane, ...)`. The fold
+/// runs in a flat table each worker allocates once (`BatchAggregator`,
+/// batch_aggregator.h) and writes the store batch in place, so once a
+/// batch's keys are indexed a whole drain pass allocates nothing.
 ///
 /// ## Lanes: worker w writes lane w
 ///
@@ -113,11 +116,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "analytics/store_interface.h"
 #include "obs/metrics.h"
+#include "pipeline/batch_aggregator.h"
 #include "pipeline/event.h"
 #include "pipeline/producer_slot.h"
 #include "pipeline/spsc_ring.h"
@@ -232,20 +235,20 @@ class IngestPipeline {
 
   /// Drains up to `max_batch` events from the rings named by `ring_ids`
   /// into `raw` (sized `max_batch` by the caller, reused across passes),
-  /// pre-aggregates via the reused `agg` map into `batch`, and applies
-  /// through store lane `lane` (the caller's single-writer channel:
-  /// worker `w` passes `w`; Drain's post-join sweep passes 0).
+  /// folds them by key in `agg` (built for `max_batch`, reused across
+  /// passes), and applies the folded batch through store lane `lane` (the
+  /// caller's single-writer channel: worker `w` passes `w`; Drain's
+  /// post-join sweep passes 0).
   /// The scan begins at `ring_ids[start_ring % ring_ids.size()]` — callers
   /// advance it each pass for fairness. Pops that transition a ring
   /// full→nonfull notify the ring's not-full eventcount shard (waking
   /// producers parked in `Submit`). Returns the number of raw events
-  /// consumed. The worker-owned scratch keeps the drain loop itself
-  /// allocation-light.
+  /// consumed. With the scratch owned by the caller, a pass over indexed
+  /// keys allocates nothing. Not `// HOTPATH`: the store apply may park
+  /// on a reader's freeze (`ShardedCounterStore::IncrementBatch`).
   uint64_t DrainOnce(const std::vector<uint64_t>& ring_ids,
                      uint64_t start_ring, uint64_t lane,
-                     std::vector<Event>* raw,
-                     std::unordered_map<uint64_t, uint64_t>* agg,
-                     std::vector<analytics::KeyWeight>* batch);
+                     std::vector<Event>* raw, BatchAggregator* agg);
 
   /// The not-full eventcount shard covering `ring` (round-robin mapping).
   EventCount& NonFullShard(uint64_t ring) {

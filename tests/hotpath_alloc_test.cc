@@ -2,10 +2,11 @@
 // path: this binary replaces the global operator new with one that counts
 // the calling thread's allocations, and the steady-state calls — a store
 // batch over keys that are already indexed, a pipeline batch submit into
-// a ring with room, a submit through a released lease — must make
-// none. (conclint checks the same contract statically, on the tagged
-// functions' own bodies only.) The replacement also records the thread's
-// largest request, which bounds what a client's handshake allocates.
+// a ring with room, a drain pass over indexed keys, a submit through a
+// released lease — must make none. (conclint checks the same contract
+// statically, on the tagged functions' own bodies only.) The replacement
+// also records the thread's largest request, which bounds what a client's
+// handshake allocates.
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,42 @@ TEST(HotpathAllocTest, SubmitBatchIntoARingWithRoomAllocatesNothing) {
   EXPECT_EQ(tl_allocations - before, 0u);
   ASSERT_TRUE(pipe->Drain().ok());
   EXPECT_EQ(pipe->Stats().events_applied, 2 * updates.size() + 1);
+}
+
+// A drain pass — ring pop, fold by key, store apply — over keys already
+// indexed allocates nothing: `Drain`'s sweep allocates its scratch once,
+// so sweeping 64 full batches makes exactly the allocations of sweeping
+// one. Each batch holds 128 distinct keys; a fold that allocated per key
+// would add 63 × 128 allocations.
+TEST(HotpathAllocTest, DrainPassOverIndexedKeysAllocatesNothing) {
+  constexpr uint64_t kBatch = 128;
+  constexpr uint64_t kBatches = 64;
+  const std::vector<KeyWeight> updates = Updates(kBatch, kBatches);
+  auto store = analytics::ShardedCounterStore::Make(
+                   1, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
+                   .ValueOrDie();
+  ASSERT_TRUE(store->IncrementBatch(0, updates.data(), kBatch).ok());
+  pipeline::PipelineOptions opt;
+  opt.num_producers = 1;
+  opt.max_batch = kBatch;
+  opt.queue_capacity = kBatch * kBatches;
+  // Two paused pipelines over the one store: the backlog waits in the
+  // ring, and `Drain`'s sweep on this thread applies it through lane 0.
+  const auto drain_allocations = [&](uint64_t batches) {
+    auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
+    EXPECT_TRUE(pipe->SetWorkerCount(0).ok());
+    {
+      pipeline::ProducerSlot slot = pipe->AcquireProducerSlot().ValueOrDie();
+      EXPECT_TRUE(slot.SubmitBatch(updates.data(), batches * kBatch).ok());
+    }
+    const uint64_t before = tl_allocations;
+    EXPECT_TRUE(pipe->Drain().ok());
+    const uint64_t made = tl_allocations - before;
+    EXPECT_EQ(pipe->Stats().batches_applied, batches);
+    EXPECT_EQ(pipe->Stats().updates_applied, batches * kBatch);
+    return made;
+  };
+  EXPECT_EQ(drain_allocations(kBatches), drain_allocations(1));
 }
 
 // A submit through a released handle is refused with a preallocated

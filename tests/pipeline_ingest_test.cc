@@ -52,6 +52,8 @@ TEST(IngestPipelineTest, MakeValidatesOptions) {
   opt.num_workers = 1;
   opt.max_batch = 0;
   EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
+  opt.max_batch = (uint64_t{1} << 16) + 1;  // each worker sizes scratch by it
+  EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
   opt.max_batch = 64;
   opt.queue_capacity = 1;
   EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
@@ -69,6 +71,31 @@ TEST(IngestPipelineTest, SubmitValidatesArguments) {
   EXPECT_TRUE(slot.TrySubmit(42, 3).ok());
   EXPECT_TRUE(pipeline->Drain().ok());
   EXPECT_EQ(store->Estimate(42).ValueOrDie(), 3.0);
+}
+
+// Wire weights may be any nonzero u64, and every counter saturates, so the
+// drain's fold must too: three events of weight 2^63, 2^63 and 5 read the
+// exact-32 cap whether each is its own batch or all fold into one (a
+// wrapping fold read 5).
+TEST(IngestPipelineTest, FoldSaturatesLikeTheCounters) {
+  const uint64_t half = uint64_t{1} << 63;
+  const std::vector<analytics::KeyWeight> events = {{7, half}, {7, half},
+                                                    {7, 5}};
+  for (uint64_t max_batch : {uint64_t{1}, uint64_t{1024}}) {
+    SCOPED_TRACE(max_batch);
+    auto store = MakeExactStore();
+    PipelineOptions opt;
+    opt.max_batch = max_batch;
+    auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+    ASSERT_TRUE(pipeline->SetWorkerCount(0).ok());
+    {
+      auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
+      ASSERT_TRUE(slot.SubmitBatch(events.data(), events.size()).ok());
+    }
+    ASSERT_TRUE(pipeline->Drain().ok());
+    EXPECT_EQ(pipeline->Stats().batches_applied, max_batch == 1 ? 3u : 1u);
+    EXPECT_EQ(store->Estimate(7).ValueOrDie(), 4294967295.0);
+  }
 }
 
 // The acceptance-criteria test: >= 4 concurrent producers, random weights,
