@@ -11,7 +11,7 @@
 ///
 /// and a fully healthy run (no kill) additionally shows lost_unacked == 0
 /// and shed == 0 (the server never sheds an accepted event). Any imbalance,
-/// or any connection that fails, exits 1.
+/// any connection that fails, or any bad flag exits 1.
 ///
 /// With `--metrics_out=FILE` the settled client-side ledgers are exported
 /// as a Prometheus text dump (`countlib_loadgen_*`) so CI's promcheck can
@@ -58,7 +58,11 @@ int main(int argc, char** argv) {
   flags.AddString("metrics_out", "",
                   "write the settled countlib_loadgen_* ledgers as a "
                   "Prometheus text dump here (optional)");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "analytics_loadgen: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;

@@ -23,6 +23,9 @@
 /// merge-on-read snapshots (src/obs/README.md) — CI validates it with
 /// tools/promcheck.py.
 ///
+/// A bad flag, including one that makes the store, pipeline or listener
+/// refuse to start, prints its error and exits 1.
+///
 ///   ./build/example_analytics_server [--port=N] [--bind=ADDR]
 ///       [--slots=N] [--queue_capacity=N] [--workers=N] [--shards=N]
 ///       [--run_seconds=N] [--metrics_out=FILE]
@@ -47,6 +50,12 @@
 
 namespace {
 
+/// Reports a bad flag, or the setup step it made fail, as exit code 1.
+int Fail(const countlib::Status& st) {
+  std::fprintf(stderr, "analytics_server: %s\n", st.ToString().c_str());
+  return 1;
+}
+
 void DumpMetrics(const std::string& path) {
   const countlib::obs::Snapshot snap = countlib::obs::GlobalSnapshot();
   std::ofstream f(path);
@@ -70,7 +79,8 @@ int main(int argc, char** argv) {
                   "pipeline clamps the worker pool to this many lanes");
   flags.AddUint64("run_seconds", 30, "serve this long, then drain and exit");
   flags.AddString("metrics_out", "", "final Prometheus dump path (optional)");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return Fail(parsed);
   if (flags.help_requested()) {
     std::printf("%s\n", flags.HelpText().c_str());
     return 0;
@@ -85,22 +95,27 @@ int main(int argc, char** argv) {
   const uint64_t workers = std::max<uint64_t>(flags.GetUint64("workers"), 1);
   uint64_t shards = flags.GetUint64("shards");
   if (shards == 0) shards = workers;  // one private shard per drain worker
-  auto store = analytics::ShardedCounterStore::Make(
-                   shards, CounterKind::kExact, /*state_bits=*/32,
-                   (uint64_t{1} << 32) - 1, /*seed=*/1)
-                   .ValueOrDie();
+  auto made_store = analytics::ShardedCounterStore::Make(
+      shards, CounterKind::kExact, /*state_bits=*/32, (uint64_t{1} << 32) - 1,
+      /*seed=*/1);
+  if (!made_store.ok()) return Fail(made_store.status());
+  auto store = std::move(made_store).ValueOrDie();
 
   pipeline::PipelineOptions popt;
   popt.num_producers = flags.GetUint64("slots");
   popt.queue_capacity = flags.GetUint64("queue_capacity");
   popt.num_workers = workers;
   popt.enable_metrics = metrics;
-  auto pipe = pipeline::IngestPipeline::Make(store.get(), popt).ValueOrDie();
+  auto made_pipe = pipeline::IngestPipeline::Make(store.get(), popt);
+  if (!made_pipe.ok()) return Fail(made_pipe.status());
+  auto pipe = std::move(made_pipe).ValueOrDie();
 
   net::ServerOptions sopt;
   sopt.bind_address = flags.GetString("bind");
   sopt.port = static_cast<uint16_t>(flags.GetUint64("port"));
-  auto server = net::EventServer::Make(pipe.get(), sopt).ValueOrDie();
+  auto made_server = net::EventServer::Make(pipe.get(), sopt);
+  if (!made_server.ok()) return Fail(made_server.status());
+  auto server = std::move(made_server).ValueOrDie();
   std::printf("analytics_server: listening on %s:%u (%llu slots)\n",
               sopt.bind_address.c_str(), server->port(),
               static_cast<unsigned long long>(popt.num_producers));

@@ -15,10 +15,10 @@
 /// hands a released slot out again only after its queue has drained.
 ///
 /// Everything that blocks here blocks on the shared `EventCount` primitive
-/// (util/event_count.h): idle drain workers park until a producer pushes
-/// into an empty ring, a `Submit` hitting a full ring parks on the ring's
-/// not-full eventcount shard until a drain frees space, and a thread
-/// waiting in `AcquireProducerSlot` parks until a release — all the same
+/// (util/event_count.h): idle drain workers park until a producer pushes,
+/// a `Submit` hitting a full ring parks on its ring's not-full eventcount
+/// until a drain frees space, and a thread waiting in
+/// `AcquireProducerSlot` parks until a release — all the same
 /// epoch/waiter-count discipline, so a saturated or idle system costs
 /// milliseconds of CPU per second instead of burning cores on sleep-polls.
 /// Under *sustained* overload producers keep waiting for ring space, so
@@ -33,6 +33,8 @@
 /// exposition every `--metrics_period_ms` (plus a final dump after drain —
 /// the one CI validates with tools/promcheck.py). Each dump samples the
 /// gauges afresh.
+///
+/// A bad flag prints its error and exits 1.
 ///
 ///   ./build/example_pipeline_ingest [--pages=N] [--visits=N] [--threads=N]
 ///       [--slots=N] [--metrics_out=FILE] [--metrics_period_ms=N]
@@ -57,6 +59,12 @@
 
 namespace {
 
+/// Reports a bad flag, or the setup step it made fail, as exit code 1.
+int Fail(const countlib::Status& st) {
+  std::fprintf(stderr, "pipeline_ingest: %s\n", st.ToString().c_str());
+  return 1;
+}
+
 /// One snapshot, written as Prometheus text to `path`.
 void DumpMetrics(const std::string& path) {
   std::ofstream f(path);
@@ -80,7 +88,8 @@ int main(int argc, char** argv) {
   flags.AddUint64("metrics_period_ms", 500,
                   "rewrite --metrics_out every this many milliseconds "
                   "while the run is live (0 = only the final dump)");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) return Fail(parsed);
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;
@@ -95,10 +104,13 @@ int main(int argc, char** argv) {
 
   // Zipf page popularity, 16 bits of packed counter state per page, one
   // private shard per producer slot and one drain worker per shard.
-  auto trace = stream::Trace::GenerateZipf(pages, 1.05, visits, 99).ValueOrDie();
-  auto store = analytics::ShardedCounterStore::Make(
-                   slots, CounterKind::kSampling, 16, visits, 1)
-                   .ValueOrDie();
+  auto made_trace = stream::Trace::GenerateZipf(pages, 1.05, visits, 99);
+  if (!made_trace.ok()) return Fail(made_trace.status());
+  const stream::Trace trace = std::move(made_trace).ValueOrDie();
+  auto made_store = analytics::ShardedCounterStore::Make(
+      slots, CounterKind::kSampling, 16, visits, 1);
+  if (!made_store.ok()) return Fail(made_store.status());
+  auto store = std::move(made_store).ValueOrDie();
 
   pipeline::PipelineOptions options;
   options.num_producers = slots;
@@ -106,8 +118,9 @@ int main(int argc, char** argv) {
   options.max_batch = 2048;
   options.num_workers = std::min<uint64_t>(slots, 256);  // Make's pool cap
   options.enable_metrics = metrics;
-  auto ingest =
-      pipeline::IngestPipeline::Make(store.get(), options).ValueOrDie();
+  auto made_ingest = pipeline::IngestPipeline::Make(store.get(), options);
+  if (!made_ingest.ok()) return Fail(made_ingest.status());
+  auto ingest = std::move(made_ingest).ValueOrDie();
 
   // The telemetry side, entirely optional: the dump thread rewrites the
   // export files while the run is live so an external scraper — or a

@@ -82,6 +82,11 @@ struct PipelineStats {
   uint64_t worker_wakeups = 0;     ///< CV sleeps ended by a producer/shutdown signal (not timeout)
   uint64_t producer_parks = 0;     ///< times a blocking Submit parked on the not-full eventcount
   uint64_t producer_wakeups = 0;   ///< producer parks ended by a drain's not-full signal (not timeout)
+  /// Parks whose backstop, not a notify, found the work: a worker park that
+  /// timed out with events in its rings, or a producer park that timed out
+  /// before its retry found room, each with no notify since. Every push and
+  /// pop notifies, so this stays 0; nonzero means a lost wakeup.
+  uint64_t backstop_rescues = 0;
   uint64_t queue_depth = 0;        ///< events currently sitting in queues (approximate)
   uint64_t workers = 0;            ///< current drain-thread count (gauge; 0 while paused)
   uint64_t slots_in_use = 0;       ///< producer slots currently leased via the registry (gauge)

@@ -12,16 +12,11 @@ namespace pipeline {
 
 namespace {
 
-/// How long a parked worker sleeps before rechecking its rings. This is the
-/// lost-wakeup backstop for the (rare) stale emptiness verdict in
-/// `SpscRing::TryPushBatch` — and it bounds a fully idle worker to ~20
-/// wakes/s.
+/// How long a parked worker sleeps before rechecking its rings. Every push
+/// notifies, so this is a liveness guard, not a wake path
+/// (`PipelineStats::backstop_rescues` counts what it catches); it also
+/// bounds a fully idle worker to ~20 wakes/s.
 constexpr std::chrono::milliseconds kIdleSleep(50);
-
-/// Yield-retries a blocking `Submit` makes before it parks: under transient
-/// fullness a drain frees space within microseconds, and a yield is much
-/// cheaper than a park round trip.
-constexpr int kSubmitSpinYields = 64;
 
 /// Consecutive empty drain passes a worker spins (yielding) before it
 /// parks on the wake eventcount: long enough to ride out the gaps of
@@ -41,30 +36,20 @@ constexpr uint64_t kLatencySampleMask =
 /// submits to (which only dithers the sample's phase, not its rate).
 thread_local uint64_t tl_pushed_events = 0;
 
-/// How long a parked producer sleeps before rechecking its ring. This is
-/// the lost-wakeup backstop for the (rare) stale fullness verdict in
-/// `SpscRing::PopBatch` — real wakes ride the not-full eventcount shard,
-/// so the backstop only bounds the stale-verdict corner. ~50 rechecks/s
-/// keeps a producer parked for a full second around 2ms of CPU even on
-/// boxes where a timed CV wait costs tens of microseconds.
+/// How long a parked producer sleeps before rechecking its ring. Every pop
+/// notifies the ring's not-full eventcount, so this too is a liveness guard
+/// (counted in `backstop_rescues`). ~50 rechecks/s keeps a producer parked
+/// for a full second around 2ms of CPU even on boxes where a timed CV wait
+/// costs tens of microseconds.
 constexpr std::chrono::milliseconds kSubmitParkBackstop(20);
 
-/// Backstop for waiters parked on the slot registry: releases and drain
-/// progress notify the eventcount, so this only covers signals skipped by
-/// the HasWaiters gate racing a fresh registration.
+/// Backstop for waiters parked on the slot registry. Releases and every
+/// drain pass that pops notify, so it only guards liveness.
 constexpr std::chrono::milliseconds kSlotParkBackstop(50);
 
-/// Backstop for flush waiters: short, because the quiesce predicate reads
-/// approximate ring sizes and the completing drain pass may have notified
-/// before this waiter registered.
+/// Backstop for flush waiters. Every drain pass notifies, and `ParkUntil`
+/// registers before each predicate check, so it only guards liveness.
 constexpr std::chrono::milliseconds kFlushParkBackstop(5);
-
-/// Not-full eventcount shards. Saturated producers park per ring group
-/// instead of on one shared CV, so a pipeline with thousands of saturated
-/// slots fans its notify traffic across shards. 16 is plenty: a shard's
-/// waiter population is num_producers/16 at worst, and each park
-/// revalidates with TrySubmit.
-constexpr uint64_t kMaxNonFullShards = 16;
 
 /// Preallocated results for the hot rejection paths. Backpressure fires
 /// exactly when the system is saturated, so the kPending result must not
@@ -147,9 +132,7 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
   for (uint64_t i = 0; i < options_.num_producers; ++i) {
     rings_.push_back(std::make_unique<SpscRing>(options_.queue_capacity));
   }
-  nonfull_shards_ = std::min<uint64_t>(options_.num_producers,
-                                       kMaxNonFullShards);
-  nonfull_ecs_ = std::make_unique<EventCount[]>(nonfull_shards_);
+  nonfull_ecs_ = std::make_unique<EventCount[]>(options_.num_producers);
   slot_leased_.assign(options_.num_producers, 0);
   if (options_.enable_metrics) RegisterMetrics();
   options_.num_workers = std::min(options_.num_workers, max_workers_);
@@ -177,6 +160,8 @@ void IngestPipeline::RegisterMetrics() {
                                    &producer_parks_));
   rs.push_back(reg.RegisterCounter("countlib_pipeline_producer_wakeups_total",
                                    &producer_wakeups_));
+  rs.push_back(reg.RegisterCounter("countlib_pipeline_backstop_rescues_total",
+                                   &backstop_rescues_));
   rs.push_back(reg.RegisterHistogram(
       "countlib_pipeline_submit_apply_latency_ns",
       &obs_->submit_apply_latency));
@@ -280,15 +265,11 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
     active_submitters_.fetch_sub(1, std::memory_order_release);
     return DrainingStatus();
   }
-  bool was_empty = false;
   uint64_t pushed = 0;
   if (obs_ == nullptr) {
-    pushed = rings_[producer]->TryPushBatch(
-        n,
-        [updates](uint64_t i) {
-          return Event{updates[i].key, updates[i].weight, 0};
-        },
-        &was_empty);
+    pushed = rings_[producer]->TryPushBatch(n, [updates](uint64_t i) {
+      return Event{updates[i].key, updates[i].weight, 0};
+    });
   } else {
     // Event i of this call is the thread's (seq + i + 1)-th push; those
     // numbered by a multiple of 64 are stamped. One tail store publishes
@@ -297,13 +278,10 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
     const uint64_t first_stamp =
         kLatencySampleMask - (seq & kLatencySampleMask);
     const uint64_t now = first_stamp < n ? obs::NowNanos() : 0;
-    pushed = rings_[producer]->TryPushBatch(
-        n,
-        [updates, seq, now](uint64_t i) {
-          const bool stamped = ((seq + i + 1) & kLatencySampleMask) == 0;
-          return Event{updates[i].key, updates[i].weight, stamped ? now : 0};
-        },
-        &was_empty);
+    pushed = rings_[producer]->TryPushBatch(n, [updates, seq, now](uint64_t i) {
+      const bool stamped = ((seq + i + 1) & kLatencySampleMask) == 0;
+      return Event{updates[i].key, updates[i].weight, stamped ? now : 0};
+    });
     tl_pushed_events = seq + pushed;
   }
   // mo: release — orders the ring push before the count drop, so Drain's
@@ -312,20 +290,17 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
   if (accepted != nullptr) *accepted = pushed;
   if (pushed > 0) {
     submitted_.Add(pushed);
-    // Wake parked workers only on the empty->nonempty transition: pushes
-    // into a nonempty ring mean a worker is already (or will be) on its
-    // way, so the steady-state submit path touches no mutex and no CV.
-    if (was_empty) {
-      if (obs_ != nullptr) {
-        // Stamp the notify so the woken worker can record wakeup→drain
-        // latency. A clock read, but only on the (rare under load)
-        // empty→nonempty transition.
-        // mo: relaxed — best-effort telemetry stamp; a torn or lost
-        // race only skews one histogram sample.
-        last_wake_notify_ns_.store(obs::NowNanos(), std::memory_order_relaxed);
-      }
-      wake_ec_.NotifyIfWaiters();
+    // Every push notifies: the epoch bump after the publish makes a parked
+    // worker's wake exact (util/event_count.h). With no worker parked it is
+    // one RMW and one load, no mutex and no CV.
+    if (obs_ != nullptr && wake_ec_.HasWaiters()) {
+      // Stamp the notify so the woken worker can record wakeup→drain
+      // latency; the gate keeps the clock read off pushes nobody waits on.
+      // mo: relaxed — best-effort telemetry stamp; a torn or lost race only
+      // skews one histogram sample.
+      last_wake_notify_ns_.store(obs::NowNanos(), std::memory_order_relaxed);
     }
+    wake_ec_.NotifyIfWaiters();
   }
   if (pushed < n) {
     rejected_.Add(1);
@@ -337,39 +312,28 @@ Status IngestPipeline::TrySubmitBatch(uint64_t producer,
 Status IngestPipeline::SubmitBatch(uint64_t producer,
                                    const analytics::KeyWeight* updates,
                                    size_t n) {
-  // Stay hot through transient fullness: a drain in progress frees space
-  // within microseconds, so yield-retry before parking. The budget
-  // restarts whenever a retry makes progress.
+  // One park-episode loop on the ring's own not-full eventcount: snapshot
+  // the epoch, try the rest of the batch, park on the snapshot. Every pop
+  // from this ring bumps the epoch after freeing space, so a pop after the
+  // snapshot ends the park or skips it (util/event_count.h).
+  EventCount& nonfull = nonfull_ecs_[producer];
   size_t done = 0;
-  int spins = 0;
-  while (spins < kSubmitSpinYields) {
-    size_t accepted = 0;
-    Status st = TrySubmitBatch(producer, updates + done, n - done, &accepted);
-    done += accepted;
-    if (!st.IsPending()) return st;
-    spins = accepted > 0 ? 0 : spins + 1;
-    std::this_thread::yield();
-  }
-  // Sustained fullness: park on the ring's not-full eventcount shard until
-  // the rest fits. Same discipline as the worker wakeup — snapshot the shard
-  // epoch, recheck the condition (a TrySubmitBatch of the rest), sleep until
-  // the epoch moves. A drain that pops from a full ring notifies the shard
-  // with the seq_cst epoch bump before reading the waiter count, and
-  // ParkOne registers the waiter with seq_cst before the predicate's first
-  // epoch read, so either the drain sees the waiter and notifies or the
-  // waiter sees the new epoch and skips the sleep (the Dekker pattern,
-  // now written once in EventCount). The bounded timeout backstops
-  // PopBatch's (rare) stale fullness verdict.
+  bool timed_out = false;  // the last park ran out kSubmitParkBackstop
+  uint64_t epoch = 0;
   while (true) {
-    EventCount& ec = NonFullShard(producer);
-    const uint64_t epoch = ec.Epoch();
+    const uint64_t parked_epoch = epoch;
+    epoch = nonfull.Epoch();
     size_t accepted = 0;
     Status st = TrySubmitBatch(producer, updates + done, n - done, &accepted);
     done += accepted;
+    // Room that no pop announced: the backstop, not a notify, ended the wait.
+    if (timed_out && accepted > 0 && epoch == parked_epoch) {
+      backstop_rescues_.Add(1);
+    }
     if (!st.IsPending()) return st;
     producer_parks_.Add(1);
     const uint64_t park_start_ns = obs_ == nullptr ? 0 : obs::NowNanos();
-    const bool signaled = ec.ParkOne(
+    const bool signaled = nonfull.ParkOne(
         // mo: acquire — cancel probe; pairs with Drain's closed_ publish
         // so a canceled park returns into the kFailedPrecondition path.
         epoch, [this] { return closed_.load(std::memory_order_acquire); },
@@ -380,6 +344,7 @@ Status IngestPipeline::SubmitBatch(uint64_t producer,
       obs_->producer_park.Record(obs::NowNanos() - park_start_ns);
     }
     if (signaled) producer_wakeups_.Add(1);
+    timed_out = !signaled;
   }
 }
 
@@ -407,9 +372,8 @@ Result<ProducerSlot> IngestPipeline::TryAcquireProducerSlot() {
 Result<ProducerSlot> IngestPipeline::AcquireProducerSlot() {
   // Park-episode loop on the registry eventcount: snapshot the epoch,
   // rescan via TryAcquireProducerSlot, park on the snapshot. A release (or
-  // a drain's pop progress) after the snapshot bumps the epoch, so the
-  // park is skipped or ended immediately; the backstop covers notifies
-  // skipped by the HasWaiters gate racing this registration.
+  // a drain pass that pops) after the snapshot bumps the epoch, so the
+  // park is skipped or ended immediately.
   while (true) {
     const uint64_t epoch = slots_ec_.Epoch();
     Result<ProducerSlot> slot = TryAcquireProducerSlot();
@@ -476,17 +440,13 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
   for (size_t i = 0; i < ring_ids.size(); ++i) {
     if (count == options_.max_batch) break;
     const uint64_t id = ring_ids[(start + i) % ring_ids.size()];
-    bool was_full = false;
-    const uint64_t n = rings_[id]->PopBatch(
-        raw->data() + count, options_.max_batch - count, &was_full);
+    const uint64_t n =
+        rings_[id]->PopBatch(raw->data() + count, options_.max_batch - count);
     count += n;
-    if (n > 0 && was_full) {
-      // Full→nonfull transition: notify the ring's not-full shard so a
-      // producer parked in Submit can wake. Deliberately before the store
-      // apply below — the capacity became free at pop time, and the apply
-      // can be comparatively long.
-      NonFullShard(id).NotifyIfWaiters();
-    }
+    // Every pop notifies the ring's not-full eventcount, deliberately before
+    // the store apply below: the space is free from the pop on, and the
+    // apply can be comparatively long.
+    if (n > 0) nonfull_ecs_[id].NotifyIfWaiters();
   }
   if (count > 0) {
     // Pre-aggregate duplicate keys: under a Zipfian event stream most of a
@@ -518,12 +478,12 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
     }
   }
   busy_workers_.fetch_sub(1);
-  // Post-pass signals, gated on the eventcounts' waiter registries so the
-  // hot loop normally pays two atomic loads and no mutex. The
-  // busy_workers_ decrement above may complete a Flush; a consumed batch
-  // may have emptied a ring a slot acquirer is waiting on.
-  if (flush_ec_.HasWaiters()) flush_ec_.NotifyIfWaiters();
-  if (count > 0 && slots_ec_.HasWaiters()) slots_ec_.NotifyIfWaiters();
+  // Post-pass signals: the busy_workers_ decrement above may complete a
+  // Flush, and a consumed batch may have emptied a ring a slot acquirer
+  // waits on. Neither is gated on HasWaiters(): a waiter registering just
+  // after that check would sleep out its backstop.
+  flush_ec_.NotifyIfWaiters();
+  if (count > 0) slots_ec_.NotifyIfWaiters();
   return count;
 }
 
@@ -569,10 +529,9 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
       continue;
     }
     // Eventcount park: snapshot the epoch, recheck the rings, then sleep
-    // until the epoch moves (producer push into an empty ring, shutdown,
-    // or resize). Any push that lands after the snapshot bumps the epoch,
-    // so ParkOne catches it before or after blocking; kIdleSleep
-    // backstops the stale-emptiness corner of TryPushBatch's verdict.
+    // until the epoch moves (a push, shutdown, or resize). Every push bumps
+    // the epoch after publishing, so a push that lands after the snapshot
+    // ends the park or skips it.
     const uint64_t epoch = wake_ec_.Epoch();
     if (!nothing_pending()) continue;
     const bool signaled = wake_ec_.ParkOne(
@@ -584,6 +543,10 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
                  worker_gen_.load(std::memory_order_acquire) != gen;
         },
         kIdleSleep);
+    // Events that no push announced: the backstop caught a missed wake.
+    if (!signaled && !nothing_pending() && wake_ec_.Epoch() == epoch) {
+      backstop_rescues_.Add(1);
+    }
     if (signaled) {
       worker_wakeups_.Add(1);
       if (obs_ != nullptr) {
@@ -651,8 +614,8 @@ Status IngestPipeline::Drain() {
     // on the not-full eventcounts: they observe closed_ and return
     // kFailedPrecondition.
     slots_ec_.NotifyIfWaiters();
-    for (uint64_t s = 0; s < nonfull_shards_; ++s) {
-      nonfull_ecs_[s].NotifyIfWaiters();
+    for (uint64_t i = 0; i < rings_.size(); ++i) {
+      nonfull_ecs_[i].NotifyIfWaiters();
     }
     // Wait out in-flight TrySubmit calls: once the count is zero, any
     // submitter that passed the closed_ check has finished its push, so the
@@ -709,6 +672,7 @@ PipelineStats IngestPipeline::Stats() const {
   stats.slots_in_use = slots_in_use_.load(std::memory_order_relaxed);
   stats.producer_parks = producer_parks_.Value();
   stats.producer_wakeups = producer_wakeups_.Value();
+  stats.backstop_rescues = backstop_rescues_.Value();
   stats.idle_passes = idle_passes_.Value();
   stats.worker_wakeups = worker_wakeups_.Value();
   for (const auto& ring : rings_) stats.queue_depth += ring->SizeApprox();

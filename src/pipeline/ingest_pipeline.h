@@ -50,44 +50,40 @@
 /// thread pools whose membership changes lease per task (the FASTER-style
 /// "sessions come and go" reality).
 ///
-/// ## Parking: one `EventCount`, four waiters
+/// ## Parking: one `EventCount`, four waiters, exact wakes
 ///
 /// Every blocking wait in the pipeline rides the shared
 /// `countlib::EventCount` primitive (util/event_count.h) — epoch cell +
 /// waiter count + mutex/CV, notify-only-when-waited, bounded-backstop
-/// sleeps. Four instances, one per waiter population:
+/// sleeps. Every notifier calls `NotifyIfWaiters()` after each state change
+/// a waiter can wait on, and every waiter snapshots the epoch (or, in
+/// `ParkUntil`, registers) before it rechecks its condition, so by the
+/// eventcount's Dekker contract no wakeup is lost and each backstop only
+/// guards liveness. `PipelineStats::backstop_rescues` counts the worker and
+/// producer parks whose backstop found work that no notify announced; it
+/// must stay 0. Four instances, one per waiter population:
 ///
-///  - **Worker wake** (`wake_ec_`): a producer notifies only on an
-///    empty→nonempty ring transition (`SpscRing::TryPushBatch`'s
-///    `was_empty`), so steady-state submits into a nonempty ring stay
-///    lock-free. An idle
+///  - **Worker wake** (`wake_ec_`): every nonzero push notifies after its
+///    ring publish — one RMW and one load when no worker is parked. An idle
 ///    worker spins a fixed number of empty passes, then snapshots the
-///    epoch, rechecks its rings, and parks. Because the producer's
-///    emptiness verdict derives from an acquire load of the consumer
-///    index it can (rarely) be stale, so the park's bounded
-///    backstop doubles as the lost-wakeup net (~20 wakes/s per idle
-///    worker).
-///  - **Producer not-full** (`nonfull_ecs_`, sharded): workers bump a
-///    ring's shard on every full→nonfull pop transition
-///    (`SpscRing::PopBatch(out, max, &was_full)`); a saturated blocking
-///    `Submit` parks there instead of sleep-polling. The eventcounts are
-///    **sharded by ring group** (ring → shard round-robin) so thousands of
-///    saturated producer slots do not pile onto one CV the way the first
-///    cut's single shared CV would have; at most a few producers share a
-///    shard's notify fan-out.
+///    epoch, rechecks its rings, and parks.
+///  - **Producer not-full** (`nonfull_ecs_`, one per ring): every nonzero
+///    pop notifies its ring's eventcount before the store apply, and a
+///    blocking `SubmitBatch` that finds no room parks there at once. A pop
+///    wakes only its own ring's producer.
 ///  - **Flush** (`flush_ec_`): flush waiters park until the quiesce
-///    predicate holds; workers notify after a drain pass only when a
-///    waiter is registered.
+///    predicate holds; every drain pass notifies.
 ///  - **Slot registry** (`slots_ec_`): blocked `AcquireProducerSlot`
-///    callers park until a release or pop progress re-opens a slot.
+///    callers park until a release or a drain pass that pops re-opens a
+///    slot.
 ///
 /// ## Overload: a full ring parks the producer
 ///
-/// A blocking `Submit` whose ring *stays* full past a short spin budget
-/// parks on the ring's not-full eventcount until a drain frees space, so
-/// every event it accepts is applied and `queue_capacity` is the headroom a
-/// producer gets before it waits. `TrySubmit` never waits: it stays the
-/// allocation-free `kPending` probe.
+/// A blocking `SubmitBatch` that finds its ring full parks on the ring's
+/// not-full eventcount until a drain frees space, so every event it accepts
+/// is applied and `queue_capacity` is the headroom a producer gets before it
+/// waits. `TrySubmit` never waits: it stays the allocation-free `kPending`
+/// probe.
 ///
 /// ## Elasticity
 ///
@@ -223,8 +219,8 @@ class IngestPipeline {
                         size_t n, size_t* accepted);
 
   /// The blocking submit behind `ProducerSlot::SubmitBatch`: retries
-  /// `TrySubmitBatch` on the rest of the batch, spinning briefly and then
-  /// parking on the ring's not-full eventcount until it fits.
+  /// `TrySubmitBatch` on the rest of the batch, parking on the ring's
+  /// not-full eventcount between tries, until it fits.
   Status SubmitBatch(uint64_t producer, const analytics::KeyWeight* updates,
                      size_t n);
 
@@ -240,20 +236,15 @@ class IngestPipeline {
   /// caller's single-writer channel: worker `w` passes `w`; Drain's
   /// post-join sweep passes 0).
   /// The scan begins at `ring_ids[start_ring % ring_ids.size()]` — callers
-  /// advance it each pass for fairness. Pops that transition a ring
-  /// full→nonfull notify the ring's not-full eventcount shard (waking
-  /// producers parked in `Submit`). Returns the number of raw events
+  /// advance it each pass for fairness. Every nonzero pop notifies its
+  /// ring's not-full eventcount, and every pass notifies the flush waiters
+  /// (and, if it popped, the slot waiters). Returns the number of raw events
   /// consumed. With the scratch owned by the caller, a pass over indexed
   /// keys allocates nothing. Not `// HOTPATH`: the store apply may park
   /// on a reader's freeze (`ShardedCounterStore::IncrementBatch`).
   uint64_t DrainOnce(const std::vector<uint64_t>& ring_ids,
                      uint64_t start_ring, uint64_t lane,
                      std::vector<Event>* raw, BatchAggregator* agg);
-
-  /// The not-full eventcount shard covering `ring` (round-robin mapping).
-  EventCount& NonFullShard(uint64_t ring) {
-    return nonfull_ecs_[ring % nonfull_shards_];
-  }
 
   /// Builds `obs_` and registers every instrument with
   /// `obs::Registry::Default()` (enable_metrics only; ctor helper).
@@ -286,23 +277,21 @@ class IngestPipeline {
   std::atomic<uint64_t> worker_gen_{0};    ///< bumped to retire a generation
   std::atomic<uint64_t> worker_count_{0};  ///< gauge mirror of workers_.size()
 
-  /// Idle workers park here; producers notify on empty→nonempty pushes,
-  /// and shutdown and resize notify too.
+  /// Idle workers park here; every push notifies, and shutdown and resize
+  /// notify too.
   EventCount wake_ec_;
 
-  /// Consumer→producer not-full eventcounts, sharded by ring group
-  /// (ring → shard round-robin) so saturated producers spread across
-  /// CVs instead of contending on one. Workers notify a ring's shard on
-  /// every full→nonfull pop transition; saturated blocking `Submit` calls
-  /// park on their ring's shard. A shard wake is a hint, not a verdict —
-  /// the woken producer revalidates with `TrySubmit`.
+  /// Consumer→producer not-full eventcounts, one per ring: workers notify
+  /// ring i's after every pop from it, and a blocking `SubmitBatch` on ring
+  /// i parks on it.
   std::unique_ptr<EventCount[]> nonfull_ecs_;
-  uint64_t nonfull_shards_ = 1;
   obs::Counter producer_parks_;
   obs::Counter producer_wakeups_;
+  /// Worker and producer parks whose backstop found work that no notify
+  /// announced (`PipelineStats::backstop_rescues`).
+  obs::Counter backstop_rescues_;
 
-  /// Flush waiters park here; workers notify after a drain pass only when
-  /// a waiter is registered.
+  /// Flush waiters park here; workers notify after every drain pass.
   EventCount flush_ec_;
 
   /// Producer-slot registry: slot_leased_[i] marks an outstanding lease;
@@ -333,7 +322,7 @@ class IngestPipeline {
   obs::Counter idle_passes_;
   obs::Counter worker_wakeups_;
 
-  /// obs::NowNanos of the most recent empty→nonempty wake notify; the
+  /// obs::NowNanos of the most recent push that found a worker parked; the
   /// signaled worker diffs against it for the wakeup→drain histogram.
   /// Written only with `enable_metrics` on.
   std::atomic<uint64_t> last_wake_notify_ns_{0};

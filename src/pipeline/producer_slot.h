@@ -83,8 +83,8 @@ class ProducerSlot {
                         size_t* accepted = nullptr);
 
   /// Blocking batch submit: like `TrySubmitBatch`, but while the rest does
-  /// not fit it spins briefly and then parks on the ring's not-full
-  /// eventcount until the rest fits, so an OK return means all `n` were
+  /// not fit it parks on the ring's not-full eventcount, which every pop
+  /// from the ring notifies, and retries; an OK return means all `n` were
   /// enqueued. Never returns `kPending`.
   Status SubmitBatch(const analytics::KeyWeight* updates, size_t n);
 

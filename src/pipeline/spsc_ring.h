@@ -39,17 +39,12 @@ class SpscRing {
   /// Producer side: enqueues `make(0)`, `make(1)`, ... for as many of the
   /// `n` events as fit, with one head read and one tail publish, and
   /// returns how many it enqueued (0 when the ring is full; the caller
-  /// surfaces a shortfall as `kPending` backpressure). When something was
-  /// enqueued and `was_empty` is non-null, `*was_empty` reports whether the
-  /// ring was empty from the producer's view just before the push — the
-  /// empty→nonempty transition on which the pipeline wakes sleeping
-  /// workers. The consumer's head index is read with acquire semantics, so
-  /// the report may lag a concurrent pop by one observation; wakeup paths
-  /// must tolerate a (rare) stale verdict with a bounded-timeout recheck.
+  /// surfaces a shortfall as `kPending` backpressure). The ring reports no
+  /// empty/full transitions: the pipeline notifies after every nonzero push
+  /// and pop, so no wake decision rests on a possibly stale far index.
   // HOTPATH: the producer-side submit step — no allocation permitted.
   template <typename MakeEvent>
-  uint64_t TryPushBatch(uint64_t n, MakeEvent&& make,
-                        bool* was_empty = nullptr) {
+  uint64_t TryPushBatch(uint64_t n, MakeEvent&& make) {
     // mo: relaxed — tail_ is producer-owned; only this thread writes it,
     // so its own last store is always visible without ordering.
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
@@ -63,33 +58,24 @@ class SpscRing {
     // mo: release — publishes the event writes above to the consumer's
     // acquire load of tail_ in PopBatch.
     tail_.store(tail + k, std::memory_order_release);
-    if (was_empty != nullptr) *was_empty = (tail == head);
     return k;
   }
 
   /// `TryPushBatch` of the single event `e`: false when the ring is full.
-  bool TryPush(const Event& e, bool* was_empty = nullptr) {
-    return TryPushBatch(1, [&e](uint64_t) { return e; }, was_empty) == 1;
+  bool TryPush(const Event& e) {
+    return TryPushBatch(1, [&e](uint64_t) { return e; }) == 1;
   }
 
   /// Consumer side: dequeues up to `max` events into `out`; returns the
-  /// number dequeued (0 when empty). When `was_full` is non-null,
-  /// `*was_full` reports whether the ring was full from the consumer's view
-  /// just before the pop — the full→nonfull transition on which the
-  /// pipeline wakes producers parked on backpressure, the mirror of
-  /// `TryPushBatch`'s `was_empty`. The producer's tail index is read with
-  /// acquire semantics, so the report may lag a concurrent push by one
-  /// observation; wakeup paths must tolerate a (rare) stale verdict with a
-  /// bounded-timeout recheck.
+  /// number dequeued (0 when empty).
   // HOTPATH: the consumer-side drain step — no allocation permitted.
-  uint64_t PopBatch(Event* out, uint64_t max, bool* was_full = nullptr) {
+  uint64_t PopBatch(Event* out, uint64_t max) {
     // mo: relaxed — head_ is consumer-owned; only this thread writes it.
     const uint64_t head = head_.load(std::memory_order_relaxed);
     // mo: acquire — pairs with the producer's release store in
     // TryPushBatch so the event writes behind the observed tail are visible
     // to the copies.
     const uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (was_full != nullptr) *was_full = (tail - head == buf_.size());
     uint64_t n = tail - head;
     if (n > max) n = max;
     for (uint64_t i = 0; i < n; ++i) {

@@ -15,10 +15,10 @@
 /// An `EventCount` couples a monotonically increasing **epoch** with a
 /// **waiter count** and a mutex/CV pair:
 ///
-///  - The notifying side calls `NotifyIfWaiters()` after making progress
-///    (freeing queue space, releasing a lease, pushing into an empty
-///    queue). It bumps the epoch with seq_cst and takes the mutex to
-///    notify **only when a waiter is registered** — the steady-state fast
+///  - The notifying side calls `NotifyIfWaiters()` after every state
+///    change a waiter can wait on (freeing queue space, releasing a lease,
+///    pushing into a queue). It bumps the epoch with seq_cst and takes the
+///    mutex to notify **only when a waiter is registered** — the fast
 ///    path is one atomic RMW and one atomic load, no mutex, no CV.
 ///  - The waiting side either
 ///     (a) runs one bounded **park episode**: snapshot `Epoch()`, recheck
@@ -34,12 +34,14 @@
 /// bumps the epoch (seq_cst RMW) *before* it reads the waiter count.
 /// Seq_cst puts both RMWs in one total order, so either the notifier sees
 /// the registration and notifies, or the waiter sees the new epoch and
-/// skips the sleep — the Dekker pattern. Lost wakeups are therefore
-/// impossible for exact conditions; conditions derived from *approximate*
-/// observations (e.g. a ring's emptiness verdict from an acquire-load of
-/// the far index) can still be stale, which is why every sleep carries a
-/// bounded `backstop` timeout. The backstop also caps a fully idle
-/// waiter's wake rate at ~1000/backstop_ms per second.
+/// skips the sleep — the Dekker pattern. No wakeup is lost as long as the
+/// notifier calls `NotifyIfWaiters()` unconditionally after each state
+/// change. Deciding *whether* to notify from a guess — a transition
+/// verdict read off an index that may be stale, or a `HasWaiters()` check
+/// that a waiter can register right after — reopens the window. Every
+/// sleep still carries a bounded `backstop` timeout, but only as a
+/// liveness guard; it also caps a fully idle waiter's wake rate at
+/// ~1000/backstop_ms per second.
 ///
 /// ## Static-analysis status
 ///
@@ -82,12 +84,11 @@ class EventCount {
     return epoch_.load(std::memory_order_seq_cst);
   }
 
-  /// True when at least one waiter is registered. For gating optional
-  /// signals on hot paths (the caller skips even the epoch bump when
-  /// nobody could care); pairs with the waiters' bounded backstop, which
-  /// covers the registered-after-the-check race.
+  /// True when at least one waiter is registered. A probe for tests and
+  /// telemetry: never gate a `NotifyIfWaiters()` on it, since a waiter can
+  /// register right after the check (see the file comment).
   bool HasWaiters() const {
-    // mo: seq_cst — this gate must slot into the same total order as the
+    // mo: seq_cst — this probe must slot into the same total order as the
     // waiter-registration RMWs; a weaker load could miss a waiter that
     // registered before the caller's progress became visible.
     return waiters_.load(std::memory_order_seq_cst) > 0;
@@ -140,10 +141,9 @@ class EventCount {
 
   /// Parks until `pred()` holds, staying registered as a waiter across the
   /// whole wait so every `NotifyIfWaiters` reaches it; each individual
-  /// sleep is bounded by `backstop` so predicates fed by approximate
-  /// observations (or a notify skipped by the HasWaiters gate) still make
-  /// progress. The predicate is evaluated under the internal mutex and
-  /// must not call back into this EventCount.
+  /// sleep is bounded by `backstop`, a liveness guard only. The predicate
+  /// is evaluated under the internal mutex and must not call back into
+  /// this EventCount.
   template <typename Pred>
   void ParkUntil(Pred pred, std::chrono::milliseconds backstop) {
     std::unique_lock<std::mutex> lock(mu_);

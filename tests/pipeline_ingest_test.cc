@@ -237,7 +237,7 @@ TEST(IngestPipelineTest, DoubleDrainIsIdempotent) {
 
 // After a long idle stretch the workers must be parked on the CV (near-zero
 // idle passes, no sleep-poll spinning), yet a fresh submit must still be
-// applied promptly — the empty->nonempty notify contract.
+// applied promptly — every push notifies.
 TEST(IngestPipelineTest, CvWakeupDeliversPromptlyAfterLongIdle) {
   auto store = MakeExactStore();
   PipelineOptions opt;

@@ -1,7 +1,7 @@
 // Tests for overload: a blocking submit into a full ring parks until a
 // drain frees space, so no accepted event is lost, even when saturated
-// producers park across worker-pool resizes; `TrySubmitBatch` enqueues
-// the prefix that fits and never waits.
+// producers park across worker-pool resizes; no park needs its backstop to
+// find work; `TrySubmitBatch` enqueues the prefix that fits and never waits.
 
 #include <gtest/gtest.h>
 
@@ -77,6 +77,66 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
     uint64_t expected = 0;
     for (const auto& per : submitted) expected += per[k];
     if (expected == 0) continue;
+    ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected))
+        << "key " << k;
+  }
+}
+
+// Exact wakes under constant park/notify traffic: 2-event rings, four
+// producers in blocking SubmitBatch with batches of up to 5 events, and
+// two workers, for about a second. The producers pause now and then, so
+// the workers run dry and park too. Every event lands exactly once, and
+// no park ends on its backstop with work waiting: every push and every
+// pop notifies.
+TEST(OverloadPolicyTest, TinyRingsNeedNoBackstopRescues) {
+  auto store = MakeExactStore();
+  PipelineOptions opt;
+  opt.num_producers = 4;
+  opt.num_workers = 2;
+  opt.queue_capacity = 2;
+  auto pipeline = IngestPipeline::Make(store.get(), opt).ValueOrDie();
+
+  constexpr uint64_t kKeys = 37;
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(1000);
+  std::vector<std::vector<uint64_t>> submitted(opt.num_producers,
+                                               std::vector<uint64_t>(kKeys, 0));
+  std::vector<std::thread> producers;
+  for (uint64_t p = 0; p < opt.num_producers; ++p) {
+    producers.emplace_back([&, p] {
+      auto slot = pipeline->AcquireProducerSlot().ValueOrDie();
+      uint64_t x = p * 104729 + 1;
+      const auto next = [&x] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return x >> 33;
+      };
+      analytics::KeyWeight batch[5];
+      for (uint64_t round = 0; std::chrono::steady_clock::now() < deadline;
+           ++round) {
+        const size_t n = 1 + next() % 5;
+        for (size_t i = 0; i < n; ++i) {
+          batch[i] = {next() % kKeys, next() % 3 + 1};
+        }
+        ASSERT_TRUE(slot.SubmitBatch(batch, n).ok());
+        for (size_t i = 0; i < n; ++i) {
+          submitted[p][batch[i].key] += batch[i].weight;
+        }
+        if (round % 64 == 63) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  ASSERT_TRUE(pipeline->Drain().ok());
+
+  const PipelineStats stats = pipeline->Stats();
+  EXPECT_GT(stats.producer_parks, 0u);
+  EXPECT_GT(stats.worker_wakeups, 0u);
+  EXPECT_EQ(stats.backstop_rescues, 0u);
+  EXPECT_EQ(stats.events_applied, stats.events_submitted);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    uint64_t expected = 0;
+    for (const auto& per : submitted) expected += per[k];
     ASSERT_EQ(store->Estimate(k).ValueOrDie(), static_cast<double>(expected))
         << "key " << k;
   }

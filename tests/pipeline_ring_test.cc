@@ -99,43 +99,15 @@ TEST(SpscRingTest, WraparoundPastSeveralCapacityMultiples) {
   EXPECT_EQ(ring.SizeApprox(), 0u);
 }
 
-// The producer-side emptiness verdict that drives the pipeline's
-// empty->nonempty CV notify: true exactly when the push found the ring
-// empty.
-TEST(SpscRingTest, TryPushReportsEmptyToNonemptyTransition) {
-  SpscRing ring(4);
-  bool was_empty = false;
-  ASSERT_TRUE(ring.TryPush(Event{1, 1}, &was_empty));
-  EXPECT_TRUE(was_empty);
-  ASSERT_TRUE(ring.TryPush(Event{2, 1}, &was_empty));
-  EXPECT_FALSE(was_empty);
-  Event out[4];
-  ASSERT_EQ(ring.PopBatch(out, 4), 2u);
-  ASSERT_TRUE(ring.TryPush(Event{3, 1}, &was_empty));
-  EXPECT_TRUE(was_empty);
-  // A failed push must leave the verdict untouched.
-  ASSERT_TRUE(ring.TryPush(Event{4, 1}, &was_empty));
-  ASSERT_TRUE(ring.TryPush(Event{5, 1}, &was_empty));
-  ASSERT_TRUE(ring.TryPush(Event{6, 1}, &was_empty));
-  was_empty = true;
-  EXPECT_FALSE(ring.TryPush(Event{7, 1}, &was_empty));
-  EXPECT_TRUE(was_empty);
-}
-
 // A batch push enqueues the prefix that fits, in order, with one tail
-// publish; the emptiness verdict covers the batch as a whole.
+// publish.
 TEST(SpscRingTest, TryPushBatchEnqueuesThePrefixThatFits) {
   SpscRing ring(8);
   const auto make = [](uint64_t i) { return Event{100 + i, i + 1}; };
-  bool was_empty = false;
-  EXPECT_EQ(ring.TryPushBatch(5, make, &was_empty), 5u);
-  EXPECT_TRUE(was_empty);
-  EXPECT_EQ(ring.TryPushBatch(5, make, &was_empty), 3u);  // 3 of 5 fit
-  EXPECT_FALSE(was_empty);
-  was_empty = true;
-  EXPECT_EQ(ring.TryPushBatch(5, make, &was_empty), 0u);  // full
-  EXPECT_TRUE(was_empty);  // untouched by a push that enqueued nothing
-  EXPECT_EQ(ring.TryPushBatch(0, make, &was_empty), 0u);
+  EXPECT_EQ(ring.TryPushBatch(5, make), 5u);
+  EXPECT_EQ(ring.TryPushBatch(5, make), 3u);  // 3 of 5 fit
+  EXPECT_EQ(ring.TryPushBatch(5, make), 0u);  // full
+  EXPECT_EQ(ring.TryPushBatch(0, make), 0u);
   Event out[8];
   ASSERT_EQ(ring.PopBatch(out, 8), 8u);
   for (uint64_t i = 0; i < 8; ++i) {
@@ -144,33 +116,6 @@ TEST(SpscRingTest, TryPushBatchEnqueuesThePrefixThatFits) {
     EXPECT_EQ(out[i].weight, j + 1) << i;
   }
   EXPECT_EQ(ring.SizeApprox(), 0u);
-}
-
-// The consumer-side fullness verdict that drives the pipeline's
-// full->nonfull producer wakeup: true exactly when the pop found the ring
-// full — the mirror of TryPush's was_empty.
-TEST(SpscRingTest, PopBatchReportsFullToNonfullTransition) {
-  SpscRing ring(4);
-  Event out[4];
-  bool was_full = true;
-  // Empty ring: nothing popped, and the verdict says "was not full".
-  EXPECT_EQ(ring.PopBatch(out, 4, &was_full), 0u);
-  EXPECT_FALSE(was_full);
-  // Partially full: still not a full->nonfull transition.
-  ASSERT_TRUE(ring.TryPush(Event{1, 1}));
-  ASSERT_TRUE(ring.TryPush(Event{2, 1}));
-  ASSERT_EQ(ring.PopBatch(out, 1, &was_full), 1u);
-  EXPECT_FALSE(was_full);
-  // Fill to capacity: the next pop is the transition producers wait on.
-  ASSERT_TRUE(ring.TryPush(Event{3, 1}));
-  ASSERT_TRUE(ring.TryPush(Event{4, 1}));
-  ASSERT_TRUE(ring.TryPush(Event{5, 1}));
-  EXPECT_FALSE(ring.TryPush(Event{6, 1}));  // full
-  ASSERT_EQ(ring.PopBatch(out, 2, &was_full), 2u);
-  EXPECT_TRUE(was_full);
-  // And with space available again the verdict goes back to false.
-  ASSERT_EQ(ring.PopBatch(out, 4, &was_full), 2u);
-  EXPECT_FALSE(was_full);
 }
 
 TEST(SpscRingTest, PushPopPreservesFifoOrder) {

@@ -15,11 +15,11 @@ Checks:
     name), and no family is declared twice;
   - histograms are well-formed: cumulative bucket counts never decrease as
     ``le`` rises, a ``+Inf`` bucket exists, and it equals ``_count``;
-  - must-stay-zero metrics read exactly zero when present: the four that
-    src/obs/README.md marks (the pipeline's drop counter and its
-    unaccounted-events gauge, the server's decode-error counter and the
-    loadgen's lost-events counter). CI runs this over healthy runs only,
-    where all four must read 0;
+  - must-stay-zero metrics read exactly zero when present: the five that
+    src/obs/README.md marks (the pipeline's drop counter, its
+    unaccounted-events gauge and its backstop-rescue counter, the server's
+    decode-error counter and the loadgen's lost-events counter). CI runs
+    this over healthy runs only, where all five must read 0;
   - ``--require`` names must be present, and a required histogram must be
     populated (``_count`` above 0); a required counter or gauge may read 0.
 
@@ -44,6 +44,7 @@ LE_RE = re.compile(r'le="([^"]*)"')
 MUST_BE_ZERO = (
     "countlib_pipeline_events_dropped_total",
     "countlib_pipeline_unaccounted_events",
+    "countlib_pipeline_backstop_rescues_total",
     "countlib_net_decode_errors_total",
     "countlib_loadgen_events_lost_total",
 )

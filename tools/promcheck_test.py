@@ -91,6 +91,14 @@ class CheckTest(unittest.TestCase):
         self.assertTrue(any("countlib_net_decode_errors_total: must stay zero"
                             in e for e in errors))
 
+    def test_pipeline_backstop_rescues_must_stay_zero(self):
+        dump = ("# TYPE countlib_pipeline_backstop_rescues_total counter\n"
+                "countlib_pipeline_backstop_rescues_total {}\n")
+        self.assertEqual(promcheck.check(dump.format(0)), [])
+        errors = promcheck.check(dump.format(2))
+        self.assertTrue(any("countlib_pipeline_backstop_rescues_total: must "
+                            "stay zero" in e for e in errors))
+
     def test_loadgen_lost_events_must_stay_zero(self):
         dump = ("# TYPE countlib_loadgen_events_lost_total counter\n"
                 "countlib_loadgen_events_lost_total {}\n")
