@@ -12,7 +12,6 @@
 #include "stats/summary.h"
 #include "stream/stream_runner.h"
 #include "util/cli.h"
-#include "util/logging.h"
 
 int main(int argc, char** argv) {
   using namespace countlib;
@@ -20,7 +19,11 @@ int main(int argc, char** argv) {
   FlagParser flags("accuracy_vs_space: error vs bit budget per algorithm");
   flags.AddUint64("n", 999999, "count per trial");
   flags.AddUint64("trials", 400, "trials per cell");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "accuracy_vs_space: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;

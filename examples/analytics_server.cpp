@@ -75,8 +75,9 @@ int main(int argc, char** argv) {
   flags.AddUint64("queue_capacity", 4096, "per-slot ring capacity");
   flags.AddUint64("workers", 2, "drain worker threads");
   flags.AddUint64("shards", 0,
-                  "private store shards (0 = one per drain worker); the "
-                  "pipeline clamps the worker pool to this many lanes");
+                  "private store shards (0 = one per drain worker); worker "
+                  "w writes shard w, so fewer shards than --workers is an "
+                  "error");
   flags.AddUint64("run_seconds", 30, "serve this long, then drain and exit");
   flags.AddString("metrics_out", "", "final Prometheus dump path (optional)");
   const Status parsed = flags.Parse(argc, argv);

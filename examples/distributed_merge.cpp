@@ -19,7 +19,11 @@ int main(int argc, char** argv) {
 
   FlagParser flags("distributed_merge: shard-and-merge counting demo");
   flags.AddUint64("shards", 8, "ingest shards");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "distributed_merge: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;

@@ -12,14 +12,17 @@
 #include "sim/derandomizer.h"
 #include "sim/lower_bound.h"
 #include "util/cli.h"
-#include "util/logging.h"
 
 int main(int argc, char** argv) {
   using namespace countlib;
 
   FlagParser flags("lower_bound_demo: the Section-3 pumping argument, live");
   flags.AddInt64("bits", 6, "state budget S for the counter (4..12)");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "lower_bound_demo: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;

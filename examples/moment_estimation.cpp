@@ -22,7 +22,11 @@ int main(int argc, char** argv) {
   flags.AddDouble("p", 0.5, "moment order in (0, 2]");
   flags.AddUint64("stream", 100000, "stream length");
   flags.AddUint64("estimators", 500, "parallel AMS samplers");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "moment_estimation: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;

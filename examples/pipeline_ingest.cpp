@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   options.num_producers = slots;
   options.queue_capacity = 8192;
   options.max_batch = 2048;
-  options.num_workers = std::min<uint64_t>(slots, 256);  // Make's pool cap
+  options.num_workers = std::min<uint64_t>(slots, 256);  // Make allows 256
   options.enable_metrics = metrics;
   auto made_ingest = pipeline::IngestPipeline::Make(store.get(), options);
   if (!made_ingest.ok()) return Fail(made_ingest.status());

@@ -22,7 +22,11 @@ int main(int argc, char** argv) {
   FlagParser flags("web_analytics: per-page visit counting demo");
   flags.AddUint64("pages", 50000, "distinct pages");
   flags.AddUint64("visits", 5000000, "total visits");
-  COUNTLIB_CHECK_OK(flags.Parse(argc, argv));
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "web_analytics: %s\n", parsed.ToString().c_str());
+    return 1;
+  }
   if (flags.help_requested()) {
     std::fputs(flags.HelpText().c_str(), stdout);
     return 0;

@@ -23,10 +23,11 @@
 /// `num_lanes()` is the shard count. Lane `w` writes only shard `w`; the
 /// single-writer-per-lane contract (store_interface.h) makes the shard's
 /// `CounterStore` calls data-race-free with no locking at all. The
-/// ingestion pipeline satisfies the contract naturally: worker `w` owns
-/// lane `w`, and lane ownership migrates with ring ownership across
-/// `SetWorkerCount` join barriers (a happens-before edge), so no events
-/// are lost or double-counted across a resize.
+/// ingestion pipeline satisfies the contract naturally: its pool is fixed
+/// at `IngestPipeline::Make`, worker `w` owns lane `w` for the pipeline's
+/// whole life, and a pause joins it before a resume spawns its successor
+/// (a happens-before edge), so no events are lost or double-counted across
+/// a pause.
 ///
 /// ## The freeze protocol (reads)
 ///

@@ -83,9 +83,10 @@ class CounterReader {
 ///
 ///  - At any instant, at most one thread writes a given lane. Lane
 ///    ownership may migrate between threads, but only across a
-///    happens-before edge (the pipeline migrates lane ownership with ring
-///    ownership at `SetWorkerCount` join barriers, which provide exactly
-///    that edge).
+///    happens-before edge (the pipeline's worker w writes lane w for the
+///    pipeline's whole life; a pause joins it before a resume spawns its
+///    successor, and `Drain` joins every worker before its sweep writes
+///    lane 0 — each join is exactly that edge).
 ///  - Different lanes are fully concurrent — implementations must not make
 ///    one lane's progress wait on another's.
 ///

@@ -48,9 +48,10 @@ struct PipelineOptions {
   /// a blocking `Submit` parks until a drain frees space, so this is the
   /// headroom a producer gets before it waits.
   uint64_t queue_capacity = 4096;
-  /// Initial background drain threads; adjustable at runtime with
-  /// `SetWorkerCount`. Producer queues are assigned round-robin to workers,
-  /// so more workers than producers is never useful (clamped).
+  /// Background drain threads, fixed at `Make`: worker w drains the
+  /// producer queues i with i % num_workers == w and writes store lane w,
+  /// so `Make` rejects more workers than producer slots or store lanes.
+  /// `SetWorkerCount` only pauses (0) and resumes (this count) the pool.
   uint64_t num_workers = 1;
   /// Max events a worker drains into one pre-aggregated store batch, in
   /// [1, 2^16]. Each worker sizes its drain scratch from it (the popped
@@ -78,7 +79,7 @@ struct PipelineStats {
   uint64_t events_dropped = 0;
   uint64_t updates_applied = 0;    ///< post-aggregation distinct-key updates written
   uint64_t batches_applied = 0;    ///< store IncrementBatch calls
-  uint64_t idle_passes = 0;        ///< drain passes (all worker generations) that found no events
+  uint64_t idle_passes = 0;        ///< drain passes (every worker, across pauses) that found no events
   uint64_t worker_wakeups = 0;     ///< CV sleeps ended by a producer/shutdown signal (not timeout)
   uint64_t producer_parks = 0;     ///< times a blocking Submit parked on the not-full eventcount
   uint64_t producer_wakeups = 0;   ///< producer parks ended by a drain's not-full signal (not timeout)
@@ -88,7 +89,7 @@ struct PipelineStats {
   /// pop notifies, so this stays 0; nonzero means a lost wakeup.
   uint64_t backstop_rescues = 0;
   uint64_t queue_depth = 0;        ///< events currently sitting in queues (approximate)
-  uint64_t workers = 0;            ///< current drain-thread count (gauge; 0 while paused)
+  uint64_t workers = 0;            ///< running drain threads (gauge): num_workers, or 0 while paused or after Drain
   uint64_t slots_in_use = 0;       ///< producer slots currently leased via the registry (gauge)
 };
 

@@ -1,6 +1,5 @@
 #include "pipeline/ingest_pipeline.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -108,6 +107,12 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
   if (options.num_workers < 1 || options.num_workers > 256) {
     return Status::InvalidArgument("IngestPipeline: num_workers in [1, 256]");
   }
+  if (options.num_workers > options.num_producers ||
+      options.num_workers > store->num_lanes()) {
+    // Worker w drains the rings i % num_workers == w and writes lane w.
+    return Status::InvalidArgument(
+        "IngestPipeline: num_workers <= num_producers and <= store lanes");
+  }
   if (options.max_batch < 1) {
     return Status::InvalidArgument("IngestPipeline: max_batch >= 1");
   }
@@ -124,10 +129,7 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Make(
 
 IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
                                const PipelineOptions& options)
-    : store_(store),
-      options_(options),
-      max_workers_(std::min({options.num_producers, store->num_lanes(),
-                             uint64_t{256}})) {
+    : store_(store), options_(options) {
   rings_.reserve(options_.num_producers);
   for (uint64_t i = 0; i < options_.num_producers; ++i) {
     rings_.push_back(std::make_unique<SpscRing>(options_.queue_capacity));
@@ -135,7 +137,6 @@ IngestPipeline::IngestPipeline(analytics::CounterWriter* store,
   nonfull_ecs_ = std::make_unique<EventCount[]>(options_.num_producers);
   slot_leased_.assign(options_.num_producers, 0);
   if (options_.enable_metrics) RegisterMetrics();
-  options_.num_workers = std::min(options_.num_workers, max_workers_);
   MutexLock lock(&workers_mu_);
   SpawnWorkersLocked(options_.num_workers);
 }
@@ -183,8 +184,8 @@ void IngestPipeline::RegisterMetrics() {
     return depth;
   }));
   rs.push_back(reg.RegisterGauge("countlib_pipeline_workers", [this] {
-    // mo: acquire — same pairing as num_workers(): never report a pool
-    // size whose spawn has not completed.
+    // mo: acquire — same pairing as Stats(): never report a pool size
+    // whose spawn has not completed.
     return static_cast<double>(worker_count_.load(std::memory_order_acquire));
   }));
   rs.push_back(reg.RegisterGauge("countlib_pipeline_busy_workers", [this] {
@@ -224,15 +225,15 @@ IngestPipeline::~IngestPipeline() {
 }
 
 void IngestPipeline::SpawnWorkersLocked(uint64_t n) {
-  // mo: acquire — reads the generation the retiring resize (if any)
-  // published; the spawned workers compare against this snapshot.
+  // mo: acquire — reads the generation the last pause (if any) published;
+  // the spawned workers compare against this snapshot.
   const uint64_t gen = worker_gen_.load(std::memory_order_acquire);
   workers_.reserve(n);
   for (uint64_t w = 0; w < n; ++w) {
-    workers_.emplace_back([this, w, gen, n] { WorkerLoop(w, gen, n); });
+    workers_.emplace_back([this, w, gen] { WorkerLoop(w, gen); });
   }
-  // mo: release — publishes the fully spawned pool to num_workers() /
-  // gauge readers (paired acquire loads).
+  // mo: release — publishes the fully spawned pool to Stats() / gauge
+  // readers (paired acquire loads).
   worker_count_.store(n, std::memory_order_release);
 }
 
@@ -397,28 +398,25 @@ void IngestPipeline::ReleaseProducerSlot(uint64_t slot) {
 }
 
 Status IngestPipeline::SetWorkerCount(uint64_t n) {
-  if (n > 256) {
-    return Status::InvalidArgument("SetWorkerCount: n in [0, 256]");
+  if (n != 0 && n != options_.num_workers) {
+    return Status::InvalidArgument(
+        "SetWorkerCount: n is 0 (pause) or num_workers (resume)");
   }
   MutexLock lock(&workers_mu_);
-  // mo: acquire — refuse resizes once Drain has published closed_.
+  // mo: acquire — refuse pause and resume once Drain has published closed_.
   if (closed_.load(std::memory_order_acquire)) return DrainingStatus();
-  // Worker w of the new generation writes store lane w; shard ownership
-  // migrates with ring ownership across the join barrier below.
-  n = std::min(n, max_workers_);
   if (n == workers_.size()) return Status::OK();
-  // Retire the current generation and join it. The join IS the safe
-  // barrier: afterwards no ring has a live consumer, so ownership can be
-  // re-dealt freely under the new count. Producers keep submitting
-  // throughout — queued events simply wait for their new owner, and no
-  // accepted event is dropped.
+  // Retire the current generation (none while paused) and join it, then
+  // spawn n workers. The join is the happens-before edge that hands worker
+  // w's rings and store lane w to its successor. Producers keep submitting
+  // throughout — queued events wait for the next generation (or Drain's
+  // sweep), and no accepted event is dropped.
   // mo: seq_cst — the retirement bump must order with the workers' parked
   // predicate reads so no worker sleeps through its own retirement.
   worker_gen_.fetch_add(1, std::memory_order_seq_cst);
   wake_ec_.NotifyIfWaiters();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
-  options_.num_workers = n;
   SpawnWorkersLocked(n);
   return Status::OK();
 }
@@ -487,13 +485,12 @@ uint64_t IngestPipeline::DrainOnce(const std::vector<uint64_t>& ring_ids,
   return count;
 }
 
-void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
-                                uint64_t num_workers) {
-  // Round-robin ring ownership for this generation; each ring has exactly
-  // one consumer (SPSC) because generations never overlap (SetWorkerCount
-  // joins the old one before spawning the new one).
+void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen) {
+  // Round-robin ring ownership, fixed at Make; each ring has exactly one
+  // consumer (SPSC) because generations never overlap (a pause joins one
+  // generation before a resume spawns the next).
   std::vector<uint64_t> owned;
-  for (uint64_t i = w; i < rings_.size(); i += num_workers) {
+  for (uint64_t i = w; i < rings_.size(); i += options_.num_workers) {
     owned.push_back(i);
   }
   std::vector<Event> raw(options_.max_batch);
@@ -507,9 +504,9 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
   uint64_t idle_streak = 0;
   uint64_t pass = 0;
   while (true) {
-    // Retired by a resize: exit immediately; queued events are picked up
+    // Retired by a pause: exit immediately; queued events are picked up
     // by the successor generation (or Drain's final sweep).
-    // mo: acquire — pairs with the resize's seq_cst retirement bump.
+    // mo: acquire — pairs with the pause's seq_cst retirement bump.
     if (worker_gen_.load(std::memory_order_acquire) != gen) return;
     // Load stop BEFORE draining: once stop_ is set the queues are closed,
     // so a subsequent empty pass proves the owned rings are fully drained.
@@ -529,7 +526,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
       continue;
     }
     // Eventcount park: snapshot the epoch, recheck the rings, then sleep
-    // until the epoch moves (a push, shutdown, or resize). Every push bumps
+    // until the epoch moves (a push, shutdown, or pause). Every push bumps
     // the epoch after publishing, so a push that lands after the snapshot
     // ends the park or skips it.
     const uint64_t epoch = wake_ec_.Epoch();
@@ -538,7 +535,7 @@ void IngestPipeline::WorkerLoop(uint64_t w, uint64_t gen,
         epoch,
         [&] {
           // mo: acquire ×2 — cancel probes for shutdown and retirement;
-          // pair with Drain's release store and the resize's seq_cst bump.
+          // pair with Drain's release store and the pause's seq_cst bump.
           return stop_.load(std::memory_order_acquire) ||
                  worker_gen_.load(std::memory_order_acquire) != gen;
         },
@@ -633,7 +630,7 @@ Status IngestPipeline::Drain() {
       MutexLock lock(&workers_mu_);
       for (std::thread& t : workers_) t.join();
       workers_.clear();
-      // mo: release — gauge publish, paired with num_workers()'s acquire.
+      // mo: release — gauge publish, paired with Stats()'s acquire.
       worker_count_.store(0, std::memory_order_release);
     }
     // Workers exit only after an empty pass, but sweep once more so
@@ -650,7 +647,7 @@ Status IngestPipeline::Drain() {
     uint64_t pass = 0;
     // Lane 0 is safe here: every worker has been joined above, so the
     // sweep is the only store writer (the join is the happens-before edge
-    // that migrates lane ownership to this thread).
+    // that hands lane 0 to this thread).
     while (DrainOnce(all_rings, pass++, 0, &raw, &agg) > 0) {
     }
     drain_result_ = LastError();

@@ -22,16 +22,17 @@
 /// ## Lanes: worker w writes lane w
 ///
 /// The store contract (analytics/store_interface.h) makes each lane a
-/// single-writer channel. The pipeline satisfies it structurally: worker
-/// `w` of a generation submits only through lane `w`, worker generations
-/// never overlap (`SetWorkerCount` joins the old generation before
-/// spawning the new — the same barrier that re-deals ring ownership also
-/// migrates lane ownership, with the join as the happens-before edge), and
-/// `Drain`'s final sweep runs after every worker has been joined, so its
-/// use of lane 0 cannot race a worker. Against a `ShardedCounterStore`
-/// this means the whole drain path is lock-free: each worker writes its
-/// own private shard and never touches another worker's cache lines. The
-/// worker count is clamped to min(producer slots, store lanes, 256).
+/// single-writer channel. The pipeline satisfies it structurally: the pool
+/// is fixed at `Make`, and for the pipeline's whole life worker `w` drains
+/// the rings i with i % num_workers == w and submits only through lane
+/// `w`. Worker generations never overlap (a pause joins one generation
+/// before a resume spawns the next, and the join is the happens-before
+/// edge to worker `w`'s successor), and `Drain`'s final sweep runs after
+/// every worker has been joined, so its use of lane 0 cannot race a
+/// worker. Against a `ShardedCounterStore` this means the whole drain path
+/// is lock-free: each worker writes its own private shard and never
+/// touches another worker's cache lines. `Make` rejects more workers than
+/// producer slots or store lanes.
 ///
 /// Lifecycle: `Make` starts the workers; `Flush` quiesces (everything
 /// accepted so far is applied); `Drain` closes submission, flushes, and
@@ -85,20 +86,17 @@
 /// waits. `TrySubmit` never waits: it stays the allocation-free `kPending`
 /// probe.
 ///
-/// ## Elasticity
+/// ## Pause and resume
 ///
-/// `SetWorkerCount(n)` re-partitions ring ownership at a safe barrier: the
-/// current worker generation is retired and joined (the barrier — after the
-/// join, no ring has a live consumer), then `n` fresh workers are spawned
-/// owning rings round-robin by the new count. Queued events are never
-/// dropped by a resize; they are simply picked up by the new owners.
-/// `SetWorkerCount(0)` is an explicit **pause**: accepted events stay
-/// queued, `TrySubmit` keeps accepting until the queues fill, and blocking
+/// The pool has two states. `SetWorkerCount(0)` **pauses** it: the running
+/// worker generation is retired and joined, accepted events stay queued,
+/// `TrySubmit` keeps accepting until the queues fill, and blocking
 /// submitters park until a resume (or `Drain`, which applies everything in
-/// its final sweep regardless). `Flush` fails fast with
-/// `kFailedPrecondition` while the pipeline is paused with events queued
-/// instead of hanging. The pool is exactly the size the caller sets:
-/// nothing in the pipeline resizes it on its own.
+/// its final sweep regardless). `SetWorkerCount(num_workers)` **resumes**
+/// it with a fresh generation that owns the same rings and lanes. `Flush`
+/// fails fast with `kFailedPrecondition` while the pipeline is paused with
+/// events queued instead of hanging. Nothing in the pipeline pauses or
+/// resumes on its own.
 ///
 /// An event acknowledged with OK by `TrySubmit` is never lost, even when
 /// the submit races a concurrent `Drain` — draining waits out in-flight
@@ -132,9 +130,10 @@ namespace pipeline {
 class IngestPipeline {
  public:
   /// Starts the pipeline: one SPSC queue per producer slot and
-  /// `options.num_workers` drain threads over `store` (clamped to
-  /// min(producer slots, store lanes, 256)). The store must outlive the
-  /// pipeline; it is not owned.
+  /// `options.num_workers` drain threads over `store`. Returns
+  /// `kInvalidArgument` when `num_workers` exceeds the producer slots, the
+  /// store's lanes or 256. The store must outlive the pipeline; it is not
+  /// owned.
   static Result<std::unique_ptr<IngestPipeline>> Make(
       analytics::CounterWriter* store, const PipelineOptions& options);
 
@@ -155,26 +154,23 @@ class IngestPipeline {
   /// `kFailedPrecondition` once draining has begun.
   Result<ProducerSlot> TryAcquireProducerSlot();
 
-  /// Grows or shrinks the worker pool to `n` threads (clamped to
-  /// min(producer slots, store lanes, 256)), re-partitioning ring — and
-  /// store-lane — ownership at a safe barrier. Concurrent submissions
-  /// keep queueing during the switch; no accepted event is lost.
-  /// Serialized with concurrent resizes; returns `kFailedPrecondition`
-  /// once draining has begun and `kInvalidArgument` for `n` > 256.
-  /// `n == 0` pauses the pipeline: no drain threads run, accepted events
-  /// wait in their queues, and `Flush` fails fast instead of hanging —
-  /// resume with any `n >= 1` (nothing queued is ever lost; `Drain`'s
-  /// final sweep also applies a paused backlog). While paused,
-  /// `AcquireProducerSlot` can block indefinitely on an undrained slot.
+  /// Pauses (`n == 0`) or resumes (`n == options.num_workers`) the drain
+  /// pool; repeating the current state is a no-op, and any other `n`
+  /// returns `kInvalidArgument` and changes nothing. While paused no drain
+  /// thread runs, accepted events wait in their queues, `Flush` fails fast
+  /// instead of hanging, and `AcquireProducerSlot` can block indefinitely
+  /// on an undrained slot. Concurrent submissions keep queueing across
+  /// the switch; nothing queued is ever lost (`Drain`'s final sweep also
+  /// applies a paused backlog). Serialized with concurrent calls; returns
+  /// `kFailedPrecondition` once draining has begun.
   Status SetWorkerCount(uint64_t n);
 
   /// Blocks until every event accepted before the call has been applied to
   /// the store. With producers still submitting concurrently this is a
   /// quiesce point, not a barrier. Fails fast with `kFailedPrecondition`
   /// when the pipeline is paused (`SetWorkerCount(0)`) with events still
-  /// queued — there is
-  /// no worker to make progress, so waiting would hang. Otherwise returns
-  /// the first worker error, if any.
+  /// queued: no worker can make progress, so waiting would hang.
+  /// Otherwise returns the first worker error, if any.
   Status Flush();
 
   /// Closes submission, flushes all queues, and joins the workers. Idempotent: later calls (and the destructor)
@@ -189,14 +185,6 @@ class IngestPipeline {
   Status LastError() const;
 
   uint64_t num_producers() const { return rings_.size(); }
-
-  /// Current drain-thread count (changes only via `SetWorkerCount`; 0
-  /// while paused or after `Drain`).
-  uint64_t num_workers() const {
-    // mo: acquire — gauge mirror of workers_.size(), paired with the
-    // release store after a spawn so callers see a fully started pool.
-    return worker_count_.load(std::memory_order_acquire);
-  }
 
   /// Per-slot ring capacity (the power-of-two rounding of
   /// `PipelineOptions::queue_capacity`; fixed at `Make`). The net server
@@ -225,9 +213,9 @@ class IngestPipeline {
                      size_t n);
 
   /// Drain loop for worker `w` of generation `gen`, owning rings where
-  /// i % num_workers == w. Exits when its generation is retired
-  /// (SetWorkerCount) or when stopped with all owned rings drained.
-  void WorkerLoop(uint64_t w, uint64_t gen, uint64_t num_workers);
+  /// i % options_.num_workers == w. Exits when a pause retires its
+  /// generation or when stopped with all owned rings drained.
+  void WorkerLoop(uint64_t w, uint64_t gen);
 
   /// Drains up to `max_batch` events from the rings named by `ring_ids`
   /// into `raw` (sized `max_batch` by the caller, reused across passes),
@@ -250,8 +238,9 @@ class IngestPipeline {
   /// `obs::Registry::Default()` (enable_metrics only; ctor helper).
   void RegisterMetrics();
 
-  /// Spawns `n` workers of a fresh generation. Caller holds `workers_mu_`
-  /// and has joined every previous worker.
+  /// Spawns `n` workers (0 or `options_.num_workers`) of a fresh
+  /// generation. Caller holds `workers_mu_` and has joined every previous
+  /// worker.
   void SpawnWorkersLocked(uint64_t n) REQUIRES(workers_mu_);
 
   /// Returns `slot` to the registry (handle destructor path).
@@ -260,24 +249,19 @@ class IngestPipeline {
   void RecordError(const Status& st);
 
   analytics::CounterWriter* store_;
-  PipelineOptions options_;
-  /// The worker ceiling, fixed at `Make`: min(producer slots, store lanes,
-  /// 256). More workers than rings is never useful, and worker w writes
-  /// store lane w. `Make` and `SetWorkerCount` clamp every pool size here.
-  const uint64_t max_workers_;
+  const PipelineOptions options_;
   std::vector<std::unique_ptr<SpscRing>> rings_;
 
-  /// Worker pool; guarded by workers_mu_ (resize/join), as are
-  /// options_.num_workers updates. workers_mu_ is held across joins, so
-  /// nothing on a read path may take it. Each of the pipeline's three
-  /// mutexes (workers_mu_, slots_mu_, error_mu_) is a leaf: no path holds
-  /// two of them at once.
+  /// Worker pool; guarded by workers_mu_ (pause, resume and Drain's join).
+  /// workers_mu_ is held across joins, so nothing on a read path may take
+  /// it. Each of the pipeline's three mutexes (workers_mu_, slots_mu_,
+  /// error_mu_) is a leaf: no path holds two of them at once.
   Mutex workers_mu_ LOCK_LEVEL(10);
   std::vector<std::thread> workers_ GUARDED_BY(workers_mu_);
   std::atomic<uint64_t> worker_gen_{0};    ///< bumped to retire a generation
   std::atomic<uint64_t> worker_count_{0};  ///< gauge mirror of workers_.size()
 
-  /// Idle workers park here; every push notifies, and shutdown and resize
+  /// Idle workers park here; every push notifies, and shutdown and pause
   /// notify too.
   EventCount wake_ec_;
 

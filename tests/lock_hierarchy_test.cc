@@ -8,9 +8,9 @@
 //   Registry::mu_ (60) -> nothing in the store: the sharded store's gauge
 //     std::function callbacks run under the registry lock and must only
 //     read relaxed mirrors, never freeze or park;
-//   IngestPipeline::workers_mu_ (10) -> nothing: SetWorkerCount joins
-//     retiring workers under it, and no worker, Stats() reader or lease
-//     submitter takes it.
+//   IngestPipeline::workers_mu_ (10) -> nothing: SetWorkerCount's pause
+//     joins retiring workers under it, and no worker, Stats() reader or
+//     lease submitter takes it.
 
 #include <gtest/gtest.h>
 
@@ -78,21 +78,21 @@ TEST(LockHierarchyTest, RegistrySnapshotVsShardWriters) {
   EXPECT_GT(store->NumKeys(), 0u);
 }
 
-// workers_mu_ (10) alone: elastic resizes hold it across their worker
-// joins while Stats() readers fold the striped counters without any
-// pipeline mutex and a lease submitter runs the lock-free fast path.
-TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
+// workers_mu_ (10) alone: pauses hold it across their worker joins while
+// Stats() readers fold the striped counters without any pipeline mutex
+// and a lease submitter runs the lock-free fast path.
+TEST(LockHierarchyTest, ElasticPauseResumeVsStatsReaders) {
   auto store = MakeStore();
   pipeline::PipelineOptions opt;
   opt.num_producers = 2;
-  opt.num_workers = 1;
+  opt.num_workers = 2;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
 
   std::atomic<bool> stop{false};
-  std::thread resizer([&] {
-    uint64_t n = 1;
+  std::thread pauser([&] {
+    uint64_t n = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(pipe->SetWorkerCount(1 + (n++ % 3)).ok());
+      ASSERT_TRUE(pipe->SetWorkerCount(n++ % 2 == 0 ? 0 : 2).ok());
       std::this_thread::yield();
     }
   });
@@ -114,7 +114,7 @@ TEST(LockHierarchyTest, ElasticResizeVsStatsReaders) {
 
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop.store(true, std::memory_order_relaxed);
-  resizer.join();
+  pauser.join();
   reader.join();
   submitter.join();
 

@@ -164,6 +164,7 @@ TEST(NetServerTest, RefusesWhenEverySlotIsLeased) {
   auto store = MakeExactStore();
   pipeline::PipelineOptions opt = BaseOptions();
   opt.num_producers = 1;  // one slot: the second connection must bounce
+  opt.num_workers = 1;    // and so one worker: Make rejects more
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
   auto server = EventServer::Make(pipe.get(), ServerOptions()).ValueOrDie();
 

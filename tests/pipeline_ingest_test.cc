@@ -49,6 +49,17 @@ TEST(IngestPipelineTest, MakeValidatesOptions) {
   opt.num_producers = 4;
   opt.num_workers = 0;
   EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());
+  // More workers than producer slots, then more than store lanes.
+  opt.num_workers = 5;
+  EXPECT_TRUE(IngestPipeline::Make(store.get(), opt).status()
+                  .IsInvalidArgument());
+  auto two_lanes = analytics::ShardedCounterStore::Make(
+                       /*num_shards=*/2, CounterKind::kExact, 32,
+                       (uint64_t{1} << 32) - 1, /*seed=*/1)
+                       .ValueOrDie();
+  opt.num_workers = 3;
+  EXPECT_TRUE(IngestPipeline::Make(two_lanes.get(), opt).status()
+                  .IsInvalidArgument());
   opt.num_workers = 1;
   opt.max_batch = 0;
   EXPECT_FALSE(IngestPipeline::Make(store.get(), opt).ok());

@@ -166,7 +166,7 @@ TEST(PipelineObsTest, SubmitApplyLatencyRecordsDeterministically) {
 }
 
 TEST(PipelineObsTest, InvariantsZeroAfterStress) {
-  // Multi-producer stress with worker-pool resizes; after the dust settles
+  // Multi-producer stress with worker-pool pauses; after the dust settles
   // every must-stay-zero metric must read zero and the accounting must
   // balance to the last event.
   auto store = MakeStore();
@@ -188,20 +188,21 @@ TEST(PipelineObsTest, InvariantsZeroAfterStress) {
       }
     });
   }
-  // Resize 2→4→1→3 while the producers run, one step per quarter of the
-  // stream (the deadline only guards against a producer that died early).
-  // EXPECT, not ASSERT: a failed resize must not return before the
-  // producer threads are joined.
+  // Pause and resume back to back at each quarter of the stream while the
+  // producers run (a pool left paused would stall the blocking producers;
+  // the deadline only guards against a producer that died early). EXPECT,
+  // not ASSERT: a failed call must not return before the producer threads
+  // are joined.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  uint64_t quarter = 0;
-  for (uint64_t n : {4u, 1u, 3u}) {
-    const uint64_t mark = ++quarter * kThreads * kPerThread / 4;
+  for (uint64_t quarter = 1; quarter <= 3; ++quarter) {
+    const uint64_t mark = quarter * kThreads * kPerThread / 4;
     while (pipeline->Stats().events_submitted < mark &&
            std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
-    EXPECT_TRUE(pipeline->SetWorkerCount(n).ok());
+    EXPECT_TRUE(pipeline->SetWorkerCount(0).ok());
+    EXPECT_TRUE(pipeline->SetWorkerCount(2).ok());
   }
   for (auto& t : producers) t.join();
   ASSERT_TRUE(pipeline->Flush().ok());

@@ -1,6 +1,6 @@
 // Tests for overload: a blocking submit into a full ring parks until a
 // drain frees space, so no accepted event is lost, even when saturated
-// producers park across worker-pool resizes; no park needs its backstop to
+// producers park across worker-pool pauses; no park needs its backstop to
 // find work; `TrySubmitBatch` enqueues the prefix that fits and never waits.
 
 #include <gtest/gtest.h>
@@ -30,10 +30,10 @@ std::unique_ptr<analytics::ShardedCounterStore> MakeExactStore() {
 
 // Saturated stress with worker churn: producers start against a
 // paused pool, so every one of them fills its tiny ring and parks, and
-// SetWorkerCount then repartitions ring ownership while they keep
-// parking and waking. Each join barrier must hand the parked producers to
-// the new generation's drains. Zero loss, exact store totals.
-TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
+// SetWorkerCount then resumes and pauses the pool while they keep parking
+// and waking. Each resume must hand the parked producers to the new
+// generation's drains. Zero loss, exact store totals.
+TEST(OverloadPolicyTest, BlockStressWithPausesLosesNothing) {
   auto store = MakeExactStore();
   PipelineOptions opt;
   opt.num_producers = 4;
@@ -61,7 +61,8 @@ TEST(OverloadPolicyTest, BlockStressWithResizesLosesNothing) {
       }
     });
   }
-  for (uint64_t n : {uint64_t{4}, uint64_t{1}, uint64_t{3}}) {
+  for (uint64_t n : {uint64_t{2}, uint64_t{0}, uint64_t{2}, uint64_t{0},
+                     uint64_t{2}}) {
     std::this_thread::sleep_for(milliseconds(15));
     ASSERT_TRUE(pipeline->SetWorkerCount(n).ok());
   }
