@@ -21,8 +21,11 @@
 /// up.
 ///
 ///   ./build/example_analytics_loadgen --port=N [--host=ADDR]
-///       [--connections=N] [--events=N] [--keys=N] [--skew=F] [--batch=N]
-///       [--window=N] [--expect_lossless] [--metrics_out=FILE]
+///       [--connections=N] [--events=N] [--keys=N] [--skew=F] [--window=N]
+///       [--expect_lossless] [--metrics_out=FILE]
+///
+/// Each client sends frames of the size the server advertises in its hello
+/// ack (half the server's ring).
 
 #include <chrono>
 #include <cstdio>
@@ -50,7 +53,6 @@ int main(int argc, char** argv) {
   flags.AddUint64("events", 1000000, "total events across all connections");
   flags.AddUint64("keys", 10000, "distinct keys in the trace");
   flags.AddDouble("skew", 1.0, "Zipf skew");
-  flags.AddUint64("batch", 512, "client batch size per frame");
   flags.AddUint64("window", 0, "requested credit window (0 = server default)");
   flags.AddBool("expect_lossless", true,
                 "fail if any event lands in the lost_unacked or shed "
@@ -95,7 +97,6 @@ int main(int argc, char** argv) {
   net::ClientOptions copt;
   copt.host = flags.GetString("host");
   copt.port = static_cast<uint16_t>(flags.GetUint64("port"));
-  copt.max_batch_events = flags.GetUint64("batch");
   copt.requested_window = static_cast<uint32_t>(flags.GetUint64("window"));
 
   // Each connection replays a round-robin partition of the trace, so every

@@ -30,7 +30,6 @@
 ///       [--slots=N] [--queue_capacity=N] [--workers=N] [--shards=N]
 ///       [--run_seconds=N] [--metrics_out=FILE]
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analytics/sharded_counter_store.h"
@@ -93,7 +93,11 @@ int main(int argc, char** argv) {
   }
 
   const bool metrics = !flags.GetString("metrics_out").empty();
-  const uint64_t workers = std::max<uint64_t>(flags.GetUint64("workers"), 1);
+  const uint64_t workers = flags.GetUint64("workers");
+  if (workers == 0) {
+    std::fprintf(stderr, "analytics_server: --workers must be >= 1\n");
+    return 1;
+  }
   uint64_t shards = flags.GetUint64("shards");
   if (shards == 0) shards = workers;  // one private shard per drain worker
   auto made_store = analytics::ShardedCounterStore::Make(

@@ -6,6 +6,7 @@
 ///   ./build/examples/distributed_merge [--shards=N]
 
 #include <cstdio>
+#include <utility>
 
 #include "analytics/sharded_counter_store.h"
 #include "core/merge.h"
@@ -42,9 +43,14 @@ int main(int argc, char** argv) {
               100.0 * (global.Estimate() / 1e6 - 1.0));
 
   // --- Higher level: a sharded per-key store, 17-bit sampling counters. ---
-  auto store = analytics::ShardedCounterStore::Make(
-                   num_shards, CounterKind::kSampling, 17, uint64_t{1} << 20, 7)
-                   .ValueOrDie();
+  auto made_store = analytics::ShardedCounterStore::Make(
+      num_shards, CounterKind::kSampling, 17, uint64_t{1} << 20, 7);
+  if (!made_store.ok()) {
+    std::fprintf(stderr, "distributed_merge: bad --shards: %s\n",
+                 made_store.status().ToString().c_str());
+    return 1;
+  }
+  auto store = std::move(made_store).ValueOrDie();
 
   // Each shard ingests its own slice of a Zipf stream (same key space).
   auto trace = stream::Trace::GenerateZipf(256, 1.0, 400000, 5).ValueOrDie();

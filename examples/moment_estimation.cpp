@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <unordered_map>
+#include <utility>
 
 #include "apps/frequency_moments.h"
 #include "random/distributions.h"
@@ -34,6 +35,11 @@ int main(int argc, char** argv) {
   const double p = flags.GetDouble("p");
   const uint64_t stream_len = flags.GetUint64("stream");
   const uint64_t estimators = flags.GetUint64("estimators");
+  if (stream_len == 0) {
+    // An empty stream has no F_p to estimate.
+    std::fprintf(stderr, "moment_estimation: --stream must be >= 1\n");
+    return 1;
+  }
 
   // Zipf item stream.
   auto zipf = ZipfDistribution::Make(512, 1.1).ValueOrDie();
@@ -54,9 +60,14 @@ int main(int argc, char** argv) {
   const Accuracy counter_acc{0.05, 0.01, uint64_t{1} << 40};
   for (CounterKind kind : {CounterKind::kExact, CounterKind::kSampling,
                            CounterKind::kMorrisPlus}) {
-    auto est =
-        apps::FpMomentEstimator::Make(p, estimators, kind, counter_acc, 7)
-            .ValueOrDie();
+    auto made = apps::FpMomentEstimator::Make(p, estimators, kind,
+                                              counter_acc, 7);
+    if (!made.ok()) {
+      std::fprintf(stderr, "moment_estimation: bad --p or --estimators: %s\n",
+                   made.status().ToString().c_str());
+      return 1;
+    }
+    auto est = std::move(made).ValueOrDie();
     for (uint64_t item : items) COUNTLIB_CHECK_OK(est.Add(item));
     const double got = est.Estimate().ValueOrDie();
     std::printf("%-16s occurrence counters: F_p-hat = %10.1f (%+.2f%%), "

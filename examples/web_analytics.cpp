@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "analytics/counter_store.h"
@@ -35,16 +36,26 @@ int main(int argc, char** argv) {
   const uint64_t visits = flags.GetUint64("visits");
 
   // Page popularity is Zipf; bursts model hot pages getting hammered.
-  auto trace =
-      stream::Trace::GenerateBursty(pages, 1.05, 64.0, visits, 99).ValueOrDie();
+  auto generated = stream::Trace::GenerateBursty(pages, 1.05, 64.0, visits, 99);
+  if (!generated.ok()) {
+    std::fprintf(stderr, "web_analytics: bad --pages or --visits: %s\n",
+                 generated.status().ToString().c_str());
+    return 1;
+  }
+  const stream::Trace trace = std::move(generated).ValueOrDie();
   const auto truth = trace.ExactCounts();
   std::printf("simulated %llu visits over %zu distinct pages\n",
               static_cast<unsigned long long>(visits), truth.size());
 
   // 16 bits of state per page, calibrated for counts up to `visits`.
-  auto store = analytics::CounterStore::MakeWithBitBudget(
-                   CounterKind::kSampling, 16, visits, 1)
-                   .ValueOrDie();
+  auto made_store = analytics::CounterStore::MakeWithBitBudget(
+      CounterKind::kSampling, 16, visits, 1);
+  if (!made_store.ok()) {
+    std::fprintf(stderr, "web_analytics: bad --visits: %s\n",
+                 made_store.status().ToString().c_str());
+    return 1;
+  }
+  auto store = std::move(made_store).ValueOrDie();
   for (const auto& event : trace.events()) {
     COUNTLIB_CHECK_OK(store.Increment(event.key, event.weight));
   }

@@ -41,12 +41,6 @@ constexpr int kBackoffInitialMs = 1;
 
 Result<std::unique_ptr<EventClient>> EventClient::Connect(
     const ClientOptions& options) {
-  // Bounded before the constructor reserves twice this many events.
-  if (options.max_batch_events < 1 ||
-      options.max_batch_events > kMaxFrameEvents) {
-    return Status::InvalidArgument(
-        "EventClient: max_batch_events must be in [1, 2^20]");
-  }
   if (options.ack_timeout_ms < 1) {
     return Status::InvalidArgument(
         "EventClient: ack_timeout_ms must be positive");
@@ -57,7 +51,6 @@ Result<std::unique_ptr<EventClient>> EventClient::Connect(
 }
 
 EventClient::EventClient(const ClientOptions& options) : options_(options) {
-  pending_.reserve(options_.max_batch_events * 2);
   rx_.resize(kFrameHeaderSize + kMaxInboundPayload);
 }
 
@@ -128,6 +121,12 @@ Status EventClient::ConnectOnce() {
   if (st.ok()) {
     st = DecodeHelloAckBody(in + kFrameHeaderSize, header.payload_len, &ack);
   }
+  // The frame buffers are sized from this cap, so a u32 off the wire is
+  // bounded by the protocol's own, not trusted.
+  if (st.ok() &&
+      (ack.max_frame_events < 1 || ack.max_frame_events > kMaxFrameEvents)) {
+    st = Status::IOError("net client: hello-ack frame cap outside [1, 2^20]");
+  }
   if (!st.ok()) {
     CloseFd(fd);
     return st;
@@ -140,11 +139,9 @@ Status EventClient::ConnectOnce() {
   conn_delivered_ = 0;
   conn_shed_ = 0;
   grant_total_ = ack.credit_grant_total;
-  // Frames never exceed the local batch size, so the frame buffer follows
-  // it rather than the server's cap (a u32 off the wire).
-  max_frame_events_ = std::clamp<uint64_t>(ack.max_frame_events, 1,
-                                           options_.max_batch_events);
+  max_frame_events_ = ack.max_frame_events;
   tx_.resize(kFrameHeaderSize + EventBatchPayloadSize(max_frame_events_));
+  pending_.reserve(max_frame_events_);
   stats_.frames_tx += 1;
   stats_.frames_rx += 1;
   stats_.bytes_tx += sizeof(frame);
@@ -277,7 +274,7 @@ Status EventClient::Submit(uint64_t key, uint64_t weight) {
   if (weight == 0) return ZeroWeightStatus();
   pending_.push_back(EventRecord{key, weight});
   stats_.events_submitted += 1;
-  if (pending_.size() - head_ >= options_.max_batch_events) {
+  if (pending_.size() - head_ >= max_frame_events_) {
     return SendPending();
   }
   return Status::OK();

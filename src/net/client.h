@@ -59,13 +59,12 @@
 namespace countlib {
 namespace net {
 
+/// Where to connect, and how long to wait and retry. Frame size is not an
+/// option: `Submit` sends once the server's frame cap (the hello ack's
+/// `max_frame_events`, half its ring) is pending.
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-  /// Local batch size, in [1, kMaxFrameEvents]: `Submit` buffers until
-  /// this many events are pending, then sends a frame. Clamped down to the
-  /// server's `max_frame_events` at handshake.
-  uint64_t max_batch_events = 512;
   /// Credit window to request in the hello (0 = take the server's, the
   /// ring capacity).
   uint32_t requested_window = 0;
@@ -111,7 +110,7 @@ class EventClient {
   EventClient(const EventClient&) = delete;
   EventClient& operator=(const EventClient&) = delete;
 
-  /// Buffers one event, sending a frame when the batch fills. Blocks when
+  /// Buffers one event, sending once a full frame is pending. Blocks when
   /// out of credits. `kInvalidArgument` for zero weight (the pipeline
   /// would reject it); `kIOError` once the reconnect budget is exhausted.
   Status Submit(uint64_t key, uint64_t weight = 1);
@@ -161,7 +160,7 @@ class EventClient {
   uint64_t conn_delivered_ = 0; ///< cumulative, from the last ack
   uint64_t conn_shed_ = 0;      ///< cumulative, from the last ack
   uint64_t grant_total_ = 0;    ///< cumulative credits granted to us
-  uint64_t max_frame_events_ = 0;  ///< min(server cap, max_batch_events)
+  uint64_t max_frame_events_ = 0;  ///< the server's cap, from the hello ack
 
   // Session ledgers (survive reconnects).
   ClientStats stats_;

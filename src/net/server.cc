@@ -32,12 +32,7 @@ Result<std::unique_ptr<EventServer>> EventServer::Make(
   if (pipeline == nullptr) {
     return Status::InvalidArgument("EventServer: pipeline must be non-null");
   }
-  if (options.max_frame_events < 1 ||
-      options.max_frame_events > kMaxFrameEvents) {
-    return Status::InvalidArgument(
-        "EventServer: max_frame_events must be in [1, 2^20]");
-  }
-  std::unique_ptr<EventServer> server(new EventServer(pipeline, options));
+  std::unique_ptr<EventServer> server(new EventServer(pipeline));
   COUNTLIB_ASSIGN_OR_RETURN(
       server->listen_fd_,
       ListenTcp(options.bind_address, options.port, kListenBacklog));
@@ -50,11 +45,10 @@ Result<std::unique_ptr<EventServer>> EventServer::Make(
   return server;
 }
 
-EventServer::EventServer(pipeline::IngestPipeline* pipeline,
-                         const ServerOptions& options)
+EventServer::EventServer(pipeline::IngestPipeline* pipeline)
     : pipeline_(pipeline),
-      options_(options),
-      max_payload_(EventBatchPayloadSize(options.max_frame_events)) {}
+      max_frame_events_(
+          std::min(pipeline->queue_capacity() / 2, kMaxFrameEvents)) {}
 
 EventServer::~EventServer() {
   const Status st = Stop();
@@ -240,7 +234,8 @@ Status EventServer::ReadFrame(int fd, uint8_t* buf, FrameHeader* header) {
     if (st.IsIOError() && got > 0) partial_frames_.Add(1);
     return st;
   }
-  st = DecodeFrameHeader(buf, kFrameHeaderSize, max_payload_, header);
+  st = DecodeFrameHeader(buf, kFrameHeaderSize,
+                         EventBatchPayloadSize(max_frame_events_), header);
   if (!st.ok()) {
     decode_errors_.Add(1);
     return st;
@@ -294,9 +289,10 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
   // Per-connection working set, allocated once: one inbound frame, one
   // outbound frame, one decoded batch. Bounded by construction — this is
   // the "no unbounded buffering" guarantee, not a heuristic.
-  std::vector<uint8_t> rx(kFrameHeaderSize + max_payload_);
+  std::vector<uint8_t> rx(kFrameHeaderSize +
+                          EventBatchPayloadSize(max_frame_events_));
   std::vector<uint8_t> tx(kFrameHeaderSize + kAckBodySize);
-  std::vector<EventRecord> records(options_.max_frame_events);
+  std::vector<EventRecord> records(max_frame_events_);
   uint8_t body[kAckBodySize];
 
   // Handshake: the first frame must be a kHello we can speak.
@@ -320,8 +316,7 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
   CreditLedger ledger(CreditTargetForSlot(*slot, effective_window));
   HelloAckBody hello_ack;
   hello_ack.credit_grant_total = ledger.grant_total();
-  hello_ack.max_frame_events =
-      static_cast<uint32_t>(options_.max_frame_events);
+  hello_ack.max_frame_events = static_cast<uint32_t>(max_frame_events_);
   hello_ack.producer_slot = static_cast<uint32_t>(slot->slot());
   EncodeHelloAckBody(hello_ack, body);
   st = SendFrame(fd, FrameType::kHelloAck, header.seq, body, kHelloAckBodySize,
@@ -338,8 +333,7 @@ void EventServer::RunConnection(int fd, pipeline::ProducerSlot* slot) {
         uint32_t count = 0;
         st = DecodeEventBatch(rx.data() + kFrameHeaderSize, header.payload_len,
                               records.data(),
-                              static_cast<uint32_t>(options_.max_frame_events),
-                              &count);
+                              static_cast<uint32_t>(max_frame_events_), &count);
         if (!st.ok()) {
           decode_errors_.Add(1);
           return;

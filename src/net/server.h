@@ -71,14 +71,13 @@
 namespace countlib {
 namespace net {
 
+/// Where to listen. Frame size is not an option: the server takes frames
+/// of up to half its pipeline's ring (at most `kMaxFrameEvents`),
+/// advertises that cap in the hello ack, and enforces it on decode.
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read it back with `EventServer::port()`.
   uint16_t port = 0;
-  /// Most events the server accepts in one kEventBatch frame, in
-  /// [1, kMaxFrameEvents]; advertised to the client in the hello ack and
-  /// enforced on decode.
-  uint64_t max_frame_events = 4096;
 };
 
 /// Snapshot of the server's activity counters (cumulative since Make).
@@ -140,7 +139,7 @@ class EventServer {
     bool done = false;
   };
 
-  EventServer(pipeline::IngestPipeline* pipeline, const ServerOptions& options);
+  explicit EventServer(pipeline::IngestPipeline* pipeline);
 
   void RegisterMetrics();
   void AcceptLoop();
@@ -167,11 +166,13 @@ class EventServer {
                                uint64_t effective_window);
 
   pipeline::IngestPipeline* pipeline_;
-  ServerOptions options_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  ///< self-pipe: Stop() wakes the accept poll
-  uint64_t max_payload_ = 0;     ///< EventBatchPayloadSize(max_frame_events)
+  /// Most events one kEventBatch frame may carry: half the ring, so two
+  /// frames fill one credit window and one can be on the wire while the
+  /// other is submitted.
+  const uint64_t max_frame_events_;
 
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;

@@ -56,9 +56,9 @@ inline constexpr uint64_t kFrameCrcCoverage = 20;
 using EventRecord = analytics::KeyWeight;
 inline constexpr uint64_t kEventRecordSize = 16;
 
-/// Most events any `kEventBatch` frame may carry (2^20, a 16 MiB payload):
-/// the ceiling of both `ServerOptions::max_frame_events` and
-/// `ClientOptions::max_batch_events`.
+/// Most events any `kEventBatch` frame may carry (2^20, a 16 MiB payload).
+/// `EventServer` advertises half its ring, capped here, as the hello ack's
+/// `max_frame_events`; `EventClient` refuses a cap above it.
 inline constexpr uint64_t kMaxFrameEvents = uint64_t{1} << 20;
 
 /// Frame types. Unknown types are a protocol error: v1 peers reject them

@@ -172,34 +172,37 @@ TEST(HotpathAllocTest, InvalidSlotRejectsAllocateNothing) {
   EXPECT_EQ(pipe->Stats().events_submitted, 0u);
 }
 
-// A client's frames never exceed its own batch size, so its frame buffer
-// follows that, not the server's cap: connecting to a server that accepts
-// 2^20-event frames (16 MiB each) makes no allocation above 64 KiB on the
-// connecting thread. The server's own frame buffer lives on its
-// connection thread.
-TEST(HotpathAllocTest, ClientFrameBufferFollowsItsBatchSize) {
+// A client's frame buffer follows the frame the server advertises, half
+// its ring: against a default server (a 4096-slot ring, so 2048-event
+// frames of 32 KiB) connecting makes no allocation above 64 KiB on the
+// connecting thread, and 2 frames + 1 event go out as exactly three event
+// frames. The server's own frame buffer lives on its connection thread.
+TEST(HotpathAllocTest, ClientFrameBufferFollowsTheAdvertisedFrame) {
   auto store = analytics::ShardedCounterStore::Make(
                    1, CounterKind::kExact, 32, (uint64_t{1} << 32) - 1, 1)
                    .ValueOrDie();
   pipeline::PipelineOptions opt;
   opt.num_producers = 1;
   auto pipe = pipeline::IngestPipeline::Make(store.get(), opt).ValueOrDie();
-  net::ServerOptions sopt;
-  sopt.max_frame_events = uint64_t{1} << 20;
-  auto server = net::EventServer::Make(pipe.get(), sopt).ValueOrDie();
+  ASSERT_EQ(pipe->queue_capacity(), 4096u);
+  const uint64_t frame = pipe->queue_capacity() / 2;
+  auto server =
+      net::EventServer::Make(pipe.get(), net::ServerOptions()).ValueOrDie();
   net::ClientOptions copt;
   copt.port = server->port();
   tl_largest_allocation = 0;
   auto client = net::EventClient::Connect(copt).ValueOrDie();
   EXPECT_LE(tl_largest_allocation, std::size_t{64} << 10);
-  for (uint64_t i = 0; i < 2 * copt.max_batch_events + 1; ++i) {
+  for (uint64_t i = 0; i < 2 * frame + 1; ++i) {
     ASSERT_TRUE(client->Submit(i % 5, 1).ok());
   }
   ASSERT_TRUE(client->Close().ok());
-  EXPECT_EQ(client->Stats().events_delivered, 2 * copt.max_batch_events + 1);
+  const net::ClientStats cs = client->Stats();
+  EXPECT_EQ(cs.events_delivered, 2 * frame + 1);
+  EXPECT_EQ(cs.frames_tx, 5u);  // hello, 2048, 2048, 1, goodbye
   ASSERT_TRUE(server->Stop().ok());
   ASSERT_TRUE(pipe->Drain().ok());
-  EXPECT_EQ(pipe->Stats().events_applied, 2 * copt.max_batch_events + 1);
+  EXPECT_EQ(pipe->Stats().events_applied, 2 * frame + 1);
 }
 
 }  // namespace

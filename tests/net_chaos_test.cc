@@ -102,8 +102,9 @@ class StallingServer {
   std::thread thread_;
 };
 
-// A hello-ack granting 1024 credits.
-void SendHelloAck(int fd) {
+// A hello-ack granting 1024 credits in frames of at most
+// `max_frame_events`.
+void SendHelloAck(int fd, uint32_t max_frame_events) {
   uint8_t ack[kFrameHeaderSize + kHelloAckBodySize];
   FrameHeader h;
   h.type = FrameType::kHelloAck;
@@ -112,7 +113,7 @@ void SendHelloAck(int fd) {
   EncodeFrameHeader(h, ack);
   HelloAckBody body;
   body.credit_grant_total = 1024;
-  body.max_frame_events = 4096;
+  body.max_frame_events = max_frame_events;
   EncodeHelloAckBody(body, ack + kFrameHeaderSize);
   COUNTLIB_CHECK_OK(SendAll(fd, ack, sizeof(ack)));
 }
@@ -144,13 +145,29 @@ TEST(NetChaosTest, HandshakeStalledMidFrameTimesOut) {
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
 }
 
+TEST(NetChaosTest, HelloAckFrameCapOutsideTheProtocolFailsConnect) {
+  // The client sizes its frame buffers from the hello-ack's cap, so a cap
+  // of 0 or above kMaxFrameEvents is a protocol error, not a value to
+  // clamp or to allocate for.
+  for (const uint64_t cap : {uint64_t{0}, kMaxFrameEvents + 1}) {
+    StallingServer server([cap](int fd) {
+      SendHelloAck(fd, static_cast<uint32_t>(cap));
+    });
+    ClientOptions copt;
+    copt.port = server.port();
+    copt.max_reconnect_attempts = 0;
+    const Status st = EventClient::Connect(copt).status();
+    EXPECT_TRUE(st.IsIOError()) << "cap " << cap << ": " << st.ToString();
+  }
+}
+
 TEST(NetChaosTest, AckStalledMidFrameTimesOutTheFlush) {
   // A good handshake, then the first frame's ack stops 5 bytes in. Flush
   // waits at most ack_timeout_ms for each further byte, declares the
   // connection dead, and books the frame's events as lost.
   constexpr uint64_t kEvents = 10;
   StallingServer server([](int fd) {
-    SendHelloAck(fd);
+    SendHelloAck(fd, /*max_frame_events=*/4096);
     std::vector<uint8_t> frame(kFrameHeaderSize +
                                EventBatchPayloadSize(kEvents));
     uint64_t got = 0;
@@ -177,10 +194,10 @@ TEST(NetChaosTest, AckStalledMidFrameTimesOutTheFlush) {
 }
 
 TEST(NetChaosTest, StopEndsAReadBlockedMidFrame) {
-  // A raw connection sends 10 of a frame header's 24 bytes and goes
-  // quiet, so its connection thread is blocked in recv mid-frame. Stop's
-  // shutdown ends that read at once, and the begun frame counts as
-  // partial.
+  // A raw connection reads its hello-ack (frames of half the 1024-slot
+  // ring), then sends 10 of a frame header's 24 bytes and goes quiet, so
+  // its connection thread is blocked in recv mid-frame. Stop's shutdown
+  // ends that read at once, and the begun frame counts as partial.
   auto store = MakeExactStore();
   pipeline::PipelineOptions popt;
   popt.num_producers = 1;
@@ -201,6 +218,11 @@ TEST(NetChaosTest, StopEndsAReadBlockedMidFrame) {
   uint8_t ack[kFrameHeaderSize + kHelloAckBodySize];
   uint64_t got = 0;
   ASSERT_TRUE(ReadFull(fd, ack, sizeof(ack), 2000, &got).ok());
+  HelloAckBody hello_ack;
+  ASSERT_TRUE(
+      DecodeHelloAckBody(ack + kFrameHeaderSize, kHelloAckBodySize, &hello_ack)
+          .ok());
+  EXPECT_EQ(hello_ack.max_frame_events, 512u);
 
   uint8_t header[kFrameHeaderSize];
   h.type = FrameType::kEventBatch;
