@@ -30,6 +30,11 @@ int main(int argc, char** argv) {
   }
   const uint64_t n = flags.GetUint64("n");
   const uint64_t trials = flags.GetUint64("trials");
+  if (n < 2) {
+    // Every bit-budget calibration needs n_max >= 2.
+    std::fprintf(stderr, "accuracy_vs_space: --n must be >= 2\n");
+    return 1;
+  }
 
   std::printf("relative-error stddev at n=%llu over %llu trials\n",
               static_cast<unsigned long long>(n),

@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
+#include "baselines/csuros.h"
+#include "baselines/exact_counter.h"
+#include "core/morris.h"
+#include "core/sampling_counter.h"
 #include "util/logging.h"
 #include "util/math.h"
 
@@ -53,6 +57,11 @@ Status SlotCapacityStatus() {
 
 Status SlotWidthStatus() {
   return Status::Internal("CounterStore: packed state wider than the stride");
+}
+
+Status NoApplyLoopStatus(CounterKind kind) {
+  return Status::Internal(std::string("CounterStore: no apply loop for kind ") +
+                          CounterKindToString(kind));
 }
 
 }  // namespace
@@ -125,17 +134,20 @@ void CounterStore::KeyIndex::Grow(uint64_t capacity) {
 // CounterStore
 // ---------------------------------------------------------------------------
 
-CounterStore::CounterStore(std::unique_ptr<Counter> scratch, uint64_t zero_word,
-                           int stride_bits)
-    : scratch_(std::move(scratch)),
+CounterStore::CounterStore(CounterKind kind, std::unique_ptr<Counter> scratch,
+                           uint64_t zero_word, int stride_bits)
+    : kind_(kind),
+      scratch_(std::move(scratch)),
       zero_word_(zero_word),
       stride_bits_(stride_bits),
       stride_mask_((uint64_t{1} << stride_bits) - 1),
       pool_(kPoolPadBytes, 0) {}
 
-Result<CounterStore> CounterStore::FromScratchCounter(
-    std::unique_ptr<Counter> scratch) {
-  scratch->Reset();
+Result<CounterStore> CounterStore::MakeWithBitBudget(CounterKind kind,
+                                                     int state_bits, uint64_t n_max,
+                                                     uint64_t seed) {
+  COUNTLIB_ASSIGN_OR_RETURN(std::unique_ptr<Counter> scratch,
+                            MakeCounterForBits(kind, state_bits, n_max, seed));
   const int stride = scratch->StateBits();
   if (stride < 1 || stride > kMaxStrideBits) {
     return Status::InvalidArgument("CounterStore: state width " +
@@ -143,15 +155,7 @@ Result<CounterStore> CounterStore::FromScratchCounter(
                                    " bits outside the slot codec's [1, 62]");
   }
   const uint64_t zero_word = scratch->PackState();
-  return CounterStore(std::move(scratch), zero_word, stride);
-}
-
-Result<CounterStore> CounterStore::MakeWithBitBudget(CounterKind kind,
-                                                     int state_bits, uint64_t n_max,
-                                                     uint64_t seed) {
-  COUNTLIB_ASSIGN_OR_RETURN(std::unique_ptr<Counter> scratch,
-                            MakeCounterForBits(kind, state_bits, n_max, seed));
-  return FromScratchCounter(std::move(scratch));
+  return CounterStore(kind, std::move(scratch), zero_word, stride);
 }
 
 uint64_t CounterStore::DataBytes(uint64_t slots) const {
@@ -198,15 +202,6 @@ Result<uint32_t> CounterStore::FindOrCreateSlot(uint64_t key) {
   return slot;
 }
 
-Status CounterStore::ApplyToSlot(uint32_t slot, uint64_t weight) {
-  COUNTLIB_RETURN_NOT_OK(scratch_->UnpackState(ReadWord(slot)));
-  scratch_->IncrementMany(weight);
-  const uint64_t word = scratch_->PackState();
-  if (word > stride_mask_) return SlotWidthStatus();
-  WriteWord(slot, word);
-  return Status::OK();
-}
-
 Status CounterStore::UnpackSlotInto(uint64_t slot, Counter* into) const {
   return into->UnpackState(ReadWord(slot));
 }
@@ -216,10 +211,28 @@ Status CounterStore::Increment(uint64_t key, uint64_t weight) {
   return IncrementBatch(&update, 1);
 }
 
+Status CounterStore::IncrementBatch(const KeyWeight* updates, size_t n) {
+  // MakeCounterForBits builds exactly these four classes, one per kind.
+  Counter* scratch = scratch_.get();
+  switch (kind_) {
+    case CounterKind::kExact:
+      return ApplyBatch(static_cast<ExactCounter*>(scratch), updates, n);
+    case CounterKind::kMorris:
+      return ApplyBatch(static_cast<MorrisCounter*>(scratch), updates, n);
+    case CounterKind::kSampling:
+      return ApplyBatch(static_cast<SamplingCounter*>(scratch), updates, n);
+    case CounterKind::kCsuros:
+      return ApplyBatch(static_cast<CsurosCounter*>(scratch), updates, n);
+    default:
+      return NoApplyLoopStatus(kind_);
+  }
+}
+
 // HOTPATH: the store apply step of every pipeline batch — no allocation
 // once the batch's keys are indexed (new keys grow the index and the pool
 // inside the untagged AppendSlot / KeyIndex::Insert).
-Status CounterStore::IncrementBatch(const KeyWeight* updates, size_t n) {
+template <typename C>
+Status CounterStore::ApplyBatch(C* counter, const KeyWeight* updates, size_t n) {
   constexpr size_t kD = kPrefetchDistance;
   // Software pipeline over three stages: the index entry of update i+2D is
   // prefetched, update i+D is looked up (its slot's pool word prefetched
@@ -243,7 +256,11 @@ Status CounterStore::IncrementBatch(const KeyWeight* updates, size_t n) {
     if (slot == KeyIndex::kEmptySlot) {
       COUNTLIB_ASSIGN_OR_RETURN(slot, FindOrCreateSlot(updates[i].key));
     }
-    COUNTLIB_RETURN_NOT_OK(ApplyToSlot(slot, updates[i].weight));
+    COUNTLIB_RETURN_NOT_OK(counter->UnpackState(ReadWord(slot)));
+    counter->IncrementMany(updates[i].weight);
+    const uint64_t word = counter->PackState();
+    if (word > stride_mask_) return SlotWidthStatus();
+    WriteWord(slot, word);
   }
   return Status::OK();
 }

@@ -11,16 +11,22 @@
 ///
 /// ## The update model
 ///
-/// An update is one word load, `Counter::UnpackState`, the counter's
-/// increment kernel, `Counter::PackState`, and one word store: the slot is
-/// read and written with one unaligned 64-bit access plus shift and mask
-/// (a second word only when the slot straddles the first word's end), so
-/// the O(log N)-bit scratch registers of the paper's model are machine
+/// An update is one word load, `UnpackState`, the counter's
+/// `IncrementMany`, `PackState`, and one word store: the slot is read and
+/// written with one unaligned 64-bit access plus shift and mask (a second
+/// word only when the slot straddles the first word's end), so the
+/// O(log N)-bit scratch registers of the paper's model are machine
 /// registers and only the *stored* state is precious. Strides are at most
-/// 62 bits — every `MakeCounterForBits` counter fits. `IncrementBatch`
-/// pipelines the memory traffic: it prefetches the index entry of update
-/// i+2D and the slot of update i+D while it applies update i, in input
-/// order, so the coins drawn match one `Increment` per update.
+/// 62 bits — every `MakeCounterForBits` counter fits. The store records
+/// its `CounterKind`, and `IncrementBatch` switches on it once per batch
+/// into an apply loop compiled for that counter class (exact, Morris,
+/// sampling or Csuros, each `final` with its codec and weight-1 step
+/// inline), so an update makes no virtual call; a weight-1 update of an
+/// approximate kind is one Bernoulli draw. The loop pipelines the memory
+/// traffic: it prefetches the index entry of update i+2D and the slot of
+/// update i+D while it applies update i, in input order, so the coins
+/// drawn match one `Increment` per update. Reads, merges and persistence
+/// decode slots through the virtual `Counter` interface.
 ///
 /// ## The index
 ///
@@ -169,10 +175,8 @@ class CounterStore {
     uint64_t size_ = 0;
   };
 
-  CounterStore(std::unique_ptr<Counter> scratch, uint64_t zero_word,
-               int stride_bits);
-
-  static Result<CounterStore> FromScratchCounter(std::unique_ptr<Counter> scratch);
+  CounterStore(CounterKind kind, std::unique_ptr<Counter> scratch,
+               uint64_t zero_word, int stride_bits);
 
   /// Pool bytes holding `slots` slots, excluding the load padding.
   uint64_t DataBytes(uint64_t slots) const;
@@ -184,11 +188,17 @@ class CounterStore {
   Result<uint32_t> FindOrCreateSlot(uint64_t key);
   /// Appends one fresh slot to the pool, growing it (out of line) as needed.
   Status AppendSlot(uint32_t* slot);
-  /// Unpack → IncrementMany → pack on the scratch counter.
-  Status ApplyToSlot(uint32_t slot, uint64_t weight);
+  /// `IncrementBatch`'s loop for the counter class `C` that `kind_` names:
+  /// each update runs `counter`'s UnpackState → IncrementMany → PackState
+  /// on its slot, called directly (`C` is final). Only counter_store.cc
+  /// instantiates it.
+  template <typename C>
+  Status ApplyBatch(C* counter, const KeyWeight* updates, size_t n);
   /// Decodes the slot into `into` (any identically-configured counter).
   Status UnpackSlotInto(uint64_t slot, Counter* into) const;
 
+  CounterKind kind_;  // picks IncrementBatch's apply loop
+  // Of the class MakeCounterForBits builds for kind_.
   std::unique_ptr<Counter> scratch_;
   uint64_t zero_word_;  // PackState() of a fresh counter
   int stride_bits_;

@@ -51,17 +51,7 @@ Result<CsurosCounter> CsurosCounter::FromAccuracy(const Accuracy& acc, uint64_t 
   return Make(p, seed);
 }
 
-void CsurosCounter::Increment() {
-  if (exponent() >= params_.exponent_cap &&
-      mantissa() == (uint64_t{1} << params_.mantissa_bits) - 1) {
-    saturated_ = true;
-    return;
-  }
-  const double p = std::ldexp(1.0, -static_cast<int>(exponent()));
-  if (rng_.Bernoulli(p)) ++s_;
-}
-
-void CsurosCounter::IncrementMany(uint64_t n) {
+void CsurosCounter::FastForward(uint64_t n) {
   while (n > 0) {
     if (exponent() >= params_.exponent_cap &&
         mantissa() == (uint64_t{1} << params_.mantissa_bits) - 1) {
@@ -101,15 +91,6 @@ Status CsurosCounter::SerializeState(BitWriter* out) const {
 Status CsurosCounter::DeserializeState(BitReader* in) {
   COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.TotalBits()));
   return UnpackState(word);
-}
-
-Status CsurosCounter::UnpackState(uint64_t word) {
-  const uint64_t s_max =
-      (static_cast<uint64_t>(params_.exponent_cap) + 1) << params_.mantissa_bits;
-  if (word >= s_max) return Status::InvalidArgument("Csuros state out of range");
-  s_ = word;
-  saturated_ = false;
-  return Status::OK();
 }
 
 }  // namespace countlib

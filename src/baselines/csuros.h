@@ -9,10 +9,17 @@
 ///
 /// Like the sampling counter it spends log(1/ε)-type bits on the mantissa
 /// and log log N on the exponent; unlike Algorithm 1 it has no δ schedule.
+///
+/// `IncrementMany(n)` fast-forwards by geometric waits once e > 0; for n = 1
+/// it runs `Increment()`'s one Bernoulli(2^{-e}) draw, the same law from
+/// different coins. That branch, `Increment` and the word codec are inline
+/// and the class is `final`, so the store's apply loop
+/// (analytics/counter_store.cc) runs them without a virtual call.
 
 #ifndef COUNTLIB_BASELINES_CSUROS_H_
 #define COUNTLIB_BASELINES_CSUROS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -37,7 +44,7 @@ struct CsurosParams {
 };
 
 /// \brief The [Csu10] floating-point counter.
-class CsurosCounter : public Counter {
+class CsurosCounter final : public Counter {
  public:
   static Result<CsurosCounter> Make(const CsurosParams& params, uint64_t seed);
 
@@ -46,8 +53,22 @@ class CsurosCounter : public Counter {
   /// d = ceil(log2(1/(2 ε² δ))).
   static Result<CsurosCounter> FromAccuracy(const Accuracy& acc, uint64_t seed);
 
-  void Increment() override;
-  void IncrementMany(uint64_t n) override;
+  void Increment() override {
+    if (exponent() >= params_.exponent_cap &&
+        mantissa() == (uint64_t{1} << params_.mantissa_bits) - 1) {
+      saturated_ = true;
+      return;
+    }
+    const double p = std::ldexp(1.0, -static_cast<int>(exponent()));
+    if (rng_.Bernoulli(p)) ++s_;
+  }
+  void IncrementMany(uint64_t n) override {
+    if (n == 1) {
+      Increment();
+      return;
+    }
+    FastForward(n);
+  }
   double Estimate() const override;
   int StateBits() const override { return params_.TotalBits(); }
   int CurrentStateBits() const override;
@@ -56,7 +77,14 @@ class CsurosCounter : public Counter {
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
   uint64_t PackState() const override { return s_; }
-  Status UnpackState(uint64_t word) override;
+  Status UnpackState(uint64_t word) override {
+    const uint64_t s_max = (static_cast<uint64_t>(params_.exponent_cap) + 1)
+                           << params_.mantissa_bits;
+    if (word >= s_max) return Status::InvalidArgument("Csuros state out of range");
+    s_ = word;
+    saturated_ = false;
+    return Status::OK();
+  }
 
   uint64_t s() const { return s_; }
   uint32_t exponent() const {
@@ -72,6 +100,9 @@ class CsurosCounter : public Counter {
  private:
   CsurosCounter(const CsurosParams& params, uint64_t seed)
       : params_(params), rng_(seed) {}
+
+  /// `IncrementMany` for n >= 2: geometric waits between bumps of s.
+  void FastForward(uint64_t n);
 
   CsurosParams params_;
   Rng rng_;

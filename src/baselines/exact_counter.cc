@@ -1,7 +1,5 @@
 #include "baselines/exact_counter.h"
 
-#include <algorithm>
-
 #include "util/math.h"
 
 namespace countlib {
@@ -11,12 +9,8 @@ Result<ExactCounter> ExactCounter::Make(uint64_t n_cap) {
   return ExactCounter(n_cap);
 }
 
-void ExactCounter::Increment() {
-  if (count_ < n_cap_) ++count_;
-}
-
-void ExactCounter::IncrementMany(uint64_t n) {
-  count_ = std::min(SaturatingAdd(count_, n), n_cap_);
+Status ExactCounter::CountOutOfRange() {
+  return Status::InvalidArgument("ExactCounter: count > n_cap");
 }
 
 int ExactCounter::StateBits() const { return BitWidth(n_cap_); }
@@ -35,12 +29,6 @@ Status ExactCounter::SerializeState(BitWriter* out) const {
 Status ExactCounter::DeserializeState(BitReader* in) {
   COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(StateBits()));
   return UnpackState(word);
-}
-
-Status ExactCounter::UnpackState(uint64_t word) {
-  if (word > n_cap_) return Status::InvalidArgument("ExactCounter: count > n_cap");
-  count_ = word;
-  return Status::OK();
 }
 
 Status ExactCounter::MergeFrom(const Counter& donor) {

@@ -42,7 +42,11 @@ class Counter {
 
   /// Processes `n` increments. The default loops over `Increment()`;
   /// sampling-based counters override this with an exact O(#accepted)
-  /// geometric fast-forward (see random/geometric.h).
+  /// geometric fast-forward (see random/geometric.h). Morris (and so
+  /// Morris+), sampling and Csuros run `Increment()` for n = 1: a wait of
+  /// one has the probability of one accepted Bernoulli draw, so that draw
+  /// has the same law and costs no `log`. Every path has the same law; the
+  /// coins drawn differ between paths.
   virtual void IncrementMany(uint64_t n) {
     for (uint64_t i = 0; i < n; ++i) Increment();
   }

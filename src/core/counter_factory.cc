@@ -114,6 +114,7 @@ Result<std::unique_ptr<Counter>> MakeCounterForBits(CounterKind kind, int state_
       return WrapCounter(std::move(c));
     }
     case CounterKind::kCsuros: {
+      if (n_max < 2) return Status::InvalidArgument("n_max must be >= 2");
       // Spend bits on the exponent to cover n_max, the rest on the mantissa.
       CsurosParams params;
       const int e_needed = BitWidth(static_cast<uint64_t>(CeilLog2(n_max)) + 8);

@@ -99,18 +99,7 @@ double MorrisCounter::LevelProbability(uint64_t x) const {
   return levels_->P(x);
 }
 
-void MorrisCounter::Increment() {
-  if (x_ >= params_.x_cap) {
-    saturated_ = true;
-    return;
-  }
-  if (rng_.Bernoulli(p_current_)) {
-    ++x_;
-    p_current_ = levels_->P(x_);
-  }
-}
-
-void MorrisCounter::IncrementMany(uint64_t n) {
+void MorrisCounter::FastForward(uint64_t n) {
   // Walk the waiting times Z_i ~ Geometric(p_i) of §2.2. Geometric
   // memorylessness makes it valid to abandon a partially-elapsed wait at
   // the end of the batch: the remaining wait is again geometric.
@@ -148,16 +137,6 @@ Status MorrisCounter::SerializeState(BitWriter* out) const {
 Status MorrisCounter::DeserializeState(BitReader* in) {
   COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.XBits()));
   return UnpackState(word);
-}
-
-Status MorrisCounter::UnpackState(uint64_t word) {
-  if (word > params_.x_cap) {
-    return Status::InvalidArgument("Morris state exceeds x_cap");
-  }
-  x_ = word;
-  p_current_ = levels_->P(x_);
-  saturated_ = false;
-  return Status::OK();
 }
 
 Status MorrisCounter::MergeFrom(const Counter& donor) {

@@ -10,10 +10,19 @@
 /// optimal `O(log log N + log(1/ε) + log log(1/δ))` bits.
 ///
 /// Two increment paths are provided:
-///  * `Increment()` — one Bernoulli trial, the textbook transition;
-///  * `IncrementMany(n)` — exact geometric fast-forward over the waiting
-///    times `Z_i ~ Geometric((1+a)^{-i})` (the very random variables the
-///    §2.2 proof analyzes). Distribution-identical to n single increments.
+///  * `Increment()` — one Bernoulli((1+a)^{-X}) trial, the textbook
+///    transition;
+///  * `IncrementMany(n)` — for n >= 2, exact geometric fast-forward over the
+///    waiting times `Z_i ~ Geometric((1+a)^{-i})` (the very random variables
+///    the §2.2 proof analyzes), distribution-identical to n single
+///    increments. For n = 1 it runs `Increment()`: a wait of one has
+///    probability (1+a)^{-X}, so the one Bernoulli draw has the same law and
+///    costs a uniform draw and a compare instead of a `log` and a divide.
+///    The two paths draw different coins; only the law is shared.
+///
+/// `Increment`, `IncrementMany`'s n = 1 branch and the word codec are
+/// inline and the class is `final`, so the store's apply loop
+/// (analytics/counter_store.cc) runs them without a virtual call.
 
 #ifndef COUNTLIB_CORE_MORRIS_H_
 #define COUNTLIB_CORE_MORRIS_H_
@@ -80,7 +89,7 @@ class MorrisLevels {
 };
 
 /// \brief Morris(a) approximate counter.
-class MorrisCounter : public Counter {
+class MorrisCounter final : public Counter {
  public:
   /// Validates `params` (a > 0, x_cap >= 1) and builds a counter.
   static Result<MorrisCounter> Make(const MorrisParams& params, uint64_t seed);
@@ -90,8 +99,23 @@ class MorrisCounter : public Counter {
   /// shows the prefix is necessary for the δ guarantee at small N.
   static Result<MorrisCounter> FromAccuracy(const Accuracy& acc, uint64_t seed);
 
-  void Increment() override;
-  void IncrementMany(uint64_t n) override;
+  void Increment() override {
+    if (x_ >= params_.x_cap) {
+      saturated_ = true;
+      return;
+    }
+    if (rng_.Bernoulli(p_current_)) {
+      ++x_;
+      p_current_ = levels_->P(x_);
+    }
+  }
+  void IncrementMany(uint64_t n) override {
+    if (n == 1) {
+      Increment();
+      return;
+    }
+    FastForward(n);
+  }
   double Estimate() const override;
   int StateBits() const override { return params_.XBits(); }
   int CurrentStateBits() const override;
@@ -100,7 +124,15 @@ class MorrisCounter : public Counter {
   Status SerializeState(BitWriter* out) const override;
   Status DeserializeState(BitReader* in) override;
   uint64_t PackState() const override { return x_; }
-  Status UnpackState(uint64_t word) override;
+  Status UnpackState(uint64_t word) override {
+    if (word > params_.x_cap) {
+      return Status::InvalidArgument("Morris state exceeds x_cap");
+    }
+    x_ = word;
+    p_current_ = levels_->P(x_);
+    saturated_ = false;
+    return Status::OK();
+  }
   Status MergeFrom(const Counter& donor) override;
 
   /// The level register X (exposed for experiments and exact-law checks).
@@ -124,6 +156,9 @@ class MorrisCounter : public Counter {
  private:
   MorrisCounter(const MorrisParams& params, uint64_t seed)
       : params_(params), rng_(seed), levels_(MorrisLevels::For(params)) {}
+
+  /// `IncrementMany` for n >= 2: the geometric walk over the waits.
+  void FastForward(uint64_t n);
 
   MorrisParams params_;
   Rng rng_;

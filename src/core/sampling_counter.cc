@@ -4,7 +4,6 @@
 
 #include "random/geometric.h"
 #include "core/merge.h"
-#include "util/logging.h"
 #include "util/math.h"
 
 namespace countlib {
@@ -37,29 +36,7 @@ void SamplingCounter::Reset() {
   saturated_ = false;
 }
 
-void SamplingCounter::AcceptSurvivor() {
-  ++y_;
-  if (y_ >= params_.budget) {
-    if (t_ >= params_.t_cap) {
-      // Out of rate headroom: hold Y at B-1 (saturation); parameters were
-      // provisioned so this has negligible probability below n_max.
-      y_ = params_.budget - 1;
-      saturated_ = true;
-      return;
-    }
-    y_ >>= 1;
-    ++t_;
-  }
-}
-
-void SamplingCounter::Increment() {
-  BitBernoulli coin(&rng_);
-  Result<bool> accept = coin.SampleInversePowerOfTwo(t_);
-  COUNTLIB_CHECK_OK(accept.status());
-  if (*accept) AcceptSurvivor();
-}
-
-void SamplingCounter::IncrementMany(uint64_t n) {
+void SamplingCounter::FastForward(uint64_t n) {
   while (n > 0) {
     if (t_ == 0) {
       uint64_t room = params_.budget - y_;  // survivors until the next fold
@@ -105,22 +82,6 @@ Status SamplingCounter::SerializeState(BitWriter* out) const {
 Status SamplingCounter::DeserializeState(BitReader* in) {
   COUNTLIB_ASSIGN_OR_RETURN(uint64_t word, in->ReadBits(params_.TotalBits()));
   return UnpackState(word);
-}
-
-Status SamplingCounter::UnpackState(uint64_t word) {
-  const int y_bits = params_.YBits();
-  const uint64_t y = word & ((uint64_t{1} << y_bits) - 1);
-  const uint64_t t = word >> y_bits;
-  if (y >= params_.budget) {
-    return Status::InvalidArgument("SamplingCounter state: y out of range");
-  }
-  if (t > params_.t_cap) {
-    return Status::InvalidArgument("SamplingCounter state: t out of range");
-  }
-  y_ = y;
-  t_ = static_cast<uint32_t>(t);
-  saturated_ = false;
-  return Status::OK();
 }
 
 Status SamplingCounter::MergeFrom(const Counter& donor) {

@@ -4,16 +4,9 @@
 
 namespace countlib {
 
-Result<bool> BitBernoulli::SampleInversePowerOfTwo(uint32_t t) {
-  if (t > 63) {
-    return Status::InvalidArgument("BitBernoulli: t must be <= 63, got " +
-                                   std::to_string(t));
-  }
-  bits_consumed_ += t;
-  if (t == 0) return true;
-  uint64_t word = rng_->NextU64();
-  uint64_t mask = (uint64_t{1} << t) - 1;
-  return (word & mask) == mask;
+Status BitBernoulli::RateOutOfRange(uint32_t t) {
+  return Status::InvalidArgument("BitBernoulli: t must be <= 63, got " +
+                                 std::to_string(t));
 }
 
 Result<bool> BitBernoulli::SampleDyadic(uint64_t numerator, uint32_t t) {

@@ -34,7 +34,14 @@ class BitBernoulli {
   /// bits are all set, which is distribution-identical; `bits_consumed()`
   /// still advances by exactly `t` so space/entropy ledgers match the paper
   /// model. Early-exits on the first zero coin like the sequential scheme.
-  Result<bool> SampleInversePowerOfTwo(uint32_t t);
+  /// Inline: it is the sampling counter's per-increment coin.
+  Result<bool> SampleInversePowerOfTwo(uint32_t t) {
+    if (t > 63) return RateOutOfRange(t);
+    bits_consumed_ += t;
+    if (t == 0) return true;
+    const uint64_t mask = (uint64_t{1} << t) - 1;
+    return (rng_->NextU64() & mask) == mask;
+  }
 
   /// Draws one Bernoulli(numerator / 2^t) sample by comparing `t` fresh
   /// coin bits against `numerator` (used by merge, which needs ratios of
@@ -48,6 +55,9 @@ class BitBernoulli {
   void ResetLedger() { bits_consumed_ = 0; }
 
  private:
+  /// The `kInvalidArgument` for t > 63 (out of line: the cold path).
+  static Status RateOutOfRange(uint32_t t);
+
   Rng* rng_;
   uint64_t bits_consumed_ = 0;
 };

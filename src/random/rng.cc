@@ -2,10 +2,6 @@
 
 namespace countlib {
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 uint64_t SplitMix64::Next() {
   uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -19,18 +15,6 @@ Xoshiro256pp::Xoshiro256pp(uint64_t seed) {
   // All-zero state is invalid; SplitMix64 cannot produce four zero outputs
   // from any seed, but keep a belt-and-suspenders guard.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9E3779B97F4A7C15ull;
-}
-
-uint64_t Xoshiro256pp::Next() {
-  uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256pp::LongJump() {

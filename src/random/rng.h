@@ -46,8 +46,18 @@ class Xoshiro256pp {
   /// Seeds the 256-bit state from `seed` via SplitMix64.
   explicit Xoshiro256pp(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  /// Next 64-bit output.
-  uint64_t Next();
+  /// Next 64-bit output. Inline: every counter coin starts here.
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Equivalent to 2^128 calls to Next(); used to carve independent
   /// subsequences for parallel experiments.
@@ -58,6 +68,8 @@ class Xoshiro256pp {
   static constexpr uint64_t max() { return ~uint64_t{0}; }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::array<uint64_t, 4> s_;
 };
 

@@ -197,14 +197,6 @@ double Variance(const std::vector<double>& xs) {
   return sum.Total() / static_cast<double>(xs.size());
 }
 
-uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
-  uint64_t out;
-  if (__builtin_add_overflow(a, b, &out)) {
-    return std::numeric_limits<uint64_t>::max();
-  }
-  return out;
-}
-
 uint64_t SaturatingMul(uint64_t a, uint64_t b) {
   uint64_t out;
   if (__builtin_mul_overflow(a, b, &out)) {

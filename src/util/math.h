@@ -96,8 +96,12 @@ double Mean(const std::vector<double>& xs);
 /// \brief Computes the (population) variance with a two-pass algorithm.
 double Variance(const std::vector<double>& xs);
 
-/// \brief Saturating uint64 addition.
-uint64_t SaturatingAdd(uint64_t a, uint64_t b);
+/// \brief Saturating uint64 addition. Inline: the exact counter's update.
+inline uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  uint64_t out;
+  if (__builtin_add_overflow(a, b, &out)) return ~uint64_t{0};
+  return out;
+}
 
 /// \brief Saturating uint64 multiplication.
 uint64_t SaturatingMul(uint64_t a, uint64_t b);

@@ -1,6 +1,7 @@
 // Tests for the stores' batch APIs and snapshot accessors used by the
-// ingestion pipeline: CounterStore::IncrementBatch / ForEach (and the slot
-// codec and file layout under them) and the
+// ingestion pipeline: CounterStore::IncrementBatch / ForEach (each kind's
+// apply loop, the law of its weight-1 updates, and the slot codec and file
+// layout under them) and the
 // concurrent store's (ShardedCounterStore) lane-addressed IncrementBatch /
 // ForEach / TopK.
 
@@ -17,6 +18,11 @@
 
 #include "analytics/counter_store.h"
 #include "analytics/sharded_counter_store.h"
+#include "core/params.h"
+#include "random/rng.h"
+#include "sim/morris_exact_dist.h"
+#include "sim/sampling_exact_dist.h"
+#include "stats/hypothesis.h"
 
 namespace countlib {
 namespace analytics {
@@ -48,10 +54,14 @@ TEST(CounterStoreBatchTest, BatchMatchesSequentialIncrements) {
   struct Config {
     CounterKind kind;
     int bits;
+    uint64_t n_max;
   };
-  const Config configs[] = {{CounterKind::kExact, 32},
-                            {CounterKind::kMorris, 16},
-                            {CounterKind::kSampling, 18}};
+  // Csuros-8 at n_max 2^20 has a 3-bit mantissa, so its keys leave the
+  // deterministic e = 0 regime and draw coins.
+  const Config configs[] = {{CounterKind::kExact, 32, uint64_t{1} << 24},
+                            {CounterKind::kMorris, 16, uint64_t{1} << 24},
+                            {CounterKind::kSampling, 18, uint64_t{1} << 24},
+                            {CounterKind::kCsuros, 8, uint64_t{1} << 20}};
   constexpr uint64_t kKeys = (uint64_t{1} << 14) + 1000;
   std::vector<KeyWeight> updates;
   for (uint64_t i = 0; i < 3 * kKeys; ++i) {
@@ -62,10 +72,10 @@ TEST(CounterStoreBatchTest, BatchMatchesSequentialIncrements) {
   for (const Config& config : configs) {
     SCOPED_TRACE(CounterKindToString(config.kind));
     auto batched = CounterStore::MakeWithBitBudget(config.kind, config.bits,
-                                                   uint64_t{1} << 24, 9)
+                                                   config.n_max, 9)
                        .ValueOrDie();
     auto sequential = CounterStore::MakeWithBitBudget(config.kind, config.bits,
-                                                      uint64_t{1} << 24, 9)
+                                                      config.n_max, 9)
                           .ValueOrDie();
     ASSERT_TRUE(batched.IncrementBatch(updates.data(), updates.size()).ok());
     for (const KeyWeight& u : updates) {
@@ -80,6 +90,113 @@ TEST(CounterStoreBatchTest, BatchMatchesSequentialIncrements) {
           << "key rank " << rank;
     }
   }
+}
+
+// The packed state of `key` after `n` weight-1 updates of it, applied as
+// one IncrementBatch: the store path of a pipeline batch in which nothing
+// folds.
+uint64_t StateAfterWeightOneUpdates(CounterKind kind, int bits, uint64_t n_max,
+                                    uint64_t seed,
+                                    const std::vector<KeyWeight>& updates) {
+  auto store =
+      CounterStore::MakeWithBitBudget(kind, bits, n_max, seed).ValueOrDie();
+  EXPECT_TRUE(store.IncrementBatch(updates.data(), updates.size()).ok());
+  auto probe = MakeCounterForBits(kind, bits, n_max, 0).ValueOrDie();
+  EXPECT_TRUE(store.ReadKeyState(updates[0].key, probe.get()).ValueOrDie());
+  return probe->PackState();
+}
+
+// The store's weight-1 Morris update (one Bernoulli draw per update, not a
+// geometric wait) has the exact law of X after n increments. Morris-6 at
+// n_max 2^10 has a = 0.246, so 300 updates spread X over ~20 levels.
+TEST(CounterStoreBatchTest, WeightOneMorrisUpdatesMatchExactLaw) {
+  constexpr int kBits = 6;
+  constexpr uint64_t kNMax = 1024;
+  constexpr uint64_t kN = 300;
+  constexpr int kTrials = 20000;
+  const MorrisParams params = MorrisForStateBits(kBits, kNMax).ValueOrDie();
+  auto dp = sim::MorrisExactDistribution::Make(params.a, params.x_cap)
+                .ValueOrDie();
+  dp.Step(kN);
+  const std::vector<KeyWeight> updates(kN, KeyWeight{42, 1});
+  std::vector<double> observed(params.x_cap + 1, 0.0);
+  Rng seeder(2024);
+  for (int tr = 0; tr < kTrials; ++tr) {
+    observed[StateAfterWeightOneUpdates(CounterKind::kMorris, kBits, kNMax,
+                                        seeder.NextU64(), updates)] += 1;
+  }
+  std::vector<double> expected(observed.size());
+  for (uint64_t x = 0; x < expected.size(); ++x) {
+    expected[x] = dp.Pmf(x) * kTrials;
+  }
+  auto result = stats::ChiSquareGoodnessOfFit(observed, expected).ValueOrDie();
+  EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic
+                                  << " dof=" << result.dof;
+}
+
+// The same for the sampling counter: sampling-8 at n_max 256 has budget 32
+// and t_cap 7, so 500 updates take t to ~4 and every weight-1 update past
+// the first fold is one Bernoulli(2^-t) draw.
+TEST(CounterStoreBatchTest, WeightOneSamplingUpdatesMatchExactLaw) {
+  constexpr int kBits = 8;
+  constexpr uint64_t kNMax = 256;
+  constexpr uint64_t kN = 500;
+  constexpr int kTrials = 20000;
+  const SamplingCounterParams params =
+      SamplingForStateBits(kBits, kNMax).ValueOrDie();
+  ASSERT_EQ(params.budget, 32u);
+  ASSERT_EQ(params.t_cap, 7u);
+  auto dp = sim::SamplingExactDistribution::Make(params).ValueOrDie();
+  dp.Step(kN);
+  const std::vector<KeyWeight> updates(kN, KeyWeight{42, 1});
+  // The packed word is y | t << 5, so it indexes (y, t) directly.
+  std::vector<double> observed(params.budget * (params.t_cap + 1), 0.0);
+  Rng seeder(2025);
+  for (int tr = 0; tr < kTrials; ++tr) {
+    observed[StateAfterWeightOneUpdates(CounterKind::kSampling, kBits, kNMax,
+                                        seeder.NextU64(), updates)] += 1;
+  }
+  std::vector<double> expected(observed.size());
+  double mass_past_first_fold = 0.0;
+  for (uint32_t t = 0; t <= params.t_cap; ++t) {
+    for (uint64_t y = 0; y < params.budget; ++y) {
+      const double p = dp.Pmf(y, t);
+      expected[t * params.budget + y] = p * kTrials;
+      if (t > 0) mass_past_first_fold += p;
+    }
+  }
+  ASSERT_GT(mass_past_first_fold, 0.999);
+  auto result = stats::ChiSquareGoodnessOfFit(observed, expected).ValueOrDie();
+  EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic
+                                  << " dof=" << result.dof;
+}
+
+// Csuros has no exact-law simulator: its store weight-1 path is compared
+// with a bare counter's geometric fast-forward over the same n. Csuros-9 at
+// n_max 2^10 has a 4-bit mantissa, so 500 updates leave the deterministic
+// e = 0 regime after 16 and end near e = 5.
+TEST(CounterStoreBatchTest, WeightOneCsurosUpdatesMatchFastForward) {
+  constexpr int kBits = 9;
+  constexpr uint64_t kNMax = 1024;
+  constexpr uint64_t kN = 500;
+  constexpr int kTrials = 20000;
+  const std::vector<KeyWeight> updates(kN, KeyWeight{42, 1});
+  std::vector<uint64_t> by_store(uint64_t{1} << kBits, 0);
+  std::vector<uint64_t> by_fast_forward(by_store.size(), 0);
+  Rng seeder(2026);
+  for (int tr = 0; tr < kTrials; ++tr) {
+    ++by_store[StateAfterWeightOneUpdates(CounterKind::kCsuros, kBits, kNMax,
+                                          seeder.NextU64(), updates)];
+    auto bare = MakeCounterForBits(CounterKind::kCsuros, kBits, kNMax,
+                                   seeder.NextU64())
+                    .ValueOrDie();
+    bare->IncrementMany(kN);
+    ++by_fast_forward[bare->PackState()];
+  }
+  auto result =
+      stats::ChiSquareTwoSample(by_store, by_fast_forward).ValueOrDie();
+  EXPECT_GT(result.p_value, 1e-4) << "chi2=" << result.statistic
+                                  << " dof=" << result.dof;
 }
 
 // The slot codec at every stride the store takes: slots straddle byte and

@@ -65,6 +65,14 @@ TEST(FactoryTest, MakeCounterForBitsUnsupportedKindsFail) {
   EXPECT_TRUE(MakeCounterForBits(CounterKind::kAveragedMorris, 17, 1000, 1)
                   .status()
                   .IsInvalidArgument());
+  // A supported kind still rejects an n_max below 2, as an error rather
+  // than an abort.
+  for (uint64_t n_max : {0, 1}) {
+    EXPECT_TRUE(MakeCounterForBits(CounterKind::kCsuros, 17, n_max, 1)
+                    .status()
+                    .IsInvalidArgument())
+        << "n_max=" << n_max;
+  }
 }
 
 TEST(FactoryTest, SeedsChangeTheStream) {

@@ -60,8 +60,8 @@ std::vector<KeyWeight> Updates(uint64_t keys, uint64_t rounds) {
 
 TEST(HotpathAllocTest, StoreBatchOverIndexedKeysAllocatesNothing) {
   const std::vector<KeyWeight> updates = Updates(5000, 2);
-  for (CounterKind kind :
-       {CounterKind::kExact, CounterKind::kMorris, CounterKind::kSampling}) {
+  for (CounterKind kind : {CounterKind::kExact, CounterKind::kMorris,
+                           CounterKind::kSampling, CounterKind::kCsuros}) {
     SCOPED_TRACE(CounterKindToString(kind));
     auto store = analytics::CounterStore::MakeWithBitBudget(
                      kind, 16, uint64_t{1} << 20, 3)

@@ -121,6 +121,29 @@ class HotpathAllocTest(unittest.TestCase):
                   "}\n")
         self.assertEqual(vs, [])
 
+    def test_push_back_in_tagged_template_is_flagged(self):
+        vs = lint("// HOTPATH: one apply loop per counter class\n"
+                  "template <typename C>\n"
+                  "Status Store::ApplyBatch(C* counter, size_t n) {\n"
+                  "  for (size_t i = 0; i < n; ++i) {\n"
+                  "    counter->IncrementMany(1);\n"
+                  "    log_.push_back(i);\n"
+                  "  }\n"
+                  "  return Status::OK();\n"
+                  "}\n")
+        self.assertEqual(rules(vs), ["hotpath-alloc"])
+        self.assertEqual(vs[0].line, 6)
+
+    def test_clean_tagged_template_passes(self):
+        vs = lint("// HOTPATH\n"
+                  "template <typename C>\n"
+                  "Status Store::ApplyBatch(C* counter, size_t n) {\n"
+                  "  for (size_t i = 0; i < n; ++i) counter->IncrementMany(1);\n"
+                  "  return Status::OK();\n"
+                  "}\n"
+                  "void Store::Grow() { pool_.resize(2 * pool_.size()); }\n")
+        self.assertEqual(vs, [])
+
     def test_alloc_outside_tagged_body_is_not_flagged(self):
         vs = lint("// HOTPATH\n"
                   "void Fast() { x_ = 1; }\n"
